@@ -63,14 +63,19 @@ def rho_g(R: float, spec: ChannelSpec) -> float:
 
     rho_G = SNR/(2 beta_G) (1 + sqrt(1 + 4 beta_G / (SNR (beta_G - 1)))) - 1
     with beta_G = e^{2R}.  Equals 0 at capacity and 1 at the critical rate.
+    Near capacity the formula cancels to a tiny negative value, which is
+    clamped to 0 up to C (1 + 1e-12); rates clearly above C raise.
     """
     snr = spec.snr
     if R <= 0.0:
         raise ValueError("rho_g diverges as R -> 0; require R > 0")
+    if R > spec.capacity_nats * (1.0 + 1e-12):
+        raise ValueError("rho_g is defined up to capacity; R > C")
     beta_g = math.exp(2.0 * R)
-    return snr / (2.0 * beta_g) * (
+    rho = snr / (2.0 * beta_g) * (
         1.0 + math.sqrt(1.0 + 4.0 * beta_g / (snr * (beta_g - 1.0)))
     ) - 1.0
+    return max(rho, 0.0)
 
 
 def sphere_packing_exponent(R: float, spec: ChannelSpec) -> ExponentValue:

@@ -59,7 +59,9 @@ def bisect_root(f, lo, hi=None, tol=1e-12):
 
     If `hi` is None, the upper edge grows by doubling the span from `lo`
     until the sign changes (capped; raises BracketError on failure).
-    Requires a sign change over the final bracket.
+    Requires a sign change over the final bracket.  Stops early once the
+    bracket is two adjacent floats, so a `tol` below the float spacing at a
+    large root cannot loop forever.
     """
     f_lo = f(lo)
     if f_lo == 0.0:
@@ -82,6 +84,8 @@ def bisect_root(f, lo, hi=None, tol=1e-12):
     fa = f_lo
     while b - a > tol:
         m = 0.5 * (a + b)
+        if m == a or m == b:  # adjacent floats: `tol` is below the spacing here
+            break
         fm = f(m)
         if fm == 0.0:
             return m

@@ -7,6 +7,24 @@ are reduced by addition (a commutative monoid).
 
 Power convention: P = 1, codewords have norm sqrt(n), noise variance 1/SNR
 per dimension.  Normalized distances divide by sqrt(n).
+
+The spherical ML ensemble is simulated without drawing codebooks (Shannon
+1959, "Probability of error for optimal codes in a Gaussian channel").  All
+codewords have the same norm, so ML decoding picks the largest inner product
+with y, and a rival wins (ties count as errors) exactly when the angle it
+makes with y is at most the angle phi between y and the sent codeword.  The
+M-1 rivals are independent and uniform on the sphere, so given y each wins
+with the cap probability q = I_x((n-1)/2, (n-1)/2), x = sin^2(phi/2), and
+P(err | y) = 1 - (1-q)^(M-1).  By rotational symmetry phi depends on the
+noise only through its component g ~ N(0, sigma^2) along the sent codeword
+and its squared orthogonal part sigma^2 chi^2_(n-1).  A trial draws those two
+scalars and an Exp(1) variate E = -ln V, and errs iff
+E < -(M-1) ln(1-q): a Bernoulli(P(err | y)) draw, which is the brute-force
+ML error law at O(1) cost and memory per trial.  n = 1 is the discrete case:
+the "sphere" is {-1, +1}, a rival equals the sent word with probability 1/2
+and that tie counts as an error.  The expurgated ensemble has dependent
+codewords, so it still builds its codebooks (all of a block at once) and
+decodes by distance.
 """
 
 import json
@@ -14,7 +32,7 @@ import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from .awgn import sphere_packing_exponent, tail_exponents, theta_of_rate
 from .channel import ChannelSpec
@@ -59,7 +77,6 @@ class SimConfig:
     lattice: Lattice | None = None
     alpha: float = 1.0
     noise_var: float | None = None  # defaults to 1/SNR
-    fresh_codebook: bool = True
 
     def __post_init__(self):
         if self.trials < 1:
@@ -69,6 +86,16 @@ class SimConfig:
             raise ValueError("codebook size %d < 2; raise rate or n" % m)
         if m > MAX_CODEBOOK:
             raise ValueError("codebook size %d exceeds cap %d" % (m, MAX_CODEBOOK))
+        if (
+            self.ensemble == SPHERICAL_EXPURGATED
+            and self.d_min > math.sqrt(2.0)
+            and m > self.n + 1
+        ):
+            # Rankin: beyond the right-angle chord sqrt(2) at most n+1 points fit.
+            raise ValueError(
+                "d_min %g > sqrt(2) admits at most n+1 = %d codewords, not %d"
+                % (self.d_min, self.n + 1, m)
+            )
         if self.ensemble == LATTICE_COSET and self.lattice is None:
             raise ValueError("lattice-coset ensemble requires a lattice")
         if self.ensemble == LATTICE_COSET and self.decoder == DEC_ML:
@@ -124,42 +151,86 @@ def _result(errors, trials, n):
     )
 
 
-def _spherical_codebook(rng, count, m, n):
-    c = rng.normal(size=(count, m, n))
-    c *= math.sqrt(n) / np.linalg.norm(c, axis=2, keepdims=True)
+def _sphere_points(rng, shape, n):
+    c = rng.normal(size=(*shape, n))
+    c /= np.linalg.norm(c, axis=-1, keepdims=True)  # exactly +-1 when n = 1
+    c *= math.sqrt(n)
     return c
 
 
-def _expurgated_codebook(rng, m, n, d_min):
-    """Sequential rejection: codewords keep a pairwise distance >= d_min sqrt(n)."""
-    floor2 = d_min * d_min * n
-    rows = np.empty((m, n))
-    count = 0
-    attempts = 0
-    while count < m:
-        c = rng.normal(size=n)
-        c *= math.sqrt(n) / np.linalg.norm(c)
-        if count == 0 or (((rows[:count] - c) ** 2).sum(axis=1) >= floor2).all():
-            rows[count] = c
-            count += 1
-        attempts += 1
-        if attempts > 10_000 * m:
-            raise RuntimeError("expurgation cannot reach %d codewords" % m)
-    return rows
+# Candidates drawn per round while expurgating: a few pending codebooks draw
+# several each, so a hard floor costs few numpy calls.
+_CANDIDATES = 256
+
+
+def _expurgated_codebooks(rng, count, m, n, d_min):
+    """`count` codebooks whose codewords keep pairwise distance >= d_min sqrt(n).
+
+    Built slot by slot across all codebooks at once.  For slot k every book
+    draws uniform candidates until one clears its first k codewords, and only
+    books still pending draw again; each candidate is accepted or rejected
+    exactly as in one-at-a-time sequential rejection, so each codebook has that
+    law.  A book that needs more than 10 000 M draws in all raises
+    RuntimeError.
+    """
+    books = np.empty((count, m, n))
+    books[:, 0] = _sphere_points(rng, (count,), n)
+    # Equal norms: |a - b|^2 >= d_min^2 n  iff  <a, b> <= n (1 - d_min^2 / 2).
+    ip_max = n * (1.0 - 0.5 * d_min * d_min)
+    attempts = np.ones(count, dtype=np.int64)
+    for k in range(1, m):
+        todo = np.arange(count)
+        while todo.size:
+            per = max(1, _CANDIDATES // todo.size)
+            cand = _sphere_points(rng, (todo.size, per), n)
+            ips = cand @ books[todo, :k].transpose(0, 2, 1)
+            ok = (ips <= ip_max).all(axis=2)
+            hit = ok.any(axis=1)
+            first = ok.argmax(axis=1)  # the first candidate in draw order that clears
+            attempts[todo] += np.where(hit, first + 1, per)
+            if (attempts[todo] > 10_000 * m).any():
+                raise RuntimeError("expurgation cannot reach %d codewords" % m)
+            books[todo[hit], k] = cand[hit, first[hit]]
+            todo = todo[~hit]
+    return books
+
+
+def _spherical_ml_errors(config, rng, count):
+    """ML errors of `count` trials, each with a fresh uniform spherical codebook.
+
+    Draws only the noise along the sent codeword, its orthogonal energy and
+    one Exp(1) variate per trial; see the module docstring.
+    """
+    n, m = config.n, config.codebook_size
+    sd = math.sqrt(config.noise_variance)
+    par = math.sqrt(n) + rng.normal(scale=sd, size=count)
+    expo = rng.standard_exponential(count)
+    with np.errstate(divide="ignore"):
+        if n == 1:
+            # A rival is the sent point (a tie, counted) or the other one,
+            # which wins when y is not on the sent side.
+            log_miss = np.where(par > 0.0, math.log(0.5), -np.inf)
+        else:
+            perp2 = (sd * sd) * rng.chisquare(n - 1, size=count)
+            norm = np.sqrt(par * par + perp2)
+            # sin^2 of half the angle between y and the nearer of +-sent,
+            # in a form without cancellation.
+            s = perp2 / (2.0 * norm * (norm + np.abs(par)))
+            cap = special.betainc(0.5 * (n - 1), 0.5 * (n - 1), s)
+            # Past the equator I_{1-s}(a, a) = 1 - I_s(a, a), so 1 - q = cap.
+            log_miss = np.where(par >= 0.0, np.log1p(-cap), np.log(cap))
+    return int((expo < -(m - 1) * log_miss).sum())
 
 
 def _simulate_spherical_block(config, rng, count):
+    if config.ensemble != SPHERICAL_EXPURGATED:
+        return _spherical_ml_errors(config, rng, count)
     n, m = config.n, config.codebook_size
     sd = math.sqrt(config.noise_variance)
-    if config.ensemble == SPHERICAL_EXPURGATED:
-        books = np.stack(
-            [_expurgated_codebook(rng, m, n, config.d_min) for _ in range(count)]
-        )
-    else:
-        books = _spherical_codebook(rng, count, m, n)
+    books = _expurgated_codebooks(rng, count, m, n, config.d_min)
     sent = rng.integers(m, size=count)
     rows = np.arange(count)
-    y = books[rows, sent] + rng.normal(scale=sd, size=(count, n)) if sd > 0 else books[rows, sent].copy()
+    y = books[rows, sent] + rng.normal(scale=sd, size=(count, n))
     d2 = ((books - y[:, None, :]) ** 2).sum(axis=2)
     d2_sent = d2[rows, sent]
     d2[rows, sent] = np.inf

@@ -129,6 +129,16 @@ def test_rho_g_value_and_endpoints():
     assert abs(awgn.rho_g(awgn.critical_rate(SNR10), SNR10) - 1.0) < 1e-12
 
 
+def test_rho_g_clamped_at_capacity_only():
+    for snr_db in (-20.0, -5.0):
+        spec = ChannelSpec(10.0 ** (snr_db / 10.0))
+        c = spec.capacity_nats
+        for r in (c * (1.0 - 1e-15), c, c * (1.0 + 1e-13)):
+            assert awgn.rho_g(r, spec) >= 0.0
+        with pytest.raises(ValueError):
+            awgn.rho_g(c * 1.001, spec)
+
+
 def test_awgn_exponent_dispatch():
     below = awgn.awgn_exponent(0.3, SNR10)
     assert below.regime == EXPURGATED

@@ -119,6 +119,21 @@ def test_geometry_near_capacity_limits(capsys):
     assert abs(rpt["alpha_awgn"] - rpt["alpha_mmse"]) < 1e-3
 
 
+def test_exponents_and_geometry_at_capacity(capsys):
+    # R = C exactly, at SNRs where the rate round trip lands just below C.
+    for snr_db in (-20.0, -5.0):
+        c = 0.5 * math.log1p(10.0 ** (snr_db / 10.0))
+        code, out, err = _run(
+            capsys, "exponents", "--snr-db", repr(snr_db), "--grid-nats",
+            "--grid", "%r:%r:4" % (c / 4.0, c),
+        )
+        assert code == 0, err
+        assert len(out.strip().splitlines()) == 5
+        code, out, err = _run(capsys, "geometry", "--snr-db", repr(snr_db), "--rate-nats", repr(c))
+        assert code == 0, err
+        json.loads(out)
+
+
 def test_geometry_requires_rate(capsys):
     code, _, err = _run(capsys, "geometry", "--snr-db", "10")
     assert code == 2
@@ -169,6 +184,15 @@ def test_simulate_rejects_bad_type(tmp_path, capsys):
     code, _, err = _run(capsys, "simulate", str(cfg))
     assert code == 2
     assert "trials" in err
+
+
+def test_simulate_rejects_unreachable_floor(tmp_path, capsys):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"n": 4, "snr": 2.0, "rate_nats": math.log(64) / 4,
+                               "ensemble": "spherical-expurgated", "d_min": 1.9}))
+    code, _, err = _run(capsys, "simulate", str(cfg))
+    assert code == 2
+    assert "d_min" in err
 
 
 def test_simulate_missing_snr(tmp_path, capsys):

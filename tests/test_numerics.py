@@ -36,6 +36,12 @@ def test_bisect_root_expands_span():
     assert abs(root - 300.0) < 1e-9
 
 
+def test_bisect_root_tol_below_float_spacing():
+    # Near 1e4 adjacent floats are 1.8e-12 apart, wider than tol.
+    root = bisect_root(lambda t: t - (1e4 + 1.0 / 3.0), 1.0, tol=1e-12)
+    assert abs(root - (1e4 + 1.0 / 3.0)) <= 2e-12
+
+
 def test_bisect_root_no_sign_change():
     with pytest.raises(BracketError):
         bisect_root(lambda t: 1.0 + t * t, -5.0, 5.0)

@@ -124,6 +124,17 @@ def test_z_of_k_root_residual():
     assert abs(regions.z_of_k(k, 0.45, 0.4, SNR10)) < 1e-10
 
 
+def test_k_zeta_at_low_snr():
+    # At SNR 1e-4 the root sits near 1e4, where the float spacing exceeds
+    # the bisection tolerance.
+    spec = ChannelSpec(1e-4)
+    r = 0.25 * spec.capacity_nats
+    d = awgn.typical_distance(r, spec)
+    k = regions.k_zeta(d, r, spec)
+    assert 1.0 / spec.snr < k < math.inf
+    assert abs(regions.z_of_k(k, d, r, spec)) < 1e-9
+
+
 def test_tangent_sphere_scaling_identities():
     theta_c = awgn.theta_of_rate(awgn.capacity(SNR10))
     _, alpha, _ = regions.tangent_sphere_scaling(theta_c, SNR10)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from expbounds.channel import ChannelSpec
 from expbounds import simulator as sim
@@ -42,16 +43,82 @@ def test_determinism():
     assert a == b
 
 
+def _brute_force_errors(config, seed):
+    """Oracle: draw every codebook and decode by minimum distance.
+
+    Uses its own generator, so it shares no random stream with `simulate`.
+    Ties count as errors, as in the simulator.
+    """
+    rng = np.random.default_rng(seed)
+    n, m = config.n, config.codebook_size
+    sd = math.sqrt(config.noise_variance)
+    errors = 0
+    for _, count in sim._blocks(config.trials):
+        books = rng.normal(size=(count, m, n))
+        books /= np.linalg.norm(books, axis=2, keepdims=True)  # exact +-1 at n=1
+        books *= math.sqrt(n)
+        sent = rng.integers(m, size=count)
+        rows = np.arange(count)
+        y = books[rows, sent] + rng.normal(scale=sd, size=(count, n))
+        d2 = ((books - y[:, None, :]) ** 2).sum(axis=2)
+        d2_sent = d2[rows, sent]
+        d2[rows, sent] = np.inf
+        errors += int((d2.min(axis=1) <= d2_sent).sum())
+    return errors
+
+
+def _grid_config(n, m, snr, trials, seed):
+    cfg = sim.SimConfig(
+        n=n, spec=ChannelSpec(snr), rate=math.log(m) / n, trials=trials, seed=seed
+    )
+    assert cfg.codebook_size == m
+    return cfg
+
+
+def test_spherical_ml_holds_quadrature_pe():
+    # Exact Pe = E[1 - (1 - q)^(M-1)] by 2-D quadrature over the noise
+    # component along the sent codeword and the chi^2_(n-1) orthogonal energy.
+    res = sim.simulate(_grid_config(8, 9, 2.0, 1_000_000, 7))
+    assert res.ci95[0] <= 0.0532647 <= res.ci95[1]
+    res = sim.simulate(_grid_config(12, 512, 2.0, 200_000, 7))
+    assert res.ci95[0] <= 0.238275 <= res.ci95[1]
+
+
+@pytest.mark.parametrize(
+    "n, m, snr",
+    [(2, 4, 1.0), (4, 8, 1.0), (8, 9, 2.0), (8, 64, 4.0), (12, 64, 2.0)],
+)
+def test_spherical_ml_matches_brute_force(n, m, snr):
+    cfg = _grid_config(n, m, snr, 20_000, 3)
+    lo1, hi1 = sim.simulate(cfg).ci95
+    lo2, hi2 = sim.clopper_pearson(_brute_force_errors(cfg, 101), cfg.trials)
+    assert lo1 <= hi2 and lo2 <= hi1, ((lo1, hi1), (lo2, hi2))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_spherical_ml_n1_pessimistic_ties(m):
+    # On {-1, +1} a rival equals the sent word with probability 1/2 and that
+    # tie counts as an error, so Pe = 1 - Phi(sqrt(SNR)) 2^-(M-1) exactly.
+    exact = 1.0 - stats.norm.cdf(1.0) * 0.5 ** (m - 1)
+    cfg = _grid_config(1, m, 1.0, 20_000, 5)
+    lo, hi = sim.simulate(cfg).ci95
+    assert lo <= exact <= hi
+    lo, hi = sim.clopper_pearson(_brute_force_errors(cfg, 103), cfg.trials)
+    assert lo <= exact <= hi
+
+
 def test_block_split_invariance():
     # Splitting trials into blocks must not depend on call pattern: a run of
     # k*BLOCK trials equals the sum of per-block runs with the same seed.
-    cfg = _spherical_config(trials=2 * sim.BLOCK)
-    total = sim.simulate(cfg).errors
-    partial = 0
-    for index in range(2):
-        rng = sim.block_rng(cfg.seed, index)
-        partial += sim._simulate_spherical_block(cfg, rng, sim.BLOCK)
-    assert partial == total
+    for extra in ({}, {"ensemble": sim.SPHERICAL_EXPURGATED, "d_min": 0.6}):
+        cfg = _spherical_config(trials=2 * sim.BLOCK, **extra)
+        total = sim.simulate(cfg).errors
+        assert total > 0
+        partial = 0
+        for index in range(2):
+            rng = sim.block_rng(cfg.seed, index)
+            partial += sim._simulate_spherical_block(cfg, rng, sim.BLOCK)
+        assert partial == total
 
 
 def test_zero_noise_zero_errors():
@@ -59,20 +126,31 @@ def test_zero_noise_zero_errors():
         ensemble=sim.SPHERICAL_EXPURGATED, d_min=0.2, noise_var=0.0, trials=1000
     )
     assert sim.simulate(cfg).errors == 0
+    assert sim.simulate(_spherical_config(noise_var=0.0, trials=1000)).errors == 0
 
 
 def test_expurgated_respects_distance_floor():
     rng = sim.block_rng(0, 0)
-    rows = sim._expurgated_codebook(rng, 9, 8, 0.5)
-    d2 = ((rows[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
+    books = sim._expurgated_codebooks(rng, 64, 9, 8, 0.5)
+    d2 = ((books[:, :, None, :] - books[:, None, :, :]) ** 2).sum(axis=3)
     d2 += np.eye(9) * 1e9
     assert d2.min() >= 0.25 * 8 - 1e-9
 
 
 def test_expurgated_unreachable_floor_raises():
+    # Rankin: with pairwise chords above sqrt(2) at most n+1 points fit.
+    with pytest.raises(ValueError):
+        _spherical_config(
+            n=4, rate=math.log(64) / 4, ensemble=sim.SPHERICAL_EXPURGATED, d_min=1.9
+        )
+
+
+def test_expurgation_attempt_cap_raises():
+    # Rankin admits 5 points in 4 dimensions, but none keep chords of 1.9:
+    # the regular simplex, the best such code, has chords sqrt(2.5) = 1.58.
     rng = sim.block_rng(0, 0)
     with pytest.raises(RuntimeError):
-        sim._expurgated_codebook(rng, 64, 4, 1.9)
+        sim._expurgated_codebooks(rng, 3, 5, 4, 1.9)
 
 
 def test_expurgation_reduces_error_rate():
