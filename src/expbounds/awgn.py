@@ -7,6 +7,7 @@ half-angle associated with a rate is theta(R) = arcsin(e^{-R}).
 import math
 
 from .channel import (
+    CAPACITY_SLACK,
     ChannelSpec,
     CriticalRates,
     ExponentValue,
@@ -15,9 +16,7 @@ from .channel import (
     SPHERE_PACKING,
     ZERO,
 )
-from .numerics import bisect_root, golden_min
-
-_EPS = 1e-12
+from .numerics import _EPS, golden_min
 
 
 def capacity(spec: ChannelSpec) -> float:
@@ -64,12 +63,12 @@ def rho_g(R: float, spec: ChannelSpec) -> float:
     rho_G = SNR/(2 beta_G) (1 + sqrt(1 + 4 beta_G / (SNR (beta_G - 1)))) - 1
     with beta_G = e^{2R}.  Equals 0 at capacity and 1 at the critical rate.
     Near capacity the formula cancels to a tiny negative value, which is
-    clamped to 0 up to C (1 + 1e-12); rates clearly above C raise.
+    clamped to 0 up to C * CAPACITY_SLACK; rates clearly above C raise.
     """
     snr = spec.snr
     if R <= 0.0:
         raise ValueError("rho_g diverges as R -> 0; require R > 0")
-    if R > spec.capacity_nats * (1.0 + 1e-12):
+    if R > spec.capacity_nats * CAPACITY_SLACK:
         raise ValueError("rho_g is defined up to capacity; R > C")
     beta_g = math.exp(2.0 * R)
     rho = snr / (2.0 * beta_g) * (
@@ -115,18 +114,13 @@ def min_distance(R: float) -> float:
 def rate_x(spec: ChannelSpec) -> float:
     """Rate where the expurgated and random-coding exponents meet.
 
-    E^x - E_r is tangent to zero there (it does not change sign), so the
-    root is located through the equivalent monotone crossing
-    d_min(R) = d_crit by bracketed bisection, and cross-checked against the
-    closed form 1/2 ln(1/2 (1 + sqrt(1 + SNR^2/4))).
+    E^x - E_r is tangent to zero there, at the crossing d_min(R) = d_crit:
+    R_x = 1/2 ln(1/2 (1 + sqrt(1 + a))) with a = SNR^2/4.  Since
+    1/2 (1 + sqrt(1 + a)) - 1 = a / (2 (1 + sqrt(1 + a))), it is evaluated
+    as 1/2 log1p of that, which does not cancel at low SNR.
     """
-    d_c = critical_distance(spec)
-    r_c = critical_rate(spec)
-    root = bisect_root(lambda R: min_distance(R) - d_c, _EPS, r_c, tol=1e-12)
-    closed = 0.5 * math.log(0.5 * (1.0 + math.sqrt(1.0 + spec.snr ** 2 / 4.0)))
-    if abs(root - closed) > 1e-9:
-        raise AssertionError("rate_x bisection disagrees with closed form")
-    return root
+    a = spec.snr * spec.snr / 4.0
+    return 0.5 * math.log1p(a / (2.0 * (1.0 + math.sqrt(1.0 + a))))
 
 
 def critical_rates(spec: ChannelSpec) -> CriticalRates:
@@ -142,7 +136,7 @@ def critical_rates(spec: ChannelSpec) -> CriticalRates:
 
 def random_coding_exponent(R: float, spec: ChannelSpec) -> ExponentValue:
     """Random-coding exponent: affine with slope -1 below R_crit, E_sp above."""
-    if R < 0.0 or R > spec.capacity_nats + _EPS:
+    if R < 0.0 or R > spec.capacity_nats * CAPACITY_SLACK:
         raise ValueError("rate must be in [0, C]")
     r_c = critical_rate(spec)
     if R > r_c:
@@ -220,7 +214,7 @@ def leave_cone_exponent(theta: float, spec: ChannelSpec) -> ExponentValue:
 
 def typical_distance(R: float, spec: ChannelSpec) -> float:
     """Normalized chord of the typical (dominating) error event at rate R."""
-    if R < 0.0 or R > spec.capacity_nats + _EPS:
+    if R < 0.0 or R > spec.capacity_nats * CAPACITY_SLACK:
         raise ValueError("rate must be in [0, C]")
     if R <= rate_x(spec):
         return min_distance(R)

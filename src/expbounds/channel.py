@@ -10,6 +10,10 @@ from dataclasses import dataclass
 
 LN2 = math.log(2.0)
 
+# Rates up to C * CAPACITY_SLACK count as "at most C": a rate converted from
+# bits, or one on a grid ending at C, can land a few ulps above it.
+CAPACITY_SLACK = 1.0 + 1e-12
+
 
 def db_to_linear(snr_db):
     return 10.0 ** (snr_db / 10.0)

@@ -2,8 +2,12 @@
 
 Subcommands: exponents (CSV curves), geometry (JSON typical-event report),
 lattice (JSON figures of merit), simulate (JSON Monte Carlo result from a
-config file), validate (self-check suite).  Exit status: 0 ok, 1 a check
-failed, 2 usage error.
+config file), validate (self-check suite).
+
+Exit status: 0 ok; 1 a `validate` check failed; 2 usage error or invalid
+input (`ValueError`); 3 numerical failure (`RuntimeError`: a root bracket not
+found, the expurgation attempt cap).  Exits 2 and 3 print one `error:` line.
+--out is written whole to a temporary file, then renamed onto the target.
 
 Rates are accepted in bits (engineering convention) or nats; outputs always
 carry the rate in nats plus the rate normalized by capacity so the unit is
@@ -13,12 +17,13 @@ unambiguous.
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
 from . import awgn, modlam, regions, simulator
-from .channel import ChannelSpec, bits_to_nats, nats_to_bits
+from .channel import CAPACITY_SLACK, ChannelSpec, bits_to_nats, nats_to_bits
 from .lattices import Lattice, d4, e8, integer_lattice, lattice_figures, load_basis
 
 CURVES = ("E_sp", "E_r", "E_x", "E_awgn", "E_modlambda")
@@ -31,7 +36,7 @@ _BUILTIN_LATTICES = {
 }
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -77,10 +82,21 @@ def _load_lattice(name_or_path) -> Lattice:
         raise UsageError("cannot load lattice %r: %s" % (name_or_path, exc))
 
 
-def _open_out(args):
+def _write_out(args, text):
+    """Write finished output to stdout, or atomically replace --out with it."""
     if args.out is None or args.out == "-":
-        return sys.stdout, False
-    return open(args.out, "w"), True
+        sys.stdout.write(text)
+        return
+    tmp = "%s.%d.tmp" % (os.path.abspath(args.out), os.getpid())
+    try:
+        with open(tmp, "w") as f:
+            f.write(text)
+        os.replace(tmp, args.out)
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (args.out, exc))
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _exponent_row(r, spec):
@@ -99,7 +115,7 @@ def cmd_exponents(args):
     if not args.grid_nats:
         lo, hi = bits_to_nats(lo), bits_to_nats(hi)
     c = spec.capacity_nats
-    if hi > c * (1.0 + 1e-12):
+    if hi > c * CAPACITY_SLACK:
         raise UsageError("grid max %.6g exceeds capacity %.6g nats" % (hi, c))
     hi = min(hi, c)
     curves = CURVES
@@ -108,22 +124,17 @@ def cmd_exponents(args):
         bad = [s for s in curves if s not in CURVES]
         if bad:
             raise UsageError("unknown curves %s; choose from %s" % (bad, list(CURVES)))
-    rates = np.linspace(lo, hi, points)
-    out, close = _open_out(args)
-    try:
-        header = ["rate_nats", "rate_over_C"]
-        header += [c_ for c_ in curves]
-        header += ["E_over_snr_" + c_[2:] for c_ in curves]
-        out.write(",".join(header) + "\n")
-        for r in rates:
-            row = _exponent_row(float(r), spec)
-            vals = [float(r), float(r) / c]
-            vals += [row[c_] for c_ in curves]
-            vals += [row[c_] / spec.snr for c_ in curves]
-            out.write(",".join("%.17g" % v for v in vals) + "\n")
-    finally:
-        if close:
-            out.close()
+    header = ["rate_nats", "rate_over_C"]
+    header += [c_ for c_ in curves]
+    header += ["E_over_snr_" + c_[2:] for c_ in curves]
+    lines = [",".join(header)]
+    for r in np.linspace(lo, hi, points):
+        row = _exponent_row(float(r), spec)
+        vals = [float(r), float(r) / c]
+        vals += [row[c_] for c_ in curves]
+        vals += [row[c_] / spec.snr for c_ in curves]
+        lines.append(",".join("%.17g" % v for v in vals))
+    _write_out(args, "\n".join(lines) + "\n")
     return 0
 
 
@@ -136,7 +147,8 @@ def cmd_geometry(args):
     d_typ = awgn.typical_distance(r, spec)
     theta_a = regions.theta_awgn(r, spec)
     scaling = modlam.k_alpha_star(math.exp(-r), r, spec)
-    r_scaled = math.sin(modlam.theta_lambda(r, spec)) / scaling.alpha
+    theta_lam = modlam.theta_lambda(r, spec)
+    r_scaled = modlam.r_lambda_alpha(r, spec)
     l_star, d_star, lat_regime = modlam.maximizers_lattice(
         r_scaled, scaling, spec, min_distance=math.exp(-r)
     )
@@ -157,7 +169,7 @@ def cmd_geometry(args):
         "E_modlambda": {"value": e_lam.value, "regime": e_lam.regime},
         "theta": theta,
         "theta_awgn": theta_a,
-        "theta_lambda": modlam.theta_lambda(r, spec),
+        "theta_lambda": theta_lam,
         "alpha_awgn": regions.alpha_awgn(r, spec),
         "alpha_awgn_r": regions.alpha_awgn_r(r, spec),
         "alpha_lambda": alpha_lam,
@@ -175,12 +187,7 @@ def cmd_geometry(args):
     }
     if r < crit.r_crit:
         report["k_zeta"] = regions.k_zeta(d_typ, r, spec)
-    out, close = _open_out(args)
-    try:
-        out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    finally:
-        if close:
-            out.close()
+    _write_out(args, json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0
 
 
@@ -200,12 +207,7 @@ def cmd_lattice(args):
         "r_cov_upper": figs.r_cov,
         "deep_hole_probe": figs.deep_hole_probe,
     }
-    out, close = _open_out(args)
-    try:
-        out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    finally:
-        if close:
-            out.close()
+    _write_out(args, json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0
 
 
@@ -267,10 +269,7 @@ def _sim_config(doc):
         kwargs["noise_var"] = float(doc["noise_var"])
     if "lattice" in doc:
         kwargs["lattice"] = _load_lattice(doc["lattice"])
-    try:
-        return simulator.SimConfig(**kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return simulator.SimConfig(**kwargs)
 
 
 def cmd_simulate(args):
@@ -283,12 +282,7 @@ def cmd_simulate(args):
         raise UsageError("config is not valid JSON: %s" % exc)
     config = _sim_config(doc)
     result = simulator.simulate(config)
-    out, close = _open_out(args)
-    try:
-        out.write(result.to_json(config_summary=doc) + "\n")
-    finally:
-        if close:
-            out.close()
+    _write_out(args, result.to_json(config_summary=doc) + "\n")
     return 0
 
 
@@ -471,12 +465,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:  # UsageError included
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except RuntimeError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return 3
 
 
 if __name__ == "__main__":

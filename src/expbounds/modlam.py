@@ -19,16 +19,15 @@ from .awgn import (
     theta_of_rate,
 )
 from .channel import (
+    CAPACITY_SLACK,
     ChannelSpec,
     ExponentValue,
     EXPURGATED,
     RANDOM_CODING,
     SPHERE_PACKING,
 )
-from .numerics import bisect_root
+from .numerics import _EPS, bisect_root
 from .regions import ebd, f_bnd, tangent_sphere_scaling, theta_zeta, k_zeta
-
-_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -140,38 +139,22 @@ def l_circ_star(r, k_alpha, spec: ChannelSpec):
 UNCONSTRAINED = "unconstrained"
 
 
-def _expurgated_l_star(d_omega, scaling: ScalingSpec, spec: ChannelSpec, r):
-    """Root of the stationarity relation for l under a binding distance floor.
+def _expurgated_l_star(d_omega, scaling: ScalingSpec, spec: ChannelSpec):
+    """Stationary l of the lattice union bound under a binding distance floor.
 
-    The relation is cubic in l after clearing denominators; among sign-change
-    roots on (K_alpha, l_hi) the one minimizing the bound exponent is chosen.
+    With K = K_alpha and a = d_omega (1+K)/2 the stationarity relation is the
+    cubic K SNR (l-K)(l^2 - a^2) = l^2.  On (K, a] its left side is <= 0, so
+    no root lies there.  On (max(K, a), inf) the function
+    g(l) = K SNR (l-K)(1 - a^2/l^2) is a product of two non-negative
+    increasing factors, rising strictly from 0 to inf, so g(l) = 1 has
+    exactly one root there.
     """
     k_a = scaling.k_alpha
-    snr = spec.snr
-
-    def residual(l):
-        num = l * l + (k_a * k_a * l * l - k_a * l ** 3) * snr
-        den = k_a * (1.0 + k_a) ** 2 * (k_a - l) * snr
-        return d_omega * d_omega / 4.0 - num / den
-
-    l_hi = max(4.0, 8.0 / (k_a * snr))
-    grid = [k_a + _EPS + (l_hi - k_a) * i / 400.0 for i in range(401)]
-    roots = []
-    for a, b in zip(grid[:-1], grid[1:]):
-        try:
-            if residual(a) * residual(b) <= 0.0:
-                roots.append(bisect_root(residual, a, b, tol=1e-12))
-        except (ValueError, ZeroDivisionError):
-            continue
-    if not roots:
-        raise RuntimeError("no stationary l found on (K_alpha, %g)" % l_hi)
-    d_lat = d_omega * (1.0 + k_a)
-
-    def value(l):
-        beta, _ = beta_star_lattice(r, d_lat, l, scaling, spec)
-        return union_bound_exponent_lattice(r, k_a, l, d_lat, beta, 0.0, spec)
-
-    return min(roots, key=value)
+    a = d_omega * (1.0 + k_a) / 2.0
+    scale = k_a * spec.snr
+    return bisect_root(
+        lambda l: scale * (l - k_a) * (1.0 - (a / l) ** 2) - 1.0, max(k_a, a)
+    )
 
 
 def maximizers_lattice(r, scaling: ScalingSpec, spec: ChannelSpec, min_distance=0.0):
@@ -190,7 +173,7 @@ def maximizers_lattice(r, scaling: ScalingSpec, spec: ChannelSpec, min_distance=
     d_free = math.sqrt(2.0) * r
     if d_free >= d_floor:
         return l_circ_star(r, k_a, spec), d_free, UNCONSTRAINED
-    return _expurgated_l_star(min_distance, scaling, spec, r), d_floor, EXPURGATED
+    return _expurgated_l_star(min_distance, scaling, spec), d_floor, EXPURGATED
 
 
 def k_alpha_star(d_omega, R, spec: ChannelSpec) -> ScalingSpec:
@@ -245,7 +228,7 @@ def modlambda_exponent(R, spec: ChannelSpec):
     exponent at and above the critical rate; improves on random coding below
     rate_ii.
     """
-    if not 0.0 <= R <= spec.capacity_nats + _EPS:
+    if not 0.0 <= R <= spec.capacity_nats * CAPACITY_SLACK:
         raise ValueError("rate must be in [0, C]")
     d_typ = typical_distance_ii(R, spec)
     theta = theta_of_rate(R)

@@ -11,6 +11,9 @@ _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
 _MAX_GROW = 2 ** 60
 
+# Offset keeping arguments off open-interval edges and log/chord singularities.
+_EPS = 1e-12
+
 
 class BracketError(RuntimeError):
     """Raised when a root/minimum bracket cannot be established."""
@@ -94,18 +97,3 @@ def bisect_root(f, lo, hi=None, tol=1e-12):
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
-
-
-def nested_min2(f, x_bounds, y_bounds, tol=1e-9):
-    """Minimize f(x, y) over a box by nested golden-section search.
-
-    Returns (x, y, value).  Suitable for smooth quasi-convex objectives;
-    used with analytic warm starts elsewhere.
-    """
-
-    def inner(x):
-        return golden_min(lambda y: f(x, y), y_bounds[0], y_bounds[1], tol=tol)[1]
-
-    x, _ = golden_min(inner, x_bounds[0], x_bounds[1], tol=tol)
-    y, val = golden_min(lambda yy: f(x, yy), y_bounds[0], y_bounds[1], tol=tol)
-    return x, y, val

@@ -14,17 +14,13 @@ from .awgn import (
     beta_star,
     critical_rate,
     critical_distance,
-    min_distance,
     rate_of_theta,
-    rate_x,
     sphere_packing_exponent,
     theta_of_rate,
     typical_distance,
 )
 from .channel import ChannelSpec
-from .numerics import bisect_root, golden_min
-
-_EPS = 1e-12
+from .numerics import _EPS, bisect_root, golden_min
 
 ABOVE_CRITICAL = "above-critical"
 BELOW_CRITICAL = "below-critical"
@@ -267,14 +263,3 @@ def alpha_awgn_r(R: float, spec: ChannelSpec) -> float:
     """Scaling achieving the random-coding exponent: alpha*_s at max(R, R_crit)."""
     return tangent_sphere_scaling(theta_of_rate(max(R, critical_rate(spec))), spec)[1]
 
-
-def sphere_region_cross_section(alpha, beta_s, theta, theta_d):
-    """Half-space offset and sphere-slice radius at radial height (1+beta_s).
-
-    x_s = (1+beta_s) tan(theta_d/2); y_s^2 = sin^2(theta)/alpha^2
-    - (1/alpha - (1+beta_s))^2.  Returns None when the slice misses the sphere.
-    """
-    y2 = (math.sin(theta) / alpha) ** 2 - (1.0 / alpha - (1.0 + beta_s)) ** 2
-    if y2 < 0.0:
-        return None
-    return (1.0 + beta_s) * math.tan(theta_d / 2.0), math.sqrt(y2)

@@ -16,6 +16,7 @@ from expbounds.channel import (
     ZERO,
 )
 from expbounds import awgn
+from expbounds.numerics import bisect_root
 
 SNR10 = ChannelSpec(10.0)
 SNR1 = ChannelSpec(1.0)
@@ -75,6 +76,33 @@ def test_rate_x_is_branch_junction():
     assert abs(e_x - EX_RX) < 1e-9
     assert abs(e_x - e_r) < 1e-9
     assert abs(awgn.min_distance(r_x) - awgn.critical_distance(SNR10)) < 1e-9
+
+
+# R_x = 1/2 ln(1/2 (1 + sqrt(1 + SNR^2/4))) at 50 digits (mpmath, 60-digit work
+# precision), over the whole supported SNR range.
+RX_MPMATH = {
+    1e-4: 3.1249999970703125040690104099909464638392130304376e-10,
+    1e-2: 3.1249707035318943660666124920506907931040880035041e-06,
+    10.0: 0.55749042111169823582908206385910901983570500706636,
+    1e5: 5.0633255519251682339610799685860672556891583568942,
+}
+
+
+@pytest.mark.parametrize("snr", sorted(RX_MPMATH))
+def test_rate_x_matches_mpmath(snr):
+    want = RX_MPMATH[snr]
+    assert abs(awgn.rate_x(ChannelSpec(snr)) - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("snr", [0.1, 1.0, 10.0, 1e3, 1e5])
+def test_rate_x_is_min_distance_crossing(snr):
+    # The closed form is the root of the monotone crossing d_min(R) = d_crit.
+    spec = ChannelSpec(snr)
+    d_c = awgn.critical_distance(spec)
+    root = bisect_root(
+        lambda R: awgn.min_distance(R) - d_c, 1e-12, awgn.critical_rate(spec), tol=1e-12
+    )
+    assert abs(root - awgn.rate_x(spec)) < 1e-9
 
 
 def test_sphere_packing_values():

@@ -6,7 +6,7 @@ import json
 import math
 
 from expbounds.channel import ChannelSpec
-from expbounds import awgn
+from expbounds import awgn, cli
 from expbounds.cli import main
 
 
@@ -22,6 +22,7 @@ def test_exponents_csv_schema(tmp_path, capsys):
         capsys, "exponents", "--snr-db", "10", "--grid", "0.05:1.7:50", "--out", str(out)
     )
     assert code == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["curves.csv"]  # no temp file left
     rows = list(csv.DictReader(io.StringIO(out.read_text())))
     assert len(rows) == 50
     header = rows[0].keys()
@@ -208,3 +209,49 @@ def test_validate_fast_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "PASS" in out
+
+
+def test_exponents_failure_keeps_existing_out_file(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "curves.csv"
+    out.write_bytes(b"old bytes\n")
+    real_row = cli._exponent_row
+    calls = []
+
+    def failing_row(r, spec):
+        calls.append(r)
+        if len(calls) == 3:
+            raise ValueError("injected failure at rate %r" % r)
+        return real_row(r, spec)
+
+    monkeypatch.setattr(cli, "_exponent_row", failing_row)
+    code, stdout, err = _run(
+        capsys, "exponents", "--snr-db", "10", "--grid", "0.1:1.0:5", "--out", str(out)
+    )
+    assert code == 2
+    assert "injected failure" in err
+    assert stdout == ""
+    assert out.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["curves.csv"]
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "curves.csv"
+    code, _, err = _run(
+        capsys, "exponents", "--snr-db", "10", "--grid", "0.1:1.0:3", "--out", str(out)
+    )
+    assert code == 2
+    assert err.startswith("error: cannot write")
+
+
+def test_numerical_failure_exits_3_without_traceback(tmp_path, capsys):
+    # Rankin admits M = 5 at d_min 1.9 in n = 4, but no codebook meets the
+    # floor (the simplex chord is 1.58), so the expurgation attempt cap fires.
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"n": 4, "snr": 2.0, "rate_nats": math.log(5) / 4,
+                               "ensemble": "spherical-expurgated", "d_min": 1.9,
+                               "trials": 1}))
+    code, stdout, err = _run(capsys, "simulate", str(cfg))
+    assert code == 3
+    assert stdout == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err

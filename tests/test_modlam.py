@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from expbounds.channel import ChannelSpec, EXPURGATED, RANDOM_CODING, SPHERE_PACKING
 from expbounds import awgn, modlam, regions
+from expbounds.numerics import bisect_root
 
 SNR10 = ChannelSpec(10.0)
 
@@ -99,6 +101,83 @@ def test_expurgated_l_star_solves_constraint():
         assert regime == EXPURGATED
         assert abs(d_star - d_omega * (1.0 + k_a)) < 1e-12
         assert abs(l_star - (1.0 + k_a)) < 1e-6
+
+
+def _grid_scan_l_star(d_omega, scaling, spec, r):
+    """Oracle: sign-change roots of the stationarity residual on a 400-cell
+    grid over (K_alpha, l_hi), each refined by bisection; among them the one
+    minimizing the bound exponent."""
+    k_a = scaling.k_alpha
+    snr = spec.snr
+
+    def residual(l):
+        num = l * l + (k_a * k_a * l * l - k_a * l ** 3) * snr
+        den = k_a * (1.0 + k_a) ** 2 * (k_a - l) * snr
+        return d_omega * d_omega / 4.0 - num / den
+
+    l_hi = max(4.0, 8.0 / (k_a * snr))
+    grid = [k_a + 1e-12 + (l_hi - k_a) * i / 400.0 for i in range(401)]
+    roots = []
+    for a, b in zip(grid[:-1], grid[1:]):
+        try:
+            if residual(a) * residual(b) <= 0.0:
+                roots.append(bisect_root(residual, a, b, tol=1e-12))
+        except (ValueError, ZeroDivisionError):
+            continue
+    d_lat = d_omega * (1.0 + k_a)
+
+    def value(l):
+        beta, _ = modlam.beta_star_lattice(r, d_lat, l, scaling, spec)
+        return modlam.union_bound_exponent_lattice(r, k_a, l, d_lat, beta, 0.0, spec)
+
+    return min(roots, key=value)
+
+
+def _floor_binding_points(geometry_radius):
+    """(spec, scaling, radius, d_omega) with a binding distance floor, -40..50 dB.
+
+    With geometry_radius the radius is r_lambda_alpha(R), as in the geometry
+    report, where the floor binds from 10 dB up; otherwise it is 0.9 times
+    the floor radius, which binds at every SNR."""
+    for snr_db in range(-40, 51, 5):
+        spec = ChannelSpec(10.0 ** (snr_db / 10.0))
+        for frac in np.linspace(0.02, 1.0, 50):
+            r = float(frac) * spec.capacity_nats
+            d_omega = math.exp(-r)
+            scaling = modlam.k_alpha_star(d_omega, r, spec)
+            floor_radius = d_omega * (1.0 + scaling.k_alpha) / math.sqrt(2.0)
+            if geometry_radius:
+                radius = modlam.r_lambda_alpha(r, spec)
+            else:
+                radius = 0.9 * floor_radius
+            if radius < floor_radius:
+                yield spec, scaling, radius, d_omega
+
+
+def test_expurgated_l_star_matches_grid_scan():
+    points = list(_floor_binding_points(geometry_radius=True))
+    assert len(points) > 200
+    for spec, scaling, radius, d_omega in points:
+        l_star, _, regime = modlam.maximizers_lattice(
+            radius, scaling, spec, min_distance=d_omega
+        )
+        assert regime == EXPURGATED
+        want = _grid_scan_l_star(d_omega, scaling, spec, radius)
+        assert abs(l_star - want) <= 1e-10 * want
+
+
+def test_expurgated_l_star_is_the_admissible_cubic_root():
+    for spec, scaling, radius, d_omega in _floor_binding_points(geometry_radius=False):
+        l_star, _, regime = modlam.maximizers_lattice(
+            radius, scaling, spec, min_distance=d_omega
+        )
+        assert regime == EXPURGATED
+        # The unique root of K SNR (l-K)(l^2 - a^2) = l^2 above max(K, a).
+        k_a = scaling.k_alpha
+        a = d_omega * (1.0 + k_a) / 2.0
+        assert l_star > max(k_a, a)
+        lhs = k_a * spec.snr * (l_star - k_a) * (l_star ** 2 - a * a)
+        assert abs(lhs - l_star ** 2) <= 1e-9 * l_star ** 2
 
 
 def test_k_alpha_star_branches():

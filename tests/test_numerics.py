@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from expbounds.numerics import BracketError, bisect_root, golden_min, nested_min2
+from expbounds.numerics import BracketError, bisect_root, golden_min
 
 
 def test_golden_min_parabola():
@@ -45,16 +45,6 @@ def test_bisect_root_tol_below_float_spacing():
 def test_bisect_root_no_sign_change():
     with pytest.raises(BracketError):
         bisect_root(lambda t: 1.0 + t * t, -5.0, 5.0)
-
-
-def test_nested_min2_quadratic_bowl():
-    def f(x, y):
-        return (x - 0.5) ** 2 + (y + 1.5) ** 2 + 7.0
-
-    x, y, val = nested_min2(f, (-4.0, 4.0), (-4.0, 4.0), tol=1e-10)
-    assert abs(x - 0.5) < 1e-4
-    assert abs(y + 1.5) < 1e-4
-    assert abs(val - 7.0) < 1e-8
 
 
 def test_golden_min_matches_math_cos():
