@@ -38,8 +38,8 @@ class ChannelSpec:
     snr: float
 
     def __post_init__(self):
-        if not self.snr > 0.0:
-            raise ValueError("snr must be positive, got %r" % (self.snr,))
+        if not 0.0 < self.snr < math.inf:
+            raise ValueError("snr must be positive and finite, got %r" % (self.snr,))
 
     @property
     def capacity_nats(self):

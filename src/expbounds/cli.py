@@ -6,7 +6,8 @@ config file), validate (self-check suite).
 
 Exit status: 0 ok; 1 a `validate` check failed; 2 usage error or invalid
 input (`ValueError`); 3 numerical failure (`RuntimeError`: a root bracket not
-found, the expurgation attempt cap).  Exits 2 and 3 print one `error:` line.
+found, the expurgation attempt cap; `ArithmeticError`: a division by zero or
+an overflow at extreme inputs).  Exits 2 and 3 print one `error:` line.
 --out is written whole to a temporary file, then renamed onto the target.
 
 Rates are accepted in bits (engineering convention) or nats; outputs always
@@ -23,7 +24,14 @@ import sys
 import numpy as np
 
 from . import awgn, modlam, regions, simulator
-from .channel import CAPACITY_SLACK, ChannelSpec, bits_to_nats, nats_to_bits
+from .channel import (
+    CAPACITY_SLACK,
+    ChannelSpec,
+    bits_to_nats,
+    db_to_linear,
+    linear_to_db,
+    nats_to_bits,
+)
 from .lattices import Lattice, d4, e8, integer_lattice, lattice_figures, load_basis
 
 CURVES = ("E_sp", "E_r", "E_x", "E_awgn", "E_modlambda")
@@ -43,8 +51,7 @@ class UsageError(ValueError):
 def _channel(args) -> ChannelSpec:
     if args.snr is not None:
         return ChannelSpec(args.snr)
-    snr_db = 10.0 if args.snr_db is None else args.snr_db
-    return ChannelSpec(10.0 ** (snr_db / 10.0))
+    return ChannelSpec(db_to_linear(10.0 if args.snr_db is None else args.snr_db))
 
 
 def _rate_nats(args, spec):
@@ -154,7 +161,7 @@ def cmd_geometry(args):
     )
     report = {
         "snr": spec.snr,
-        "snr_db": 10.0 * math.log10(spec.snr),
+        "snr_db": linear_to_db(spec.snr),
         "rate_nats": r,
         "rate_bits": nats_to_bits(r),
         "rate_over_C": r / spec.capacity_nats,
@@ -173,7 +180,7 @@ def cmd_geometry(args):
         "alpha_awgn": regions.alpha_awgn(r, spec),
         "alpha_awgn_r": regions.alpha_awgn_r(r, spec),
         "alpha_lambda": alpha_lam,
-        "alpha_mmse": spec.snr / (1.0 + spec.snr),
+        "alpha_mmse": modlam.mmse_alpha(spec).alpha,
         "k_alpha_star": scaling.k_alpha,
         "d_typ": d_typ,
         "d_typ_ii": d_typ_ii,
@@ -235,9 +242,8 @@ def _sim_config(doc):
         if key not in _SIM_SCHEMA:
             raise UsageError("unknown config field %r" % key)
         want = _SIM_SCHEMA[key]
-        if want is float and isinstance(value, int):
-            continue
-        if not isinstance(value, want):
+        kinds = (int, float) if want is float else want
+        if isinstance(value, bool) or not isinstance(value, kinds):  # JSON true is an int
             raise UsageError("field %r must be %s" % (key, want.__name__))
     for required in ("n",):
         if required not in doc:
@@ -245,7 +251,7 @@ def _sim_config(doc):
     if "snr" in doc:
         spec = ChannelSpec(float(doc["snr"]))
     elif "snr_db" in doc:
-        spec = ChannelSpec(10.0 ** (float(doc["snr_db"]) / 10.0))
+        spec = ChannelSpec(db_to_linear(float(doc["snr_db"])))
     else:
         raise UsageError("missing config field 'snr' or 'snr_db'")
     if "rate_nats" in doc:
@@ -468,7 +474,7 @@ def main(argv=None):
     except ValueError as exc:  # UsageError included
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
 

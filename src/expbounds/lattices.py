@@ -245,6 +245,8 @@ def lattice_figures(lattice, samples=200_000, seed=0, probe=2_000):
     value (max distance over random reduced points, a lower estimate of the
     covering radius) is reported alongside.
     """
+    if samples < 2:
+        raise ValueError("samples must be >= 2 for a second moment and its stderr")
     rng = np.random.default_rng(seed)
     n = lattice.n
     v = lattice.volume

@@ -232,7 +232,7 @@ def modlambda_exponent(R, spec: ChannelSpec):
         raise ValueError("rate must be in [0, C]")
     d_typ = typical_distance_ii(R, spec)
     theta = theta_of_rate(R)
-    val = f_bnd(d_typ, theta, R, spec) if R > 0.0 else f_bnd(d_typ, theta, 0.0, spec)
+    val = f_bnd(d_typ, theta, R, spec)
     if R <= rate_ii(spec):
         regime = EXPURGATED
     elif R <= critical_rate(spec):

@@ -25,6 +25,18 @@ the "sphere" is {-1, +1}, a rival equals the sent word with probability 1/2
 and that tie counts as an error.  The expurgated ensemble has dependent
 codewords, so it still builds its codebooks (all of a block at once) and
 decodes by distance.
+
+The lattice-coset ensemble is simulated without coset leaders (Erez & Zamir
+2004, "Achieving 1/2 log(1+SNR) on the AWGN channel with lattice encoding and
+decoding").  After dither removal and scaling by alpha the receiver sees
+v_sent + z_eff mod Lambda with z_eff = -K x + z, K = (1-alpha)/alpha and x
+uniform over the Voronoi region, so coset i lies at distance
+dist(z_eff + v_sent - v_i, Lambda).  The leaders are independent and uniform
+over R^n/Lambda, so for every i != sent the offset (v_sent - v_i) mod Lambda
+is uniform too, independent across i and of z_eff: each rival distance is
+||U_i||^2 with U_i iid uniform over the Voronoi region.  A trial draws x, z
+and M-1 such U_i; one closest-point call on z_eff gives the sent coset's
+distance ||z_eff mod Lambda||^2 and whether z_eff left the Voronoi region.
 """
 
 import json
@@ -49,6 +61,13 @@ LATTICE_COSET = "lattice-coset"
 DEC_ML = "ml"
 DEC_EUCLIDEAN_EXTENDED = "euclidean-extended"
 DEC_CLOSEST_COSET = "closest-coset"
+
+# The decoders each ensemble accepts.
+_DECODERS = {
+    SPHERICAL: (DEC_ML,),
+    SPHERICAL_EXPURGATED: (DEC_ML,),
+    LATTICE_COSET: (DEC_EUCLIDEAN_EXTENDED, DEC_CLOSEST_COSET),
+}
 
 
 def block_rng(seed, index):
@@ -79,8 +98,33 @@ class SimConfig:
     noise_var: float | None = None  # defaults to 1/SNR
 
     def __post_init__(self):
+        decoders = _DECODERS.get(self.ensemble)
+        if decoders is None:
+            raise ValueError(
+                "unknown ensemble %r; choose from %s" % (self.ensemble, ", ".join(_DECODERS))
+            )
+        if self.decoder not in decoders:
+            raise ValueError(
+                "ensemble %r takes decoder %s, not %r"
+                % (self.ensemble, " or ".join(decoders), self.decoder)
+            )
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not 0 <= self.seed < 2 ** 128:
+            raise ValueError("seed must be in [0, 2^128)")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError("alpha must be in (0, 1]")
+        if self.noise_var is not None and not 0.0 <= self.noise_var < math.inf:
+            raise ValueError("noise_var must be finite and >= 0")
+        if not 0.0 <= self.d_min <= 2.0:
+            raise ValueError("d_min must be in [0, 2] (a chord of the unit sphere)")
+        if not 0.0 < self.rate <= math.log(2 * MAX_CODEBOOK) / self.n:
+            raise ValueError(
+                "rate %r puts the codebook size e^(n rate) outside (1, %d]"
+                % (self.rate, 2 * MAX_CODEBOOK)
+            )
         m = self.codebook_size
         if m < 2:
             raise ValueError("codebook size %d < 2; raise rate or n" % m)
@@ -96,10 +140,14 @@ class SimConfig:
                 "d_min %g > sqrt(2) admits at most n+1 = %d codewords, not %d"
                 % (self.d_min, self.n + 1, m)
             )
-        if self.ensemble == LATTICE_COSET and self.lattice is None:
-            raise ValueError("lattice-coset ensemble requires a lattice")
-        if self.ensemble == LATTICE_COSET and self.decoder == DEC_ML:
-            raise ValueError("lattice-coset uses euclidean-extended or closest-coset")
+        if self.ensemble == LATTICE_COSET:
+            if self.lattice is None:
+                raise ValueError("lattice-coset ensemble requires a lattice")
+            if self.lattice.n != self.n:
+                raise ValueError(
+                    "lattice %s has dimension %d, not n = %d"
+                    % (self.lattice.name, self.lattice.n, self.n)
+                )
 
     @property
     def codebook_size(self):
@@ -239,36 +287,26 @@ def _simulate_spherical_block(config, rng, count):
 
 
 def _simulate_lattice_block(config, rng, count, lattice):
-    """Dithered coset transmission, simulated through the effective noise.
+    """Dithered coset transmission through the effective noise and iid rivals.
 
-    The dither makes the channel output equivalent to the transmitted coset
-    leader plus z_eff = -(1-alpha) x + alpha z (x uniform over the Voronoi
-    region), observed after scaling back by alpha.  Decoding uses exact
-    per-coset distances; the extended decoder also fails when the effective
-    noise leaves the Voronoi region of the correct point.
+    See the module docstring for the reduction.  Closest-coset decoding errs
+    when a rival coset is at most as far as the sent one; the extended decoder
+    also errs when z_eff leaves the Voronoi region of the correct point.
     """
     n, m = config.n, config.codebook_size
-    alpha = config.alpha
-    sd = math.sqrt(config.noise_variance)
-    leaders = lattice.sample_voronoi(count * m, rng).reshape(count, m, n)
-    sent = rng.integers(m, size=count)
-    rows = np.arange(count)
+    k = (1.0 - config.alpha) / config.alpha
     x = lattice.sample_voronoi(count, rng)
-    z = rng.normal(scale=sd, size=(count, n)) if sd > 0 else np.zeros((count, n))
-    z_eff = -((1.0 - alpha) / alpha) * x + z
-    # Distance from z_eff + (v_sent - v_i) to the lattice, per candidate coset.
-    offs = z_eff[:, None, :] + leaders[rows, sent][:, None, :] - leaders
-    flat = offs.reshape(count * m, n)
-    d2 = ((flat - lattice.nearest(flat)) ** 2).sum(axis=1).reshape(count, m)
-    d2_sent = d2[rows, sent]
-    d2[rows, sent] = np.inf
-    rival = d2.min(axis=1)
-    if config.decoder == DEC_CLOSEST_COSET:
-        return int((rival <= d2_sent).sum())
-    # Euclidean-extended: also errs when z_eff folds onto a lattice translate.
-    folded = (lattice.nearest(z_eff) ** 2).sum(axis=1) > 0.0
-    raw2 = (z_eff ** 2).sum(axis=1)
-    return int((folded | (rival <= raw2)).sum())
+    z = rng.normal(scale=math.sqrt(config.noise_variance), size=(count, n))
+    z_eff = -k * x + z
+    near = lattice.nearest(z_eff)
+    d2_sent = ((z_eff - near) ** 2).sum(axis=1)
+    rivals = lattice.sample_voronoi(count * (m - 1), rng).reshape(count, m - 1, n)
+    # Pessimistic tie rule: a rival at equal distance counts as an error.
+    lost = (rivals ** 2).sum(axis=2).min(axis=1) <= d2_sent
+    if config.decoder == DEC_EUCLIDEAN_EXTENDED:
+        # Unfolded, d2_sent is ||z_eff||^2: the extended decoder's own distance.
+        lost |= (near ** 2).sum(axis=1) > 0.0
+    return int(lost.sum())
 
 
 def normalized_lattice(lattice, seed=0):

@@ -5,6 +5,8 @@ import io
 import json
 import math
 
+import pytest
+
 from expbounds.channel import ChannelSpec
 from expbounds import awgn, cli
 from expbounds.cli import main
@@ -255,3 +257,61 @@ def test_numerical_failure_exits_3_without_traceback(tmp_path, capsys):
     assert stdout == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+_COSET = {"n": 8, "snr": 4.0, "rate_nats": math.log(11) / 8, "ensemble": "lattice-coset",
+          "decoder": "closest-coset", "lattice": "e8", "trials": 100, "seed": 1}
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"ensemble": "sphercal", "decoder": "ml"}, "ensemble"),
+        ({"decoder": "closest-cost"}, "decoder"),
+        ({"ensemble": "spherical"}, "decoder"),
+        ({"alpha": 0}, "alpha"),
+        ({"alpha": -0.5}, "alpha"),
+        ({"alpha": 5}, "alpha"),
+        ({"noise_var": -1}, "noise_var"),
+        ({"d_min": -3}, "d_min"),
+        ({"lattice": "d4"}, "dimension"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 2 ** 128}, "seed"),
+        ({"trials": True}, "'trials'"),
+        ({"n": True, "rate_nats": 1.0, "ensemble": "spherical", "decoder": "ml"}, "'n'"),
+        ({"rate_nats": 1e300}, "rate"),
+        ({"snr": 1e400}, "snr"),
+    ],
+)
+def test_simulate_rejects_out_of_range_fields(tmp_path, capsys, change, field):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps(dict(_COSET, **change)))
+    out = tmp_path / "result.json"
+    code, stdout, err = _run(capsys, "simulate", str(cfg), "--out", str(out))
+    assert code == 2, err
+    assert stdout == "" and "Traceback" not in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert field in err
+    assert [p.name for p in tmp_path.iterdir()] == ["sim.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("geometry", "--snr", "1e-300", "--rate-nats", "1e-310"),
+        ("exponents", "--snr", "1e-300", "--grid-nats", "--grid", "1e-310:4e-301:2"),
+    ],
+)
+def test_arithmetic_failure_exits_3_without_traceback(capsys, argv):
+    code, stdout, err = _run(capsys, *argv)
+    assert code == 3
+    assert stdout == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("trials", ["0", "1"])
+def test_lattice_rejects_too_few_samples(capsys, trials):
+    code, stdout, err = _run(capsys, "lattice", "--lattice", "d4", "--trials", trials)
+    assert code == 2
+    assert stdout == ""
+    assert "samples" in err

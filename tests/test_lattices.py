@@ -1,6 +1,7 @@
 """Lattice layer: exact nearest-point decoding, sampling, figures of merit."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from expbounds.lattices import (
     unit_ball_volume,
 )
 
-DATA = "src/expbounds/data"
+DATA = os.path.join(os.path.dirname(__file__), os.pardir, "src", "expbounds", "data")
 
 
 def test_volumes():
@@ -48,6 +49,24 @@ def test_fast_decoders_match_enumeration():
     _check_fast_matches_enumeration(integer_lattice(4))
     _check_fast_matches_enumeration(d4())
     _check_fast_matches_enumeration(e8(), count=100)
+
+
+@pytest.mark.parametrize("make", [lambda: integer_lattice(4), d4, e8], ids=["Z4", "D4", "E8"])
+@pytest.mark.parametrize("scale", [1.0, 2.5, 1.0 / 3.0])
+@pytest.mark.parametrize("step", [0.5, 0.25])
+def test_fast_decoders_match_enumeration_at_ties(make, scale, step):
+    # Points on step * Z^n sit on Voronoi faces and deep holes, where the
+    # closest point is not unique; the fast rules may pick any of them.
+    lat = make().rescaled(scale) if scale != 1.0 else make()
+    rng = np.random.default_rng(5)
+    pts = scale * step * rng.integers(-8, 9, size=(120, lat.n))
+    fast = lat.nearest(pts)
+    slow = lat.nearest_enumerated(pts)
+    d_fast = ((pts - fast) ** 2).sum(axis=1)
+    d_slow = ((pts - slow) ** 2).sum(axis=1)
+    assert np.max(np.abs(d_fast - d_slow)) <= 1e-12
+    coords = fast @ np.linalg.inv(lat.basis)
+    assert np.max(np.abs(coords - np.round(coords))) < 1e-9
 
 
 def test_decoded_points_are_lattice_points():

@@ -8,7 +8,7 @@ from scipy import stats
 
 from expbounds.channel import ChannelSpec
 from expbounds import simulator as sim
-from expbounds.lattices import e8, integer_lattice
+from expbounds.lattices import Lattice, d4, e8, integer_lattice
 
 SNR2 = ChannelSpec(2.0)
 SNR10 = ChannelSpec(10.0)
@@ -107,17 +107,25 @@ def test_spherical_ml_n1_pessimistic_ties(m):
     assert lo <= exact <= hi
 
 
-def test_block_split_invariance():
+def test_block_split_invariance(shared_normalization):
     # Splitting trials into blocks must not depend on call pattern: a run of
     # k*BLOCK trials equals the sum of per-block runs with the same seed.
-    for extra in ({}, {"ensemble": sim.SPHERICAL_EXPURGATED, "d_min": 0.6}):
+    coset = dict(
+        n=8, ensemble=sim.LATTICE_COSET, decoder=sim.DEC_CLOSEST_COSET, lattice=e8(),
+        rate=math.log(11) / 8, spec=ChannelSpec(4.0),
+    )
+    for extra in ({}, {"ensemble": sim.SPHERICAL_EXPURGATED, "d_min": 0.6}, coset):
         cfg = _spherical_config(trials=2 * sim.BLOCK, **extra)
         total = sim.simulate(cfg).errors
         assert total > 0
         partial = 0
         for index in range(2):
             rng = sim.block_rng(cfg.seed, index)
-            partial += sim._simulate_spherical_block(cfg, rng, sim.BLOCK)
+            if cfg.ensemble == sim.LATTICE_COSET:
+                lattice, _ = _normalized(cfg.lattice)
+                partial += sim._simulate_lattice_block(cfg, rng, sim.BLOCK, lattice)
+            else:
+                partial += sim._simulate_spherical_block(cfg, rng, sim.BLOCK)
         assert partial == total
 
 
@@ -185,6 +193,104 @@ def test_lattice_decoder_ordering():
     ee = sim.simulate(sim.SimConfig(decoder=sim.DEC_EUCLIDEAN_EXTENDED, **common))
     assert cc.errors <= ee.errors
     assert cc.errors > 0  # the run is informative, not vacuous
+
+
+_NORMALIZED = {}
+_REAL_NORMALIZED_LATTICE = sim.normalized_lattice
+
+
+def _normalized(lattice, seed=0):
+    """`sim.normalized_lattice`, computed once per lattice and seed.
+
+    It is deterministic, and its 200k-sample second moment costs 0.2 s for E8.
+    """
+    key = (lattice.name, seed)
+    if key not in _NORMALIZED:
+        _NORMALIZED[key] = _REAL_NORMALIZED_LATTICE(lattice, seed)
+    return _NORMALIZED[key]
+
+
+@pytest.fixture
+def shared_normalization(monkeypatch):
+    monkeypatch.setattr(sim, "normalized_lattice", _normalized)
+
+
+def _coset_config(lattice, m, decoder, alpha=1.0, trials=10_000, seed=3):
+    n = lattice.n
+    cfg = sim.SimConfig(
+        n=n, spec=ChannelSpec(4.0), rate=math.log(m) / n, ensemble=sim.LATTICE_COSET,
+        decoder=decoder, lattice=lattice, alpha=alpha, trials=trials, seed=seed,
+    )
+    assert cfg.codebook_size == m
+    return cfg
+
+
+def _brute_force_coset_errors(config, seed):
+    """Oracle: draw M coset leaders and a sent index, and decode every coset.
+
+    Uses its own generator, so it shares no random stream with `simulate`.
+    Costs about 2M+1 closest-point calls a trial, against M+1 in `simulate`.
+    """
+    rng = np.random.default_rng(seed)
+    lattice, _ = _normalized(config.lattice)
+    n, m = config.n, config.codebook_size
+    k = (1.0 - config.alpha) / config.alpha
+    sd = math.sqrt(config.noise_variance)
+    errors = 0
+    for _, count in sim._blocks(config.trials):
+        leaders = lattice.sample_voronoi(count * m, rng).reshape(count, m, n)
+        sent = rng.integers(m, size=count)
+        rows = np.arange(count)
+        x = lattice.sample_voronoi(count, rng)
+        z_eff = -k * x + rng.normal(scale=sd, size=(count, n))
+        # Distance from z_eff + (v_sent - v_i) to the lattice, per coset.
+        offs = z_eff[:, None, :] + leaders[rows, sent][:, None, :] - leaders
+        flat = offs.reshape(count * m, n)
+        d2 = ((flat - lattice.nearest(flat)) ** 2).sum(axis=1).reshape(count, m)
+        d2_sent = d2[rows, sent]
+        d2[rows, sent] = np.inf
+        rival = d2.min(axis=1)
+        if config.decoder == sim.DEC_CLOSEST_COSET:
+            errors += int((rival <= d2_sent).sum())
+        else:
+            folded = (lattice.nearest(z_eff) ** 2).sum(axis=1) > 0.0
+            errors += int((folded | (rival <= (z_eff ** 2).sum(axis=1))).sum())
+    return errors
+
+
+@pytest.mark.parametrize(
+    "lattice, m, decoder, alpha",
+    [
+        (e8(), 11, sim.DEC_CLOSEST_COSET, 1.0),
+        (e8(), 16, sim.DEC_CLOSEST_COSET, 1.0),
+        (d4(), 5, sim.DEC_EUCLIDEAN_EXTENDED, 1.0),
+        (d4(), 8, sim.DEC_EUCLIDEAN_EXTENDED, 1.0),
+        (e8(), 11, sim.DEC_CLOSEST_COSET, 0.8),
+        (e8(), 11, sim.DEC_EUCLIDEAN_EXTENDED, 0.8),
+    ],
+)
+def test_lattice_coset_matches_brute_force(lattice, m, decoder, alpha, shared_normalization):
+    cfg = _coset_config(lattice, m, decoder, alpha)
+    res = sim.simulate(cfg)
+    assert res.errors > 0
+    lo2, hi2 = sim.clopper_pearson(_brute_force_coset_errors(cfg, 107), cfg.trials)
+    assert res.ci95[0] <= hi2 and lo2 <= res.ci95[1], (res.ci95, (lo2, hi2))
+
+
+def test_lattice_block_decodes_m_plus_1_points_per_trial(monkeypatch):
+    # One closest-point call per rival, one for the dither and one for z_eff.
+    cfg = _coset_config(e8(), 11, sim.DEC_EUCLIDEAN_EXTENDED, alpha=0.8)
+    lattice, _ = _normalized(cfg.lattice)
+    points = []
+    real_nearest = Lattice.nearest
+
+    def counting_nearest(self, pts):
+        points.append(len(pts))
+        return real_nearest(self, pts)
+
+    monkeypatch.setattr(Lattice, "nearest", counting_nearest)
+    sim._simulate_lattice_block(cfg, sim.block_rng(0, 0), 100, lattice)
+    assert sum(points) == 100 * (11 + 1)
 
 
 def test_lattice_zero_noise_unit_alpha():
