@@ -61,7 +61,8 @@ def rho_g(R: float, spec: ChannelSpec) -> float:
     """Optimal rho for the sphere-packing exponent at rate R.
 
     rho_G = SNR/(2 beta_G) (1 + sqrt(1 + 4 beta_G / (SNR (beta_G - 1)))) - 1
-    with beta_G = e^{2R}.  Equals 0 at capacity and 1 at the critical rate.
+    with beta_G = e^{2R}; beta_G - 1 is taken as expm1(2R), which stays
+    exact as R -> 0.  Equals 0 at capacity and 1 at the critical rate.
     Near capacity the formula cancels to a tiny negative value, which is
     clamped to 0 up to C * CAPACITY_SLACK; rates clearly above C raise.
     """
@@ -72,7 +73,7 @@ def rho_g(R: float, spec: ChannelSpec) -> float:
         raise ValueError("rho_g is defined up to capacity; R > C")
     beta_g = math.exp(2.0 * R)
     rho = snr / (2.0 * beta_g) * (
-        1.0 + math.sqrt(1.0 + 4.0 * beta_g / (snr * (beta_g - 1.0)))
+        1.0 + math.sqrt(1.0 + 4.0 * beta_g / (snr * math.expm1(2.0 * R)))
     ) - 1.0
     return max(rho, 0.0)
 

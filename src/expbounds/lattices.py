@@ -7,10 +7,12 @@ text: the dimension n followed by n*n whitespace-separated entries, row-major
 (rows generate the lattice).
 """
 
+import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 MAX_DIMENSION = 16  # exact enumeration stays cheap up to here
 
@@ -200,7 +202,8 @@ def e8():
 def load_basis(path):
     """Read a lattice basis file: n, then n*n reals row-major.
 
-    Bases matching a shipped lattice exactly get its fast decoder.
+    Bases matching a shipped lattice exactly get its fast decoder; any other
+    is named by a hash of its entries.
     """
     with open(path) as fh:
         tokens = fh.read().split()
@@ -216,11 +219,75 @@ def load_basis(path):
     for known in ([integer_lattice(n)] if n <= MAX_DIMENSION else []) + [d4(), e8()]:
         if known.n == n and np.array_equal(basis, known.basis):
             return known
-    return Lattice("file:%s" % path, basis)
+    # Named by its contents, so the name does not depend on where the file is.
+    digest = hashlib.sha256(basis.astype("<f8").tobytes()).hexdigest()
+    return Lattice("basis:%s" % digest[:12], basis)
 
 
 def unit_ball_volume(n):
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+
+
+@dataclass(frozen=True)
+class VoronoiShell:
+    """Exact Voronoi-cell data of a lattice with a fast decoder, at its scale.
+
+    Every facet of these cells belongs to a minimal vector, so the facets lie
+    at distance sqrt(min_norm2)/2 and there are `kissing` of them.  Below
+    `overlap2` no two facet caps of the ball of squared radius t meet, which
+    makes the norm law of a uniform point of the cell exact in closed form.
+    """
+
+    n: int
+    volume: float
+    second_moment: float  # per-dimension sigma^2 of the Voronoi region
+    min_norm2: float
+    kissing: int
+    overlap2: float
+
+    def norm_cdf(self, t):
+        """P(||U||^2 <= t) for U uniform over the Voronoi region, for t < overlap2.
+
+        The ball of squared radius t minus its `kissing` caps beyond the
+        facets (Conway & Sloane, SPLAG ch. 21).  A cap at distance h has
+        volume 1/2 V_n t^(n/2) I_(1 - h^2/t)((n+1)/2, 1/2).
+        """
+        t = np.asarray(t, dtype=float)
+        ball = unit_ball_volume(self.n) * t ** (0.5 * self.n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.clip(1.0 - 0.25 * self.min_norm2 / t, 0.0, 1.0)
+        caps = 0.5 * self.kissing * ball * special.betainc(0.5 * (self.n + 1), 0.5, x)
+        return np.minimum((ball - caps) / self.volume, 1.0)
+
+
+def voronoi_shell(lattice):
+    """The lattice's `VoronoiShell`, or None when it has no fast decoder.
+
+    Unit-scale data: Z^n has sigma^2 = 1/12, 2n facets at distance 1/2, and
+    two facets meet at squared radius 1/2 (n = 1 has a single pair, which never
+    meets inside the cell).  D4 (volume 2) has sigma^2 = 13/120 and E8
+    (volume 1) 929/12960 (SPLAG Table 2.3); both have min norm 2, and two of
+    their facets at 60 degrees meet at (v1 + v2)/3, of squared norm 2/3.
+    """
+    n = lattice.n
+    if lattice.decoder == "Zn":
+        data = (1.0, 1.0 / 12.0, 1.0, 2 * n, 0.5 if n > 1 else math.inf)
+    elif lattice.decoder == "D4":
+        data = (2.0, 13.0 / 120.0, 2.0, 24, 2.0 / 3.0)
+    elif lattice.decoder == "E8":
+        data = (1.0, 929.0 / 12960.0, 2.0, 240, 2.0 / 3.0)
+    else:
+        return None
+    volume, sigma2, min_norm2, kissing, overlap2 = data
+    c2 = lattice.scale * lattice.scale
+    return VoronoiShell(
+        n=n,
+        volume=volume * lattice.scale ** n,
+        second_moment=sigma2 * c2,
+        min_norm2=min_norm2 * c2,
+        kissing=kissing,
+        overlap2=overlap2 * c2,
+    )
 
 
 @dataclass(frozen=True)

@@ -216,9 +216,17 @@ def theta_lambda(R, spec: ChannelSpec) -> float:
     return theta_zeta(k_zeta(typical_distance_ii(R, spec), R, spec), spec)
 
 
-def r_lambda_alpha(R, spec: ChannelSpec) -> float:
-    """Smallest scaled-sphere radius reproducing the lattice exponent."""
-    return math.sin(theta_lambda(R, spec)) / alpha_lambda(R, spec)
+def r_lambda_alpha(R, spec: ChannelSpec, theta=None, alpha=None) -> float:
+    """Smallest scaled-sphere radius reproducing the lattice exponent.
+
+    `theta` and `alpha` pass theta_lambda(R) and alpha_lambda(R) when they
+    are already known.
+    """
+    if theta is None:
+        theta = theta_lambda(R, spec)
+    if alpha is None:
+        alpha = alpha_lambda(R, spec)
+    return math.sin(theta) / alpha
 
 
 def modlambda_exponent(R, spec: ChannelSpec):
@@ -245,14 +253,6 @@ def modlambda_exponent(R, spec: ChannelSpec):
         theta,
         d_typ,
     )
-
-
-def rho_bounds():
-    """Best known bounds on the packing-to-effective radius ratio of lattices.
-
-    Constants taken from the published record (lower 1/2, upper 0.660211...).
-    """
-    return 0.5, 0.660211
 
 
 def lattice_union_min(r, scaling: ScalingSpec, spec: ChannelSpec, R, d_floor=0.0):

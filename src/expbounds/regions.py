@@ -241,13 +241,19 @@ def k_zeta(d: float, R: float, spec: ChannelSpec) -> float:
     return bisect_root(lambda K: z_of_k(K, d, R, spec), lo, tol=1e-12)
 
 
-def theta_awgn(R: float, spec: ChannelSpec) -> float:
-    """Smallest cone angle whose union bound matches the AWGN exponent at R."""
+def theta_awgn(R: float, spec: ChannelSpec, k: float | None = None) -> float:
+    """Smallest cone angle whose union bound matches the AWGN exponent at R.
+
+    Below R_crit it is theta_zeta of the k_zeta root; `k` passes that root
+    when it is already known.
+    """
     if not 0.0 < R <= spec.capacity_nats:
         raise ValueError("rate must be in (0, C]")
     if R >= critical_rate(spec):
         return theta_of_rate(R)
-    return theta_zeta(k_zeta(typical_distance(R, spec), R, spec), spec)
+    if k is None:
+        k = k_zeta(typical_distance(R, spec), R, spec)
+    return theta_zeta(k, spec)
 
 
 def alpha_awgn(R: float, spec: ChannelSpec) -> float:

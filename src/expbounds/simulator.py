@@ -34,11 +34,22 @@ uniform over the Voronoi region, so coset i lies at distance
 dist(z_eff + v_sent - v_i, Lambda).  The leaders are independent and uniform
 over R^n/Lambda, so for every i != sent the offset (v_sent - v_i) mod Lambda
 is uniform too, independent across i and of z_eff: each rival distance is
-||U_i||^2 with U_i iid uniform over the Voronoi region.  A trial draws x, z
-and M-1 such U_i; one closest-point call on z_eff gives the sent coset's
-distance ||z_eff mod Lambda||^2 and whether z_eff left the Voronoi region.
+||U_i||^2 with U_i iid uniform over the Voronoi region.  A trial draws x and
+z; one closest-point call on z_eff gives the sent coset's distance
+t = ||z_eff mod Lambda||^2 and whether z_eff left the Voronoi region.
+Closest-coset decoding errs iff some rival has ||U_i||^2 <= t, which has
+probability 1 - (1 - F(t))^(M-1) with F the Voronoi-norm CDF.  For Z^n, D4
+and E8, F is exact below the radius where facet caps overlap
+(`lattices.VoronoiShell`), and there a trial draws one Exp(1) variate, as in
+the spherical case, at a cost that does not depend on M.  Above that radius,
+and for every trial of a basis without shell data, rivals are drawn in rounds
+of at most BLOCK until one is that close or M-1 have been drawn.  Such a
+trial draws min(M-1, G) rivals, with G geometric of mean 1/F(t), so its cost
+grows with M up to about 1/F(t) (F(t0) is near 1e-3 for a normalized Z^16).
+Memory is O(BLOCK n) for any M.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -48,7 +59,7 @@ from scipy import special, stats
 
 from .awgn import sphere_packing_exponent, tail_exponents, theta_of_rate
 from .channel import ChannelSpec
-from .lattices import Lattice, lattice_figures
+from .lattices import Lattice, lattice_figures, voronoi_shell
 from .regions import joint_tail_exponent, tangent_sphere_scaling
 
 BLOCK = 4096
@@ -286,6 +297,36 @@ def _simulate_spherical_block(config, rng, count):
     return int((d2.min(axis=1) <= d2_sent).sum())
 
 
+def _rivals_lost(lattice, shell, rng, d2_sent, m):
+    """Whether one of M-1 iid Voronoi rivals is at most d2_sent away, per trial.
+
+    Below the cap-overlap radius of `shell` the rival norm law F is exact, so
+    a trial errs with probability 1 - (1-F(t))^(M-1), decided by one Exp(1)
+    draw E as E < -(M-1) ln(1 - F(t)).  The other trials, and every trial
+    when `shell` is None, draw rivals in rounds of at most BLOCK in all,
+    until one is at most t away or M-1 have been drawn.
+    """
+    n = lattice.n
+    lost = np.zeros(d2_sent.size, dtype=bool)
+    todo = np.arange(d2_sent.size)
+    if shell is not None:
+        below = d2_sent < shell.overlap2
+        expo = rng.standard_exponential(int(below.sum()))
+        with np.errstate(divide="ignore"):
+            log_miss = np.log1p(-shell.norm_cdf(d2_sent[below]))
+        lost[below] = expo < -(m - 1) * log_miss
+        todo = np.flatnonzero(~below)
+    drawn = 0
+    while todo.size and drawn < m - 1:
+        per = min(m - 1 - drawn, max(1, BLOCK // todo.size))
+        rivals = lattice.sample_voronoi(todo.size * per, rng).reshape(todo.size, per, n)
+        hit = ((rivals ** 2).sum(axis=2) <= d2_sent[todo, None]).any(axis=1)
+        lost[todo[hit]] = True
+        todo = todo[~hit]
+        drawn += per
+    return lost
+
+
 def _simulate_lattice_block(config, rng, count, lattice):
     """Dithered coset transmission through the effective noise and iid rivals.
 
@@ -300,26 +341,39 @@ def _simulate_lattice_block(config, rng, count, lattice):
     z_eff = -k * x + z
     near = lattice.nearest(z_eff)
     d2_sent = ((z_eff - near) ** 2).sum(axis=1)
-    rivals = lattice.sample_voronoi(count * (m - 1), rng).reshape(count, m - 1, n)
     # Pessimistic tie rule: a rival at equal distance counts as an error.
-    lost = (rivals ** 2).sum(axis=2).min(axis=1) <= d2_sent
+    lost = _rivals_lost(lattice, voronoi_shell(lattice), rng, d2_sent, m)
     if config.decoder == DEC_EUCLIDEAN_EXTENDED:
         # Unfolded, d2_sent is ||z_eff||^2: the extended decoder's own distance.
         lost |= (near ** 2).sum(axis=1) > 0.0
     return int(lost.sum())
 
 
-def normalized_lattice(lattice, seed=0):
-    """Rescale a lattice so its Voronoi second moment is the unit power."""
-    figs = lattice_figures(lattice, samples=200_000, seed=seed)
-    return lattice.rescaled(1.0 / math.sqrt(figs.second_moment)), figs
+@functools.lru_cache(maxsize=16)
+def _mc_second_moment(basis_bytes, n):
+    basis = np.frombuffer(basis_bytes).reshape(n, n)
+    return lattice_figures(Lattice("", basis), samples=200_000, seed=0).second_moment
+
+
+def normalized_lattice(lattice):
+    """Rescale a lattice so its Voronoi second moment is the unit power.
+
+    Built-in lattices use their exact second moment; any other basis uses a
+    200k-sample Monte Carlo estimate, computed once per basis.
+    """
+    shell = voronoi_shell(lattice)
+    if shell is None:
+        sigma2 = _mc_second_moment(lattice.basis.tobytes(), lattice.n)
+    else:
+        sigma2 = shell.second_moment
+    return lattice.rescaled(1.0 / math.sqrt(sigma2))
 
 
 def simulate(config: SimConfig) -> SimResult:
     """Run the configured Monte Carlo experiment; deterministic given seed."""
     lattice = None
     if config.ensemble == LATTICE_COSET:
-        lattice, _ = normalized_lattice(config.lattice)
+        lattice = normalized_lattice(config.lattice)
     errors = 0
     for index, size in _blocks(config.trials):
         rng = block_rng(config.seed, index)
@@ -410,7 +464,7 @@ def effective_noise_ball(n, spec: ChannelSpec, R, dither, trials, seed, lattice=
             norm2 = (k * math.sqrt(n) + g) ** 2 + rest2
             hits += int((norm2 > radius2).sum())
     elif dither == "voronoi":
-        lat, _ = normalized_lattice(lattice)
+        lat = normalized_lattice(lattice)
         for index, size in _blocks(trials):
             rng = block_rng(seed, index)
             b = lat.sample_voronoi(size, rng)

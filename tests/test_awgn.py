@@ -94,6 +94,24 @@ def test_rate_x_matches_mpmath(snr):
     assert abs(awgn.rate_x(ChannelSpec(snr)) - want) <= 1e-14 * want
 
 
+# At SNR 10 and small R, 20 digits of 60-digit mpmath values: rho_G, which
+# holds beta_G - 1 = e^(2R) - 1, and E_x = (SNR/4)(1 - sqrt(1 - e^(-2R))).
+SMALL_RATE_MPMATH = {
+    1e-17: (707106785.18654753147, 2.4999999888196601125),
+    1e-12: (2236071.9775020257544, 2.499996464466094069),
+    1e-6: (2240.0702035491433553, 2.4964644678618334788),
+    0.01: (26.467216262740778679, 2.1482070327127340638),
+}
+
+
+@pytest.mark.parametrize("rate", sorted(SMALL_RATE_MPMATH))
+def test_small_rate_cancellations_match_mpmath(rate):
+    rho, e_x = SMALL_RATE_MPMATH[rate]
+    assert abs(awgn.rho_g(rate, SNR10) - rho) <= 1e-14 * rho
+    assert abs(awgn.expurgated_exponent(rate, SNR10).value - e_x) <= 1e-15 * e_x
+    assert abs(awgn.min_distance(rate) ** 2 - 8.0 * e_x / 10.0) <= 1e-15
+
+
 @pytest.mark.parametrize("snr", [0.1, 1.0, 10.0, 1e3, 1e5])
 def test_rate_x_is_min_distance_crossing(snr):
     # The closed form is the root of the monotone crossing d_min(R) = d_crit.

@@ -8,7 +8,7 @@ import math
 import pytest
 
 from expbounds.channel import ChannelSpec
-from expbounds import awgn, cli
+from expbounds import awgn, cli, modlam, regions
 from expbounds.cli import main
 
 
@@ -137,6 +137,37 @@ def test_exponents_and_geometry_at_capacity(capsys):
         json.loads(out)
 
 
+def test_geometry_runs_each_k_zeta_bisection_once(capsys, monkeypatch):
+    # Below R_crit the AWGN and the lattice cone angles each need one root.
+    spec, r = ChannelSpec(10.0), 0.5
+    calls = []
+    real_k_zeta = regions.k_zeta
+
+    def counting_k_zeta(*args):
+        calls.append(args)
+        return real_k_zeta(*args)
+
+    monkeypatch.setattr(regions, "k_zeta", counting_k_zeta)
+    monkeypatch.setattr(modlam, "k_zeta", counting_k_zeta)
+    code, out, _ = _run(capsys, "geometry", "--snr", "10", "--rate-nats", repr(r))
+    assert code == 0
+    assert len(calls) == 2
+    monkeypatch.undo()
+    rpt = json.loads(out)
+    assert rpt["theta_awgn"] == regions.theta_awgn(r, spec)
+    assert rpt["theta_lambda"] == modlam.theta_lambda(r, spec)
+    assert rpt["r_lambda_alpha"] == modlam.r_lambda_alpha(r, spec)
+    assert rpt["k_zeta"] == regions.k_zeta(awgn.typical_distance(r, spec), r, spec)
+
+
+def test_geometry_at_a_tiny_rate(capsys):
+    # e^(2R) - 1 rounds to 0 below R ~ 1e-17; rho_G must not divide by it.
+    code, out, err = _run(capsys, "geometry", "--snr", "10", "--rate-nats", "1e-17")
+    assert code == 0, err
+    rpt = json.loads(out)
+    assert abs(rpt["E_sp"] - 5.0) < 1e-7
+
+
 def test_geometry_requires_rate(capsys):
     code, _, err = _run(capsys, "geometry", "--snr-db", "10")
     assert code == 2
@@ -158,6 +189,20 @@ def test_lattice_from_file(tmp_path, capsys):
     code, out, _ = _run(capsys, "lattice", "--lattice", str(path), "--trials", "5000")
     assert code == 0
     assert json.loads(out)["n"] == 2
+
+
+def test_lattice_file_output_independent_of_path(tmp_path, capsys, monkeypatch):
+    # The same basis written in two directories gives the same bytes.
+    outs = []
+    for sub in ("a", "b/c"):
+        (tmp_path / sub).mkdir(parents=True)
+        (tmp_path / sub / "d4.lat").write_text("4\n1 1 0 0\n1 -1 0 0\n0 1 -1 0\n1 0 0 -1\n")
+        monkeypatch.chdir(tmp_path / sub)
+        code, out, _ = _run(capsys, "lattice", "--lattice", "d4.lat", "--trials", "500")
+        assert code == 0
+        outs.append(out)
+    code, out, _ = _run(capsys, "lattice", "--lattice", str(tmp_path / "a" / "d4.lat"), "--trials", "500")
+    assert outs[0] == outs[1] == out
 
 
 def test_simulate_deterministic_output(tmp_path, capsys):

@@ -252,9 +252,3 @@ def test_r_lambda_alpha_positive_and_finite():
     for r in (0.3, 0.7, 1.0):
         val = modlam.r_lambda_alpha(r, SNR10)
         assert 0.0 < val < 2.0
-
-
-def test_rho_bounds():
-    lo, hi = modlam.rho_bounds()
-    assert lo == 0.5
-    assert abs(hi - 0.660211) < 1e-9

@@ -1,6 +1,7 @@
 """Monte Carlo machinery: determinism, decoders, tail checks, spectra."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy import stats
 
 from expbounds.channel import ChannelSpec
 from expbounds import simulator as sim
-from expbounds.lattices import Lattice, d4, e8, integer_lattice
+from expbounds.lattices import Lattice, d4, e8, integer_lattice, voronoi_shell
 
 SNR2 = ChannelSpec(2.0)
 SNR10 = ChannelSpec(10.0)
@@ -107,7 +108,7 @@ def test_spherical_ml_n1_pessimistic_ties(m):
     assert lo <= exact <= hi
 
 
-def test_block_split_invariance(shared_normalization):
+def test_block_split_invariance():
     # Splitting trials into blocks must not depend on call pattern: a run of
     # k*BLOCK trials equals the sum of per-block runs with the same seed.
     coset = dict(
@@ -122,7 +123,7 @@ def test_block_split_invariance(shared_normalization):
         for index in range(2):
             rng = sim.block_rng(cfg.seed, index)
             if cfg.ensemble == sim.LATTICE_COSET:
-                lattice, _ = _normalized(cfg.lattice)
+                lattice = sim.normalized_lattice(cfg.lattice)
                 partial += sim._simulate_lattice_block(cfg, rng, sim.BLOCK, lattice)
             else:
                 partial += sim._simulate_spherical_block(cfg, rng, sim.BLOCK)
@@ -195,30 +196,10 @@ def test_lattice_decoder_ordering():
     assert cc.errors > 0  # the run is informative, not vacuous
 
 
-_NORMALIZED = {}
-_REAL_NORMALIZED_LATTICE = sim.normalized_lattice
-
-
-def _normalized(lattice, seed=0):
-    """`sim.normalized_lattice`, computed once per lattice and seed.
-
-    It is deterministic, and its 200k-sample second moment costs 0.2 s for E8.
-    """
-    key = (lattice.name, seed)
-    if key not in _NORMALIZED:
-        _NORMALIZED[key] = _REAL_NORMALIZED_LATTICE(lattice, seed)
-    return _NORMALIZED[key]
-
-
-@pytest.fixture
-def shared_normalization(monkeypatch):
-    monkeypatch.setattr(sim, "normalized_lattice", _normalized)
-
-
-def _coset_config(lattice, m, decoder, alpha=1.0, trials=10_000, seed=3):
+def _coset_config(lattice, m, decoder, alpha=1.0, trials=10_000, seed=3, snr=4.0):
     n = lattice.n
     cfg = sim.SimConfig(
-        n=n, spec=ChannelSpec(4.0), rate=math.log(m) / n, ensemble=sim.LATTICE_COSET,
+        n=n, spec=ChannelSpec(snr), rate=math.log(m) / n, ensemble=sim.LATTICE_COSET,
         decoder=decoder, lattice=lattice, alpha=alpha, trials=trials, seed=seed,
     )
     assert cfg.codebook_size == m
@@ -229,10 +210,10 @@ def _brute_force_coset_errors(config, seed):
     """Oracle: draw M coset leaders and a sent index, and decode every coset.
 
     Uses its own generator, so it shares no random stream with `simulate`.
-    Costs about 2M+1 closest-point calls a trial, against M+1 in `simulate`.
+    Costs about 2M+1 closest-point calls a trial.
     """
     rng = np.random.default_rng(seed)
-    lattice, _ = _normalized(config.lattice)
+    lattice = sim.normalized_lattice(config.lattice)
     n, m = config.n, config.codebook_size
     k = (1.0 - config.alpha) / config.alpha
     sd = math.sqrt(config.noise_variance)
@@ -258,6 +239,70 @@ def _brute_force_coset_errors(config, seed):
     return errors
 
 
+def _iid_rival_block(config, rng, count, lattice, rows=sim.BLOCK):
+    """Oracle: the block that draws all M-1 iid Voronoi rivals of every trial.
+
+    Rivals are drawn `rows` trials at a time, in trial order.
+    """
+    n, m = config.n, config.codebook_size
+    k = (1.0 - config.alpha) / config.alpha
+    x = lattice.sample_voronoi(count, rng)
+    z = rng.normal(scale=math.sqrt(config.noise_variance), size=(count, n))
+    z_eff = -k * x + z
+    near = lattice.nearest(z_eff)
+    d2_sent = ((z_eff - near) ** 2).sum(axis=1)
+    lost = np.empty(count, dtype=bool)
+    for start in range(0, count, rows):
+        size = min(rows, count - start)
+        rivals = lattice.sample_voronoi(size * (m - 1), rng).reshape(size, m - 1, n)
+        lost[start : start + size] = (
+            (rivals ** 2).sum(axis=2).min(axis=1) <= d2_sent[start : start + size]
+        )
+    if config.decoder == sim.DEC_EUCLIDEAN_EXTENDED:
+        lost |= (near ** 2).sum(axis=1) > 0.0
+    return int(lost.sum())
+
+
+def _iid_rival_errors(config, seed, rows=sim.BLOCK):
+    rng = np.random.default_rng(seed)
+    lattice = sim.normalized_lattice(config.lattice)
+    return sum(
+        _iid_rival_block(config, rng, count, lattice, rows)
+        for _, count in sim._blocks(config.trials)
+    )
+
+
+def _assert_ci_overlap(res, errors, trials=None):
+    lo, hi = sim.clopper_pearson(errors, trials or res.trials)
+    assert res.ci95[0] <= hi and lo <= res.ci95[1], (res.ci95, (lo, hi))
+
+
+@pytest.mark.parametrize("lattice", [integer_lattice(4), integer_lattice(8), d4(), e8()])
+def test_voronoi_norm_law_is_exact_below_cap_overlap(lattice):
+    # Built-in lattices normalize by their exact second moment, and below the
+    # cap-overlap radius the exact norm law F matches Voronoi samples.
+    lat = sim.normalized_lattice(lattice)
+    shell = voronoi_shell(lat)
+    samples = 200_000
+    norms2 = (lat.sample_voronoi(samples, np.random.default_rng(17)) ** 2).sum(axis=1)
+    stderr = norms2.std(ddof=1) / math.sqrt(samples) / lat.n
+    assert abs(norms2.mean() / lat.n - 1.0) < 4.5 * stderr
+    for t in np.linspace(0.2, 1.0, 5) * shell.overlap2:
+        exact = float(shell.norm_cdf(t))
+        emp = float((norms2 <= t).mean())
+        sd = math.sqrt(exact * (1.0 - exact) / samples)
+        assert abs(emp - exact) < 4.5 * sd + 1e-6, (t, exact, emp)
+
+
+def test_voronoi_norm_law_z1_is_exact_everywhere():
+    # Z^1's cell is [-1/2, 1/2]: F(t) = min(2 sqrt(t), 1), with no overlap radius.
+    shell = voronoi_shell(integer_lattice(1).rescaled(3.0))
+    t = np.array([0.0, 0.5, 2.0, 2.25, 5.0])
+    assert shell.overlap2 == math.inf
+    assert np.allclose(shell.norm_cdf(t), np.minimum(2.0 * np.sqrt(t) / 3.0, 1.0))
+    assert voronoi_shell(Lattice("file", np.eye(2))) is None
+
+
 @pytest.mark.parametrize(
     "lattice, m, decoder, alpha",
     [
@@ -269,18 +314,15 @@ def _brute_force_coset_errors(config, seed):
         (e8(), 11, sim.DEC_EUCLIDEAN_EXTENDED, 0.8),
     ],
 )
-def test_lattice_coset_matches_brute_force(lattice, m, decoder, alpha, shared_normalization):
+def test_lattice_coset_matches_brute_force(lattice, m, decoder, alpha):
     cfg = _coset_config(lattice, m, decoder, alpha)
     res = sim.simulate(cfg)
     assert res.errors > 0
-    lo2, hi2 = sim.clopper_pearson(_brute_force_coset_errors(cfg, 107), cfg.trials)
-    assert res.ci95[0] <= hi2 and lo2 <= res.ci95[1], (res.ci95, (lo2, hi2))
+    _assert_ci_overlap(res, _brute_force_coset_errors(cfg, 107))
+    _assert_ci_overlap(res, _iid_rival_errors(cfg, 109))
 
 
-def test_lattice_block_decodes_m_plus_1_points_per_trial(monkeypatch):
-    # One closest-point call per rival, one for the dither and one for z_eff.
-    cfg = _coset_config(e8(), 11, sim.DEC_EUCLIDEAN_EXTENDED, alpha=0.8)
-    lattice, _ = _normalized(cfg.lattice)
+def _count_decoded_points(monkeypatch):
     points = []
     real_nearest = Lattice.nearest
 
@@ -289,8 +331,71 @@ def test_lattice_block_decodes_m_plus_1_points_per_trial(monkeypatch):
         return real_nearest(self, pts)
 
     monkeypatch.setattr(Lattice, "nearest", counting_nearest)
+    return points
+
+
+@pytest.mark.parametrize(
+    "lattice, m, snr, alpha",
+    [(e8(), 11, 1.0, 1.0), (integer_lattice(8), 3, 4.0, 0.5)],
+)
+def test_lattice_coset_rival_rounds_above_cap_overlap(lattice, m, snr, alpha, monkeypatch):
+    # Low SNR or low alpha puts many sent distances past the cap-overlap
+    # radius, where rivals are drawn in rounds.
+    cfg = _coset_config(lattice, m, sim.DEC_CLOSEST_COSET, alpha, snr=snr)
+    points = _count_decoded_points(monkeypatch)
+    sim._simulate_lattice_block(cfg, sim.block_rng(0, 0), 1000, sim.normalized_lattice(lattice))
+    assert sum(points) > 1000 * 2
+    monkeypatch.undo()
+    res = sim.simulate(cfg)
+    _assert_ci_overlap(res, _brute_force_coset_errors(cfg, 113))
+    _assert_ci_overlap(res, _iid_rival_errors(cfg, 127))
+
+
+def test_lattice_coset_large_codebook_matches_iid_rivals():
+    cfg = _coset_config(e8(), 4096, sim.DEC_CLOSEST_COSET, snr=8.0, trials=20_000)
+    res = sim.simulate(cfg)
+    assert 0.05 < res.pe < 0.95
+    oracle = _coset_config(e8(), 4096, sim.DEC_CLOSEST_COSET, snr=8.0, trials=300)
+    _assert_ci_overlap(res, _iid_rival_errors(oracle, 131, rows=32), oracle.trials)
+
+
+@pytest.mark.parametrize("m", [11, 4096])
+def test_lattice_block_decodes_2_points_per_trial_below_overlap(m, monkeypatch):
+    # One closest-point call for the dither and one for z_eff, whatever M.
+    cfg = _coset_config(e8(), m, sim.DEC_EUCLIDEAN_EXTENDED, alpha=0.8)
+    lattice = sim.normalized_lattice(cfg.lattice)
+    points = _count_decoded_points(monkeypatch)
     sim._simulate_lattice_block(cfg, sim.block_rng(0, 0), 100, lattice)
-    assert sum(points) == 100 * (11 + 1)
+    assert sum(points) == 100 * 2
+
+
+def test_lattice_block_memory_independent_of_m():
+    # All 65535 rivals of 4096 trials would need 17 GB; the block holds O(BLOCK n).
+    cfg = _coset_config(e8(), 65536, sim.DEC_CLOSEST_COSET, snr=1.0)
+    lattice = sim.normalized_lattice(cfg.lattice)
+    tracemalloc.start()
+    try:
+        errors = sim._simulate_lattice_block(cfg, sim.block_rng(0, 0), sim.BLOCK, lattice)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert errors > 0
+    assert peak < 32 * sim.BLOCK * cfg.n * 8, peak
+
+
+def test_file_lattice_block_matches_iid_rivals(monkeypatch):
+    # A basis without shell data draws every trial's rivals in rounds.
+    unimodular = np.array([[1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 1, 0], [1, 0, 1, 1]])
+    lattice = Lattice("file", unimodular @ d4().basis).rescaled(math.sqrt(120.0 / 13.0))
+    assert voronoi_shell(lattice) is None
+    cfg = _coset_config(d4(), 5, sim.DEC_CLOSEST_COSET, snr=2.0, trials=1500)
+    points = _count_decoded_points(monkeypatch)
+    errors = sim._simulate_lattice_block(cfg, sim.block_rng(5, 0), cfg.trials, lattice)
+    assert sum(points) > 2 * cfg.trials
+    monkeypatch.undo()
+    want = _iid_rival_block(cfg, np.random.default_rng(137), cfg.trials, lattice)
+    assert 0 < errors < cfg.trials
+    _assert_ci_overlap(sim._result(errors, cfg.trials, cfg.n), want)
 
 
 def test_lattice_zero_noise_unit_alpha():
