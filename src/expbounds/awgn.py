@@ -62,8 +62,10 @@ def rho_g(R: float, spec: ChannelSpec) -> float:
 
     rho_G = SNR/(2 beta_G) (1 + sqrt(1 + 4 beta_G / (SNR (beta_G - 1)))) - 1
     with beta_G = e^{2R}; beta_G - 1 is taken as expm1(2R), which stays
-    exact as R -> 0.  Equals 0 at capacity and 1 at the critical rate.
-    Near capacity the formula cancels to a tiny negative value, which is
+    exact as R -> 0; below R ~ 1e-300, where 4 beta_G / (SNR (beta_G - 1))
+    would overflow, the root is taken in factors, so rho_G stays finite down
+    to the smallest positive R.  Equals 0 at capacity and 1 at the critical
+    rate.  Near capacity the formula cancels to a tiny negative value, which is
     clamped to 0 up to C * CAPACITY_SLACK; rates clearly above C raise.
     """
     snr = spec.snr
@@ -72,9 +74,13 @@ def rho_g(R: float, spec: ChannelSpec) -> float:
     if R > spec.capacity_nats * CAPACITY_SLACK:
         raise ValueError("rho_g is defined up to capacity; R > C")
     beta_g = math.exp(2.0 * R)
-    rho = snr / (2.0 * beta_g) * (
-        1.0 + math.sqrt(1.0 + 4.0 * beta_g / (snr * math.expm1(2.0 * R)))
-    ) - 1.0
+    em1 = math.expm1(2.0 * R)
+    if snr * em1 > 1e-300:
+        root = math.sqrt(1.0 + 4.0 * beta_g / (snr * em1))
+    else:
+        # The 1 under the root is far below the ratio's last bit here.
+        root = 2.0 * math.sqrt(beta_g / snr) / math.sqrt(em1)
+    rho = snr / (2.0 * beta_g) * (1.0 + root) - 1.0
     return max(rho, 0.0)
 
 

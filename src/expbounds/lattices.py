@@ -252,9 +252,15 @@ class Lattice:
         return self.reduce(u)
 
     def covering_radius_bound(self):
-        """Guaranteed upper bound on the covering radius (nearest-plane bound)."""
-        _, R = np.linalg.qr(self.basis.T)
-        return 0.5 * float(np.sqrt((np.diag(R) ** 2).sum()))
+        """Guaranteed upper bound on the covering radius (nearest-plane bound).
+
+        The nearest-plane leaf of any basis is within 1/2 sqrt(sum r_ii^2) of
+        every point, so that is a bound whatever the basis; it is taken on
+        the cached LLL-reduced frame, so every basis of one lattice gives the
+        same bound up to rounding, and a tighter one than an unreduced basis.
+        """
+        r = _cvp_frame(self.basis.tobytes(), self.n)[2]
+        return 0.5 * float(np.sqrt((np.diag(r) ** 2).sum()))
 
 
 def integer_lattice(n):

@@ -55,7 +55,7 @@ import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .awgn import sphere_packing_exponent, tail_exponents, theta_of_rate
 from .channel import ChannelSpec
@@ -64,6 +64,11 @@ from .regions import joint_tail_exponent, tangent_sphere_scaling
 
 BLOCK = 4096
 MAX_CODEBOOK = 65536
+# Working-set cap of the expurgated ensemble: a block holds its codebooks
+# (min(trials, BLOCK) * M * n floats) and about as much again while
+# expurgating, and a config whose estimate exceeds this is rejected before
+# anything is drawn.
+EXPURGATED_BUDGET_BYTES = 1 << 30
 
 SPHERICAL = "spherical"
 SPHERICAL_EXPURGATED = "spherical-expurgated"
@@ -151,6 +156,14 @@ class SimConfig:
                 "d_min %g > sqrt(2) admits at most n+1 = %d codewords, not %d"
                 % (self.d_min, self.n + 1, m)
             )
+        if self.ensemble == SPHERICAL_EXPURGATED:
+            need = 2 * min(self.trials, BLOCK) * m * self.n * 8
+            if need > EXPURGATED_BUDGET_BYTES:
+                raise ValueError(
+                    "expurgated codebooks need about %.3g GiB, over the %.3g GiB budget;"
+                    " lower n, rate or trials"
+                    % (need / 2 ** 30, EXPURGATED_BUDGET_BYTES / 2 ** 30)
+                )
         if self.ensemble == LATTICE_COSET:
             if self.lattice is None:
                 raise ValueError("lattice-coset ensemble requires a lattice")
@@ -188,13 +201,17 @@ class SimResult:
 
 
 def clopper_pearson(errors, trials, level=0.95):
-    """Exact binomial confidence interval (valid at zero counts)."""
+    """Exact binomial confidence interval (valid at zero counts).
+
+    Clopper-Pearson: the bounds are beta quantiles, taken by inverting the
+    regularized incomplete beta function with `scipy.special.betaincinv`.
+    """
     a = (1.0 - level) / 2.0
-    lo = 0.0 if errors == 0 else float(stats.beta.ppf(a, errors, trials - errors + 1))
+    lo = 0.0 if errors == 0 else float(special.betaincinv(errors, trials - errors + 1, a))
     hi = (
         1.0
         if errors == trials
-        else float(stats.beta.ppf(1.0 - a, errors + 1, trials - errors))
+        else float(special.betaincinv(errors + 1, trials - errors, 1.0 - a))
     )
     return lo, hi
 

@@ -185,6 +185,18 @@ def test_rho_g_clamped_at_capacity_only():
             awgn.rho_g(c * 1.001, spec)
 
 
+@pytest.mark.parametrize("snr", [1e-4, 10.0, 1e5])
+@pytest.mark.parametrize("rate", [5e-324, 1e-310, 1e-300, 1e-290])
+def test_rho_g_finite_at_subnormal_rates(snr, rate):
+    # As R -> 0, rho_G -> sqrt(SNR / (2R)) and E_sp -> SNR/2.  Where
+    # 4 beta_G / (SNR (beta_G - 1)) overflows, the root is taken in factors.
+    spec = ChannelSpec(snr)
+    rho = awgn.rho_g(rate, spec)
+    want = math.sqrt(snr / 2.0) / math.sqrt(rate)
+    assert abs(rho - want) <= 1e-12 * want
+    assert awgn.sphere_packing_exponent(rate, spec).value == 0.5 * snr
+
+
 def test_awgn_exponent_dispatch():
     below = awgn.awgn_exponent(0.3, SNR10)
     assert below.regime == EXPURGATED

@@ -4,11 +4,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
 from expbounds.channel import ChannelSpec
-from expbounds import awgn, cli, modlam, regions
+from expbounds import awgn, cli, modlam, regions, simulator
 from expbounds.cli import main
 
 
@@ -267,6 +271,44 @@ def test_simulate_rejects_unreachable_floor(tmp_path, capsys):
     code, _, err = _run(capsys, "simulate", str(cfg))
     assert code == 2
     assert "d_min" in err
+
+
+def test_simulate_over_expurgated_budget_exits_2_at_once(tmp_path, capsys, monkeypatch):
+    # n=16, M=65536 would hold about 64 GiB of codebooks; nothing is drawn.
+    def no_draw(*args):
+        raise AssertionError("a rejected config must draw nothing")
+
+    monkeypatch.setattr(simulator, "_expurgated_codebooks", no_draw)
+    cfg = tmp_path / "sim.json"
+    out = tmp_path / "result.json"
+    cfg.write_text(json.dumps({"n": 16, "snr": 2.0, "rate_nats": math.log(65536) / 16,
+                               "ensemble": "spherical-expurgated", "d_min": 0.5,
+                               "trials": 4096}))
+    start = time.perf_counter()
+    code, stdout, err = _run(capsys, "simulate", str(cfg), "--out", str(out))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "budget" in err
+    assert not out.exists()
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # Start-up cost: numpy and scipy.special are the floor; scipy.stats and
+    # scipy.optimize (test-only oracles) stay out of the process.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for name in ("expbounds.cli", "expbounds"):
+        probe = (
+            "import sys, %s\n"
+            "print(' '.join(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+            % name
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "", (name, proc.stdout)
 
 
 def test_simulate_missing_snr(tmp_path, capsys):

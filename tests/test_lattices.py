@@ -176,6 +176,13 @@ def test_enumeration_core_matches_dfs_on_unreduced_frames(n):
     assert np.array_equal(got, np.round(got))
 
 
+def _unimodular(n, rng):
+    """A random unimodular integer matrix: unit lower times unit upper triangular."""
+    lower = np.tril(rng.integers(-1, 2, size=(n, n)), -1) + np.eye(n)
+    upper = np.triu(rng.integers(-1, 2, size=(n, n)), 1) + np.eye(n)
+    return lower @ upper
+
+
 @st.composite
 def _unimodular_copies(draw):
     """A built-in lattice and its basis times a random unimodular matrix."""
@@ -186,10 +193,7 @@ def _unimodular_copies(draw):
         )
     )
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    n = lat.n
-    lower = np.tril(rng.integers(-1, 2, size=(n, n)), -1) + np.eye(n)
-    upper = np.triu(rng.integers(-1, 2, size=(n, n)), 1) + np.eye(n)
-    return lat, lower @ upper @ lat.basis, rng
+    return lat, _unimodular(lat.n, rng) @ lat.basis, rng
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -279,9 +283,46 @@ def test_effective_radius():
 
 
 def test_covering_radius_bounds_probe():
-    figs = lattice_figures(e8(), samples=1_000, seed=0, probe=500)
-    assert figs.deep_hole_probe <= figs.r_cov + 1e-9
-    assert figs.r_cov >= figs.r_eff  # covering radius cannot beat equal volume
+    for lat in (
+        e8(),
+        integer_lattice(4),
+        d4(),
+        Lattice("d4-file", D4_UNIMODULAR @ d4().basis),
+        Lattice("random-6d", np.random.default_rng(12).normal(size=(6, 6))),
+    ):
+        figs = lattice_figures(lat, samples=1_000, seed=0, probe=2_000)
+        assert figs.deep_hole_probe <= figs.r_cov + 1e-9, lat.name
+        assert figs.r_cov >= figs.r_eff  # covering radius cannot beat equal volume
+
+
+def test_covering_radius_bound_is_basis_independent():
+    # Taken on the reduced frame, the bound is the lattice's, not the file's.
+    file_d4 = load_basis(DATA + "/d4.lat")
+    want = d4().covering_radius_bound()
+    rng = np.random.default_rng(13)
+    copies = [D4_UNIMODULAR] + [_unimodular(4, rng) for _ in range(20)]
+    for u in copies:
+        got = Lattice("d4-copy", u @ file_d4.basis).covering_radius_bound()
+        assert abs(got - want) <= 1e-12 * want
+    for lat in (e8(), integer_lattice(16)):
+        want = lat.covering_radius_bound()
+        for _ in range(10):
+            got = Lattice("copy", _unimodular(lat.n, rng) @ lat.basis).covering_radius_bound()
+            assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize(
+    "lat, r_cov",
+    [(integer_lattice(1), 0.5), (integer_lattice(4), 1.0), (integer_lattice(16), 2.0),
+     (d4(), 1.0), (e8(), 1.0)],
+    ids=["Z1", "Z4", "Z16", "D4", "E8"],
+)
+def test_covering_radius_bound_covers_true_radius(lat, r_cov):
+    # True covering radii: sqrt(n)/2 for Z^n, 1 for D4 and E8 at min norm 2.
+    bound = lat.covering_radius_bound()
+    assert bound >= r_cov
+    copy = Lattice("copy", _unimodular(lat.n, np.random.default_rng(1)) @ lat.basis)
+    assert copy.covering_radius_bound() >= r_cov
 
 
 def test_rescaled_equivariance():

@@ -37,6 +37,17 @@ def test_rejects_huge_codebook():
         sim.SimConfig(n=16, spec=SNR10, rate=1.1, trials=10, seed=0)
 
 
+@pytest.mark.parametrize(
+    "n, m, trials, d_min",
+    [(8, 9, 8192, 0.6), (8, 9, 512, 0.2), (16, 512, 4096, 0.5), (16, 512, 10 ** 6, 0.5)],
+)
+def test_expurgated_budget_admits_working_configs(n, m, trials, d_min):
+    # The benchmark's expurgated configs and n=16, M=512 (about 0.54 GB).
+    cfg = sim.SimConfig(n=n, spec=SNR2, rate=math.log(m) / n, trials=trials,
+                        ensemble=sim.SPHERICAL_EXPURGATED, d_min=d_min)
+    assert cfg.codebook_size == m
+
+
 def test_determinism():
     cfg = _spherical_config(trials=10_000)
     a = sim.simulate(cfg)
@@ -177,6 +188,19 @@ def test_clopper_pearson_edges():
     assert hi == 1.0 and lo > 0.94
     lo, hi = sim.clopper_pearson(10, 100)
     assert lo < 0.1 < hi
+
+
+@pytest.mark.parametrize("trials", [1, 2, 10, 512, 4096, 20_000, 10 ** 6, 10 ** 7])
+def test_clopper_pearson_matches_beta_ppf(trials):
+    # The bounds are beta quantiles: betaincinv must give beta.ppf's bits.
+    a = (1.0 - 0.95) / 2.0  # as clopper_pearson forms it, not the literal 0.025
+    rng = np.random.default_rng(trials)
+    counts = {0, 1, trials // 2, trials - 1, trials}
+    counts |= {int(k) for k in rng.integers(0, trials + 1, size=20)}
+    for errors in sorted(counts):
+        lo = 0.0 if errors == 0 else float(stats.beta.ppf(a, errors, trials - errors + 1))
+        hi = 1.0 if errors == trials else float(stats.beta.ppf(1.0 - a, errors + 1, trials - errors))
+        assert sim.clopper_pearson(errors, trials) == (lo, hi), errors
 
 
 def test_lattice_decoder_ordering():
