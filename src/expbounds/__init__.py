@@ -23,20 +23,20 @@ from .awgn import (
     rho_g,
     sphere_packing_exponent,
     theta_of_rate,
+    typical_chord,
     typical_distance,
 )
 from .regions import (
-    alpha_awgn,
+    TypicalEvent,
     alpha_awgn_r,
     cone_union_min,
     f_bnd,
     k_zeta,
     tangent_sphere_scaling,
-    theta_awgn,
+    typical_event,
 )
 from .modlam import (
     ScalingSpec,
-    alpha_lambda,
     k_alpha_star,
     lattice_union_min,
     modlambda_exponent,

@@ -85,9 +85,14 @@ def rho_g(R: float, spec: ChannelSpec) -> float:
 
 
 def sphere_packing_exponent(R: float, spec: ChannelSpec) -> ExponentValue:
-    """Sphere-packing exponent E_sp(R); tight upper bound above the critical rate."""
+    """Sphere-packing exponent E_sp(R); tight upper bound above the critical rate.
+
+    At R = 0, where rho_G diverges, it is its limit SNR/2.
+    """
     if R >= spec.capacity_nats:
         return ExponentValue(0.0, ZERO if R > spec.capacity_nats else SPHERE_PACKING)
+    if R == 0.0:
+        return ExponentValue(spec.snr / 2.0, SPHERE_PACKING)
     beta_g = math.exp(2.0 * R)
     val = gallager_eg(beta_g, rho_g(R, spec), R, spec)
     return ExponentValue(max(val, 0.0), SPHERE_PACKING)
@@ -219,12 +224,20 @@ def leave_cone_exponent(theta: float, spec: ChannelSpec) -> ExponentValue:
     return ExponentValue(max(val, 0.0), SPHERE_PACKING)
 
 
-def typical_distance(R: float, spec: ChannelSpec) -> float:
-    """Normalized chord of the typical (dominating) error event at rate R."""
+def typical_chord(R: float, floor: float, spec: ChannelSpec) -> float:
+    """Normalized chord of the typical error event of an ensemble at rate R.
+
+    `floor` is the ensemble's distance floor: d_min(R) for the spherical code,
+    e^{-R} for the mod-lattice coset ensemble.  Above R_crit the chord is
+    sqrt(2) e^{-R}; at and below it, max(floor, d_crit).
+    """
     if R < 0.0 or R > spec.capacity_nats * CAPACITY_SLACK:
         raise ValueError("rate must be in [0, C]")
-    if R <= rate_x(spec):
-        return min_distance(R)
-    if R <= critical_rate(spec):
-        return critical_distance(spec)
-    return math.sqrt(2.0) * math.exp(-R)
+    if R > critical_rate(spec):
+        return math.sqrt(2.0) * math.exp(-R)
+    return max(floor, critical_distance(spec))
+
+
+def typical_distance(R: float, spec: ChannelSpec) -> float:
+    """Typical error-event chord of the spherical code (floor d_min(R))."""
+    return typical_chord(R, min_distance(R), spec)

@@ -62,9 +62,10 @@ def _rate_nats(args, spec):
         r = bits_to_nats(args.rate_bits)
     else:
         raise UsageError("one of --rate-bits / --rate-nats is required")
-    if not 0.0 < r <= spec.capacity_nats:
-        raise UsageError("rate %.6g nats outside (0, C=%.6g]" % (r, spec.capacity_nats))
-    return r
+    c = spec.capacity_nats
+    if not 0.0 < r <= c * CAPACITY_SLACK:
+        raise UsageError("rate %.6g nats outside (0, C=%.6g]" % (r, c))
+    return min(r, c)  # C given in bits lands an ulp either side of C
 
 
 def _parse_grid(text):
@@ -113,7 +114,7 @@ def _exponent_row(r, spec):
         "E_r": awgn.random_coding_exponent(r, spec).value,
         "E_x": awgn.expurgated_exponent(r, spec).value,
         "E_awgn": awgn.awgn_exponent(r, spec).value,
-        "E_modlambda": modlam.modlambda_exponent(r, spec)[0].value,
+        "E_modlambda": modlam.modlambda_exponent(r, spec).value,
     }
 
 
@@ -151,17 +152,14 @@ def cmd_geometry(args):
     r = _rate_nats(args, spec)
     crit = awgn.critical_rates(spec)
     e_awgn = awgn.awgn_exponent(r, spec)
-    e_lam, alpha_lam, theta, d_typ_ii = modlam.modlambda_exponent(r, spec)
-    d_typ = awgn.typical_distance(r, spec)
-    # The reported k_zeta and theta_lambda are passed on, so that each
-    # bisection runs once.
-    k_z = regions.k_zeta(d_typ, r, spec) if r < crit.r_crit else None
-    theta_a = regions.theta_awgn(r, spec, k=k_z)
-    scaling = modlam.k_alpha_star(math.exp(-r), r, spec)
-    theta_lam = modlam.theta_lambda(r, spec)
-    r_scaled = modlam.r_lambda_alpha(r, spec, theta=theta_lam, alpha=alpha_lam)
+    e_lam = modlam.modlambda_exponent(r, spec)
+    theta, d_min, floor_lam = awgn.theta_of_rate(r), awgn.min_distance(r), math.exp(-r)
+    # One typical error event, at each ensemble's distance floor.
+    event_sp = regions.typical_event(r, d_min, spec)
+    event_lam = regions.typical_event(r, floor_lam, spec)
+    scaling = modlam.ScalingSpec(event_lam.alpha)
     l_star, d_star, lat_regime = modlam.maximizers_lattice(
-        r_scaled, scaling, spec, min_distance=math.exp(-r)
+        event_lam.radius, scaling, spec, min_distance=floor_lam
     )
     report = {
         "snr": spec.snr,
@@ -179,25 +177,25 @@ def cmd_geometry(args):
         "E_awgn": {"value": e_awgn.value, "regime": e_awgn.regime},
         "E_modlambda": {"value": e_lam.value, "regime": e_lam.regime},
         "theta": theta,
-        "theta_awgn": theta_a,
-        "theta_lambda": theta_lam,
-        "alpha_awgn": regions.alpha_awgn(r, spec),
+        "theta_awgn": event_sp.theta,
+        "theta_lambda": event_lam.theta,
+        "alpha_awgn": event_sp.alpha,
         "alpha_awgn_r": regions.alpha_awgn_r(r, spec),
-        "alpha_lambda": alpha_lam,
+        "alpha_lambda": event_lam.alpha,
         "alpha_mmse": modlam.mmse_alpha(spec).alpha,
         "k_alpha_star": scaling.k_alpha,
-        "d_typ": d_typ,
-        "d_typ_ii": d_typ_ii,
+        "d_typ": event_sp.d,
+        "d_typ_ii": event_lam.d,
         "d_crit": crit.d_crit,
-        "d_min": awgn.min_distance(r),
-        "beta_star": awgn.beta_star(awgn.theta_of_rate(r), spec),
+        "d_min": d_min,
+        "beta_star": awgn.beta_star(theta, spec),
         "l_star": l_star,
         "d_lambda_star": d_star,
         "lattice_regime": lat_regime,
-        "r_lambda_alpha": r_scaled,
+        "r_lambda_alpha": event_lam.radius,
     }
-    if k_z is not None:
-        report["k_zeta"] = k_z
+    if event_sp.k_zeta is not None:
+        report["k_zeta"] = event_sp.k_zeta
     _write_out(args, json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0
 
@@ -330,23 +328,24 @@ def _fast_checks():
     )
 
     def continuity_error():
+        # d and alpha of each typical event across its own junctions.
         eps = 1e-9
         worst = 0.0
-        for f in (awgn.typical_distance, modlam.typical_distance_ii):
-            for at in (crit.r_x, crit.r_crit):
-                worst = max(worst, abs(f(at - eps, spec) - f(at + eps, spec)))
-        worst = max(
-            worst,
-            abs(modlam.alpha_lambda(crit.r_crit - eps, spec) - modlam.alpha_lambda(crit.r_crit + eps, spec)),
-        )
+        for floor, junctions in (
+            (awgn.min_distance, (crit.r_x, crit.r_crit)),
+            (lambda r: math.exp(-r), (modlam.rate_ii(spec), crit.r_crit)),
+        ):
+            for at in junctions:
+                lo, hi = (regions.typical_event(r, floor(r), spec) for r in (at - eps, at + eps))
+                worst = max(worst, abs(lo.d - hi.d), abs(lo.alpha - hi.alpha))
         return worst
 
-    checks.append(("typical-distance and scaling continuity", continuity_error, 1e-6))
+    checks.append(("typical-event chord and scaling continuity", continuity_error, 1e-6))
 
     def ordering_error():
         for r in np.linspace(0.02, spec.capacity_nats - 1e-6, 25):
             e_r = awgn.random_coding_exponent(float(r), spec).value
-            e_ii = modlam.modlambda_exponent(float(r), spec)[0].value
+            e_ii = modlam.modlambda_exponent(float(r), spec).value
             e_a = awgn.awgn_exponent(float(r), spec).value
             if not (e_r - 1e-9 <= e_ii <= e_a + 1e-9):
                 return abs(min(e_ii - e_r, e_a - e_ii))
@@ -357,9 +356,8 @@ def _fast_checks():
     def branch_agreement_error():
         worst = 0.0
         for r in np.linspace(0.05, spec.capacity_nats - 0.01, 12):
-            d = awgn.typical_distance(float(r), spec)
-            theta = regions.theta_awgn(float(r), spec)
-            got = regions.f_bnd(d, theta, float(r), spec)
+            event = regions.typical_event(float(r), awgn.min_distance(float(r)), spec)
+            got = regions.f_bnd(event.d, event.theta, float(r), spec)
             want = awgn.awgn_exponent(float(r), spec).value
             worst = max(worst, abs(got - want))
         return worst

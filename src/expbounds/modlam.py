@@ -12,12 +12,7 @@ normalized AWGN chord.
 import math
 from dataclasses import dataclass
 
-from .awgn import (
-    critical_distance,
-    critical_rate,
-    sphere_packing_exponent,
-    theta_of_rate,
-)
+from .awgn import critical_distance, critical_rate, theta_of_rate, typical_chord
 from .channel import (
     CAPACITY_SLACK,
     ChannelSpec,
@@ -27,7 +22,7 @@ from .channel import (
     SPHERE_PACKING,
 )
 from .numerics import _EPS, bisect_root
-from .regions import ebd, f_bnd, tangent_sphere_scaling, theta_zeta, k_zeta
+from .regions import ebd, event_alpha, f_bnd
 
 
 @dataclass(frozen=True)
@@ -177,22 +172,10 @@ def maximizers_lattice(r, scaling: ScalingSpec, spec: ChannelSpec, min_distance=
 
 
 def k_alpha_star(d_omega, R, spec: ChannelSpec) -> ScalingSpec:
-    """Exponent-optimal self-noise ratio for a distance-d_omega ensemble at R."""
+    """Exponent-optimal scaling for a distance-d_omega ensemble at R."""
     if not 0.0 < d_omega <= math.exp(-R) + 1e-9:
         raise ValueError("require 0 < d_omega <= e^{-R}")
-    if R > critical_rate(spec):
-        alpha_s = tangent_sphere_scaling(theta_of_rate(R), spec)[1]
-        k_a = (1.0 - alpha_s) / alpha_s
-    else:
-        d_c = critical_distance(spec)
-        d = d_c if d_c > d_omega else d_omega
-        k_a = 1.0 / ((1.0 - d * d / 4.0) * spec.snr)
-    return ScalingSpec(1.0 / (1.0 + k_a))
-
-
-def alpha_lambda(R, spec: ChannelSpec) -> float:
-    """Scaling pairing the lattice ensemble with the distance-e^{-R} ensemble."""
-    return k_alpha_star(math.exp(-R), R, spec).alpha
+    return ScalingSpec(event_alpha(typical_chord(R, d_omega, spec), R, spec))
 
 
 def rate_ii(spec: ChannelSpec) -> float:
@@ -201,58 +184,26 @@ def rate_ii(spec: ChannelSpec) -> float:
 
 
 def typical_distance_ii(R, spec: ChannelSpec) -> float:
-    """Typical error-event chord of the distance-e^{-R} coset ensemble."""
-    if R <= rate_ii(spec):
-        return math.exp(-R)
-    if R <= critical_rate(spec):
-        return critical_distance(spec)
-    return math.sqrt(2.0) * math.exp(-R)
+    """Typical error-event chord of the coset ensemble (floor e^{-R})."""
+    return typical_chord(R, math.exp(-R), spec)
 
 
-def theta_lambda(R, spec: ChannelSpec) -> float:
-    """Smallest cone angle whose union bound matches the lattice exponent at R."""
-    if R >= critical_rate(spec):
-        return theta_of_rate(R)
-    return theta_zeta(k_zeta(typical_distance_ii(R, spec), R, spec), spec)
+def modlambda_exponent(R, spec: ChannelSpec) -> ExponentValue:
+    """Exponent of the distance-e^{-R} coset ensemble.
 
-
-def r_lambda_alpha(R, spec: ChannelSpec, theta=None, alpha=None) -> float:
-    """Smallest scaled-sphere radius reproducing the lattice exponent.
-
-    `theta` and `alpha` pass theta_lambda(R) and alpha_lambda(R) when they
-    are already known.
-    """
-    if theta is None:
-        theta = theta_lambda(R, spec)
-    if alpha is None:
-        alpha = alpha_lambda(R, spec)
-    return math.sin(theta) / alpha
-
-
-def modlambda_exponent(R, spec: ChannelSpec):
-    """Exponent of the distance-e^{-R} coset ensemble with its geometry.
-
-    Returns (ExponentValue, alpha, theta, d_typ).  Equals the sphere-packing
-    exponent at and above the critical rate; improves on random coding below
-    rate_ii.
+    Equals the sphere-packing exponent at and above the critical rate;
+    improves on random coding below rate_ii.
     """
     if not 0.0 <= R <= spec.capacity_nats * CAPACITY_SLACK:
         raise ValueError("rate must be in [0, C]")
-    d_typ = typical_distance_ii(R, spec)
-    theta = theta_of_rate(R)
-    val = f_bnd(d_typ, theta, R, spec)
+    val = f_bnd(typical_distance_ii(R, spec), theta_of_rate(R), R, spec)
     if R <= rate_ii(spec):
         regime = EXPURGATED
     elif R <= critical_rate(spec):
         regime = RANDOM_CODING
     else:
         regime = SPHERE_PACKING
-    return (
-        ExponentValue(max(val, 0.0), regime),
-        alpha_lambda(R, spec),
-        theta,
-        d_typ,
-    )
+    return ExponentValue(max(val, 0.0), regime)
 
 
 def lattice_union_min(r, scaling: ScalingSpec, spec: ChannelSpec, R, d_floor=0.0):

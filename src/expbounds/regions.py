@@ -1,14 +1,16 @@
 """Bounding-region geometry for the AWGN union bound.
 
 Covers the joint tail exponents, the cone union-bound exponent and its
-optimal (beta, d), the valid-region envelope, tangent-sphere scalings, and
-the theta_zeta / K_zeta parametrization of the sphere-packing curve.
+optimal (beta, d), the valid-region envelope, tangent-sphere scalings, the
+theta_zeta / K_zeta parametrization of the sphere-packing curve, and the
+typical error event that the spherical and coset ensembles share.
 
 Angles are radians; theta_D(d) = 2 arcsin(d/2) is the angle subtended at the
 origin by a chord of normalized length d.
 """
 
 import math
+from dataclasses import dataclass
 
 from .awgn import (
     beta_star,
@@ -17,7 +19,7 @@ from .awgn import (
     rate_of_theta,
     sphere_packing_exponent,
     theta_of_rate,
-    typical_distance,
+    typical_chord,
 )
 from .channel import ChannelSpec
 from .numerics import _EPS, bisect_root, golden_min
@@ -241,28 +243,51 @@ def k_zeta(d: float, R: float, spec: ChannelSpec) -> float:
     return bisect_root(lambda K: z_of_k(K, d, R, spec), lo, tol=1e-12)
 
 
-def theta_awgn(R: float, spec: ChannelSpec, k: float | None = None) -> float:
-    """Smallest cone angle whose union bound matches the AWGN exponent at R.
+def event_alpha(d: float, R: float, spec: ChannelSpec) -> float:
+    """Exponent-optimal tangent-sphere scaling of the typical event with chord d.
 
-    Below R_crit it is theta_zeta of the k_zeta root; `k` passes that root
-    when it is already known.
+    alpha*_s(theta(R)) at and above R_crit; below it 1/(1 + K) with
+    K = 1/((1 - d^2/4) SNR).  Continuous at R_crit, where d = d_crit.
+    """
+    if R >= critical_rate(spec):
+        return tangent_sphere_scaling(theta_of_rate(R), spec)[1]
+    k_alpha = 1.0 / ((1.0 - d * d / 4.0) * spec.snr)
+    return 1.0 / (1.0 + k_alpha)
+
+
+@dataclass(frozen=True)
+class TypicalEvent:
+    """Typical error event of an ensemble at one rate.
+
+    d is its chord, theta the smallest cone angle whose union bound matches
+    the ensemble's exponent, alpha its tangent-sphere scaling, and k_zeta the
+    bounding-sphere root below R_crit (None at and above it).
+    """
+
+    d: float
+    theta: float
+    alpha: float
+    k_zeta: float | None
+
+    @property
+    def radius(self) -> float:
+        """Smallest scaled-sphere radius reproducing the exponent: sin(theta)/alpha."""
+        return math.sin(self.theta) / self.alpha
+
+
+def typical_event(R: float, floor: float, spec: ChannelSpec) -> TypicalEvent:
+    """Typical error event at rate R of the ensemble with distance floor `floor`.
+
+    The spherical code's floor is d_min(R), the mod-lattice coset ensemble's
+    is e^{-R}; nothing else tells the two apart.  Below R_crit theta is
+    theta_zeta of the k_zeta root (one bisection), else theta(R).
     """
     if not 0.0 < R <= spec.capacity_nats:
         raise ValueError("rate must be in (0, C]")
-    if R >= critical_rate(spec):
-        return theta_of_rate(R)
-    if k is None:
-        k = k_zeta(typical_distance(R, spec), R, spec)
-    return theta_zeta(k, spec)
-
-
-def alpha_awgn(R: float, spec: ChannelSpec) -> float:
-    """Exponent-optimal tangent-sphere scaling at rate R (continuous at R_crit)."""
-    if R >= critical_rate(spec):
-        return tangent_sphere_scaling(theta_of_rate(R), spec)[1]
-    d = typical_distance(R, spec)
-    k_alpha = 1.0 / ((1.0 - d * d / 4.0) * spec.snr)
-    return 1.0 / (1.0 + k_alpha)
+    d = typical_chord(R, floor, spec)
+    k = k_zeta(d, R, spec) if R < critical_rate(spec) else None
+    theta = theta_of_rate(R) if k is None else theta_zeta(k, spec)
+    return TypicalEvent(d, theta, event_alpha(d, R, spec), k)
 
 
 def alpha_awgn_r(R: float, spec: ChannelSpec) -> float:

@@ -123,8 +123,8 @@ def test_criterion_04_continuity_suite():
     for k in (k_lo, k_hi):
         if abs(k - 0.109902) > 1e-6:
             failures.append("K_alpha* branch %.7f != 0.109902" % k)
-    a_lo = modlam.alpha_lambda(r_c - eps, spec)
-    a_hi = modlam.alpha_lambda(r_c + eps, spec)
+    a_lo = regions.typical_event(r_c - eps, math.exp(-(r_c - eps)), spec).alpha
+    a_hi = regions.typical_event(r_c + eps, math.exp(-(r_c + eps)), spec).alpha
     if abs(a_lo - a_hi) > 1e-8:
         failures.append("alpha_lambda jump %.2e" % abs(a_lo - a_hi))
     # f_bnd branch junction: along the typical curve (d_typ(R), theta(R)) the
@@ -183,7 +183,7 @@ def test_criterion_06_ordering_chain():
         for i in range(1, 51):
             r = c * i / 51.0
             e_r = awgn.random_coding_exponent(r, spec).value
-            e_ii = modlam.modlambda_exponent(r, spec)[0].value
+            e_ii = modlam.modlambda_exponent(r, spec).value
             e_a = awgn.awgn_exponent(r, spec).value
             if e_r > e_ii + 1e-9 or e_ii > e_a + 1e-9:
                 failures.append("ordering broken at snr=%g R=%.4f" % (snr, r))

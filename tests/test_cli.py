@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from expbounds.channel import ChannelSpec
+from expbounds.channel import ChannelSpec, bits_to_nats, db_to_linear, nats_to_bits
 from expbounds import awgn, cli, modlam, regions, simulator
 from expbounds.cli import main
 
@@ -152,16 +152,56 @@ def test_geometry_runs_each_k_zeta_bisection_once(capsys, monkeypatch):
         return real_k_zeta(*args)
 
     monkeypatch.setattr(regions, "k_zeta", counting_k_zeta)
-    monkeypatch.setattr(modlam, "k_zeta", counting_k_zeta)
     code, out, _ = _run(capsys, "geometry", "--snr", "10", "--rate-nats", repr(r))
     assert code == 0
     assert len(calls) == 2
     monkeypatch.undo()
     rpt = json.loads(out)
-    assert rpt["theta_awgn"] == regions.theta_awgn(r, spec)
-    assert rpt["theta_lambda"] == modlam.theta_lambda(r, spec)
-    assert rpt["r_lambda_alpha"] == modlam.r_lambda_alpha(r, spec)
+    assert rpt["theta_awgn"] == regions.typical_event(r, awgn.min_distance(r), spec).theta
+    assert rpt["theta_lambda"] == regions.typical_event(r, math.exp(-r), spec).theta
+    assert rpt["r_lambda_alpha"] == regions.typical_event(r, math.exp(-r), spec).radius
     assert rpt["k_zeta"] == regions.k_zeta(awgn.typical_distance(r, spec), r, spec)
+
+
+# The north-star SNR range, -40 to 50 dB in half-dB steps.
+HALF_DB_GRID = [k / 2.0 for k in range(-80, 101)]
+
+
+def test_geometry_accepts_capacity_given_in_bits(capsys):
+    # C/ln 2 converts back to an ulp above C at some SNRs; that is still C.
+    above = []
+    for snr_db in HALF_DB_GRID:
+        c = ChannelSpec(db_to_linear(snr_db)).capacity_nats
+        if bits_to_nats(nats_to_bits(c)) > c:
+            above.append((snr_db, c))
+    assert len(above) >= 10
+    for snr_db, c in above:
+        code, out_bits, err = _run(
+            capsys, "geometry", "--snr-db", repr(snr_db), "--rate-bits", repr(nats_to_bits(c))
+        )
+        assert code == 0, (snr_db, err)
+        code, out_nats, _ = _run(capsys, "geometry", "--snr-db", repr(snr_db), "--rate-nats", repr(c))
+        assert code == 0
+        assert out_bits == out_nats
+        code, _, err = _run(
+            capsys, "geometry", "--snr-db", repr(snr_db), "--rate-nats", repr(c * (1.0 + 1e-9))
+        )
+        assert code == 2 and "outside (0, C=" in err
+
+
+def test_geometry_reports_one_event_for_both_ensembles_above_critical_rate(capsys):
+    # The paper's claim: from R_crit to C the mod-lattice typical error event
+    # has the spherical code's geometry, to the last bit.
+    for snr_db in HALF_DB_GRID:
+        spec = ChannelSpec(db_to_linear(snr_db))
+        r_c, c = awgn.critical_rate(spec), spec.capacity_nats
+        for k in range(11):
+            r = c if k == 10 else r_c + (c - r_c) * k / 10.0
+            code, out, err = _run(capsys, "geometry", "--snr-db", repr(snr_db), "--rate-nats", repr(r))
+            assert code == 0, (snr_db, r, err)
+            rpt = json.loads(out)
+            assert rpt["alpha_awgn"] == rpt["alpha_lambda"], (snr_db, r)
+            assert rpt["theta_awgn"] == rpt["theta_lambda"], (snr_db, r)
 
 
 def test_geometry_at_a_tiny_rate(capsys):

@@ -147,7 +147,7 @@ def _floor_binding_points(geometry_radius):
             scaling = modlam.k_alpha_star(d_omega, r, spec)
             floor_radius = d_omega * (1.0 + scaling.k_alpha) / math.sqrt(2.0)
             if geometry_radius:
-                radius = modlam.r_lambda_alpha(r, spec)
+                radius = regions.typical_event(r, math.exp(-r), spec).radius
             else:
                 radius = 0.9 * floor_radius
             if radius < floor_radius:
@@ -206,14 +206,14 @@ def test_typical_distance_ii_branches():
 
 
 def test_modlambda_exponent_value_and_regimes():
-    low, _, _, d_typ = modlam.modlambda_exponent(0.3, SNR10)
+    low = modlam.modlambda_exponent(0.3, SNR10)
     assert low.regime == EXPURGATED
     assert abs(low.value - EII_03) < 1e-10
-    assert abs(d_typ - math.exp(-0.3)) < 1e-15
-    mid, _, _, _ = modlam.modlambda_exponent(0.7, SNR10)
+    assert abs(modlam.typical_distance_ii(0.3, SNR10) - math.exp(-0.3)) < 1e-15
+    mid = modlam.modlambda_exponent(0.7, SNR10)
     assert mid.regime == RANDOM_CODING
     assert abs(mid.value - awgn.random_coding_exponent(0.7, SNR10).value) < 1e-8
-    high, _, _, _ = modlam.modlambda_exponent(1.0, SNR10)
+    high = modlam.modlambda_exponent(1.0, SNR10)
     assert high.regime == SPHERE_PACKING
     assert abs(high.value - awgn.sphere_packing_exponent(1.0, SNR10).value) < 1e-10
 
@@ -225,7 +225,7 @@ def test_exponent_ordering_chain():
         for i in range(1, 50):
             r = c * i / 50.0
             e_r = awgn.random_coding_exponent(r, spec).value
-            e_ii = modlam.modlambda_exponent(r, spec)[0].value
+            e_ii = modlam.modlambda_exponent(r, spec).value
             e_a = awgn.awgn_exponent(r, spec).value
             assert e_r <= e_ii + 1e-9
             assert e_ii <= e_a + 1e-9
@@ -234,7 +234,7 @@ def test_exponent_ordering_chain():
 def test_strict_improvement_below_rate_x():
     r = 0.3  # below the expurgated junction
     e_r = awgn.random_coding_exponent(r, SNR10).value
-    e_ii = modlam.modlambda_exponent(r, SNR10)[0].value
+    e_ii = modlam.modlambda_exponent(r, SNR10).value
     e_a = awgn.awgn_exponent(r, SNR10).value
     assert e_ii > e_r + 1e-3
     assert e_ii < e_a - 1e-3
@@ -242,13 +242,12 @@ def test_strict_improvement_below_rate_x():
 
 def test_alpha_lambda_continuous_at_critical_rate():
     r_c = awgn.critical_rate(SNR10)
-    gap = abs(
-        modlam.alpha_lambda(r_c - 1e-9, SNR10) - modlam.alpha_lambda(r_c + 1e-9, SNR10)
-    )
+    below, above = (regions.typical_event(r, math.exp(-r), SNR10) for r in (r_c - 1e-9, r_c + 1e-9))
+    gap = abs(below.alpha - above.alpha)
     assert gap < 1e-7
 
 
 def test_r_lambda_alpha_positive_and_finite():
     for r in (0.3, 0.7, 1.0):
-        val = modlam.r_lambda_alpha(r, SNR10)
+        val = regions.typical_event(r, math.exp(-r), SNR10).radius
         assert 0.0 < val < 2.0

@@ -1,6 +1,7 @@
-"""Property tests of the closed forms over SNR in [1e-4, 1e5] and R in (0, C].
+"""Property tests of the closed forms over SNR in [1e-4, 1e5] and R in [0, C].
 
-Checked: E_r <= E_II <= E_awgn <= E_sp, each exponent non-increasing in R,
+Checked: E_r <= E_II <= E_awgn <= E_sp (also at R = 0 exactly), each
+exponent non-increasing in R,
 no jump at R_x, R_crit and rate_ii, and a `geometry` report with finite
 fields.  Examples are derandomized, so every run draws the same ones.
 """
@@ -32,7 +33,7 @@ def _exponents(r, spec):
     """(E_r, E_II, E_awgn, E_sp) at rate r."""
     return (
         awgn.random_coding_exponent(r, spec).value,
-        modlam.modlambda_exponent(r, spec)[0].value,
+        modlam.modlambda_exponent(r, spec).value,
         awgn.awgn_exponent(r, spec).value,
         awgn.sphere_packing_exponent(r, spec).value,
     )
@@ -45,16 +46,26 @@ def _rate(spec, frac):
     return rate
 
 
+def _assert_ordered(r, spec):
+    e_r, e_ii, e_awgn, e_sp = _exponents(r, spec)
+    assert e_r <= e_ii + ORDER_TOL, (spec.snr, r)
+    assert e_ii <= e_awgn + ORDER_TOL, (spec.snr, r)
+    assert e_awgn <= e_sp + ORDER_TOL, (spec.snr, r)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(snrs, fractions)
 @example(10.0, TINY)
 @example(1e-4, 1e-300)
 def test_exponents_are_ordered(snr, frac):
     spec = ChannelSpec(snr)
-    e_r, e_ii, e_awgn, e_sp = _exponents(_rate(spec, frac), spec)
-    assert e_r <= e_ii + ORDER_TOL
-    assert e_ii <= e_awgn + ORDER_TOL
-    assert e_awgn <= e_sp + ORDER_TOL
+    _assert_ordered(_rate(spec, frac), spec)
+
+
+def test_exponents_are_ordered_at_zero_rate():
+    # R = 0 exactly, where E_sp is its limit SNR/2, on the half-dB grid.
+    for k in range(-80, 101):
+        _assert_ordered(0.0, ChannelSpec(10.0 ** (k / 20.0)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

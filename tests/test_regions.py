@@ -79,7 +79,7 @@ def test_f_bnd_value():
 def test_f_bnd_at_critical_chord_gives_random_coding():
     d_c = awgn.critical_distance(SNR10)
     for r in (0.55, 0.7, 0.85):
-        theta = regions.theta_awgn(r, SNR10)
+        theta = regions.typical_event(r, awgn.min_distance(r), SNR10).theta
         got = regions.f_bnd(d_c, theta, r, SNR10)
         want = awgn.random_coding_exponent(r, SNR10).value
         assert abs(got - want) < 1e-8
@@ -88,7 +88,7 @@ def test_f_bnd_at_critical_chord_gives_random_coding():
 def test_f_bnd_at_min_distance_gives_expurgated():
     for r in (0.1, 0.3, 0.5):
         d = awgn.min_distance(r)
-        theta = regions.theta_awgn(r, SNR10)
+        theta = regions.typical_event(r, awgn.min_distance(r), SNR10).theta
         got = regions.f_bnd(d, theta, r, SNR10)
         want = awgn.expurgated_exponent(r, SNR10).value
         assert abs(got - want) < 1e-8
@@ -97,7 +97,7 @@ def test_f_bnd_at_min_distance_gives_expurgated():
 def test_typical_geometry_reproduces_best_curve():
     for r in (0.1, 0.3, 0.5574, 0.7, 0.857, 1.0, 1.15):
         d = awgn.typical_distance(r, SNR10)
-        theta = regions.theta_awgn(r, SNR10)
+        theta = regions.typical_event(r, awgn.min_distance(r), SNR10).theta
         got = regions.f_bnd(d, theta, r, SNR10)
         want = awgn.awgn_exponent(r, SNR10).value
         assert abs(got - want) < 1e-7
@@ -148,18 +148,37 @@ def test_tangent_sphere_scaling_identities():
 
 def test_alpha_awgn_branches_and_continuity():
     r_c = awgn.critical_rate(SNR10)
-    above = regions.alpha_awgn(r_c + 1e-9, SNR10)
-    below = regions.alpha_awgn(r_c - 1e-9, SNR10)
+    above = regions.typical_event(r_c + 1e-9, awgn.min_distance(r_c + 1e-9), SNR10).alpha
+    below = regions.typical_event(r_c - 1e-9, awgn.min_distance(r_c - 1e-9), SNR10).alpha
     assert abs(above - below) < 1e-6
     assert abs(above - 0.9009804864072152) < 1e-7
     # Above the critical rate both scalings agree.
     for r in (0.9, 1.1):
-        assert abs(regions.alpha_awgn(r, SNR10) - regions.alpha_awgn_r(r, SNR10)) < 1e-12
+        alpha = regions.typical_event(r, awgn.min_distance(r), SNR10).alpha
+        assert abs(alpha - regions.alpha_awgn_r(r, SNR10)) < 1e-12
 
 
 def test_theta_awgn_continuous_at_critical_rate():
     r_c = awgn.critical_rate(SNR10)
-    assert abs(regions.theta_awgn(r_c - 1e-9, SNR10) - regions.theta_awgn(r_c + 1e-9, SNR10)) < 1e-6
+    below, above = (regions.typical_event(r, awgn.min_distance(r), SNR10) for r in (r_c - 1e-9, r_c + 1e-9))
+    assert abs(below.theta - above.theta) < 1e-6
+
+
+def test_both_floors_give_one_event_where_their_chords_agree():
+    # The coset ensemble's event is the spherical code's at floor e^{-R}:
+    # wherever the two chords coincide, so does every other field.
+    agreed = 0
+    for snr_db in range(-40, 55, 5):
+        spec = ChannelSpec(10.0 ** (snr_db / 10.0))
+        c = spec.capacity_nats
+        for k in range(1, 41):
+            r = c * (k / 40.0)
+            sp = regions.typical_event(r, awgn.min_distance(r), spec)
+            lam = regions.typical_event(r, math.exp(-r), spec)
+            if sp.d == lam.d:
+                agreed += 1
+                assert sp == lam, (snr_db, r)
+    assert agreed > 19 * 10
 
 
 def test_smallest_valid_region_profile():
