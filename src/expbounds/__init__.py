@@ -1,5 +1,11 @@
 """Error-exponent bounds and typical-error geometry for the power-constrained
-Gaussian channel and its mod-lattice variant, with Monte Carlo validation."""
+Gaussian channel and its mod-lattice variant, with Monte Carlo validation.
+
+The closed forms need only `math`.  The lattice and simulator names, which
+need numpy and scipy, are imported on first use (PEP 562).
+"""
+
+import importlib
 
 from .channel import (
     ChannelSpec,
@@ -43,7 +49,25 @@ from .modlam import (
     rate_ii,
     typical_distance_ii,
 )
-from .lattices import Lattice, d4, e8, integer_lattice, lattice_figures, load_basis
-from .simulator import SimConfig, SimResult, simulate
 
 __version__ = "0.1.0"
+
+# Name -> the submodule that defines it, imported on first access.
+_LAZY = {
+    "Lattice": "lattices",
+    "d4": "lattices",
+    "e8": "lattices",
+    "integer_lattice": "lattices",
+    "lattice_figures": "lattices",
+    "load_basis": "lattices",
+    "SimConfig": "simulator",
+    "SimResult": "simulator",
+    "simulate": "simulator",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(importlib.import_module("." + module, __name__), name)

@@ -22,9 +22,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import awgn, modlam, regions, simulator
+from . import awgn, modlam, regions
 from .channel import (
     CAPACITY_SLACK,
     ChannelSpec,
@@ -33,16 +31,12 @@ from .channel import (
     linear_to_db,
     nats_to_bits,
 )
-from .lattices import Lattice, d4, e8, integer_lattice, lattice_figures, load_basis
+
+# `lattices` and `simulator` (numpy, scipy.special) are imported inside the
+# functions that use them, so `exponents`, `geometry` and `validate fast`
+# start with the standard library alone.
 
 CURVES = ("E_sp", "E_r", "E_x", "E_awgn", "E_modlambda")
-
-_BUILTIN_LATTICES = {
-    "z4": lambda: integer_lattice(4),
-    "z8": lambda: integer_lattice(8),
-    "d4": d4,
-    "e8": e8,
-}
 
 
 class UsageError(ValueError):
@@ -81,12 +75,29 @@ def _parse_grid(text):
     return lo, hi, points
 
 
-def _load_lattice(name_or_path) -> Lattice:
+def _linspace(lo, hi, num):
+    """`num` evenly spaced floats from lo to hi, bit-equal to `numpy.linspace`."""
+    div = num - 1
+    step = (hi - lo) / div
+    if step == 0.0:  # a span of a few subnormals, where numpy scales i/div
+        return [lo + i / div * (hi - lo) for i in range(div)] + [hi]
+    return [lo + i * step for i in range(div)] + [hi]
+
+
+def _load_lattice(name_or_path):
+    from . import lattices
+
+    builtin = {
+        "z4": lambda: lattices.integer_lattice(4),
+        "z8": lambda: lattices.integer_lattice(8),
+        "d4": lattices.d4,
+        "e8": lattices.e8,
+    }
     key = name_or_path.lower()
-    if key in _BUILTIN_LATTICES:
-        return _BUILTIN_LATTICES[key]()
+    if key in builtin:
+        return builtin[key]()
     try:
-        return load_basis(name_or_path)
+        return lattices.load_basis(name_or_path)
     except (OSError, ValueError) as exc:
         raise UsageError("cannot load lattice %r: %s" % (name_or_path, exc))
 
@@ -137,9 +148,9 @@ def cmd_exponents(args):
     header += [c_ for c_ in curves]
     header += ["E_over_snr_" + c_[2:] for c_ in curves]
     lines = [",".join(header)]
-    for r in np.linspace(lo, hi, points):
-        row = _exponent_row(float(r), spec)
-        vals = [float(r), float(r) / c]
+    for r in _linspace(lo, hi, points):
+        row = _exponent_row(r, spec)
+        vals = [r, r / c]
         vals += [row[c_] for c_ in curves]
         vals += [row[c_] / spec.snr for c_ in curves]
         lines.append(",".join("%.17g" % v for v in vals))
@@ -203,8 +214,10 @@ def cmd_geometry(args):
 def cmd_lattice(args):
     if args.lattice is None:
         raise UsageError("--lattice NAME|FILE is required")
+    from . import lattices
+
     lat = _load_lattice(args.lattice)
-    figs = lattice_figures(lat, samples=args.trials, seed=args.seed)
+    figs = lattices.lattice_figures(lat, samples=args.trials, seed=args.seed)
     report = {
         "name": lat.name,
         "n": figs.n,
@@ -238,6 +251,8 @@ _SIM_SCHEMA = {
 
 
 def _sim_config(doc):
+    from . import simulator
+
     if not isinstance(doc, dict):
         raise UsageError("config must be a JSON object")
     for key, value in doc.items():
@@ -288,6 +303,8 @@ def cmd_simulate(args):
         raise UsageError("cannot read config: %s" % exc)
     except json.JSONDecodeError as exc:
         raise UsageError("config is not valid JSON: %s" % exc)
+    from . import simulator
+
     config = _sim_config(doc)
     result = simulator.simulate(config)
     _write_out(args, result.to_json(config_summary=doc) + "\n")
@@ -302,10 +319,10 @@ def _fast_checks():
 
     def leave_cone_error():
         worst = 0.0
-        for r in np.linspace(crit.r_crit + 0.01, spec.capacity_nats - 0.01, 8):
-            theta = awgn.theta_of_rate(float(r))
+        for r in _linspace(crit.r_crit + 0.01, spec.capacity_nats - 0.01, 8):
+            theta = awgn.theta_of_rate(r)
             got = awgn.leave_cone_exponent(theta, spec).value
-            want = awgn.sphere_packing_exponent(float(r), spec).value
+            want = awgn.sphere_packing_exponent(r, spec).value
             worst = max(worst, abs(got - want))
         return worst
 
@@ -343,10 +360,10 @@ def _fast_checks():
     checks.append(("typical-event chord and scaling continuity", continuity_error, 1e-6))
 
     def ordering_error():
-        for r in np.linspace(0.02, spec.capacity_nats - 1e-6, 25):
-            e_r = awgn.random_coding_exponent(float(r), spec).value
-            e_ii = modlam.modlambda_exponent(float(r), spec).value
-            e_a = awgn.awgn_exponent(float(r), spec).value
+        for r in _linspace(0.02, spec.capacity_nats - 1e-6, 25):
+            e_r = awgn.random_coding_exponent(r, spec).value
+            e_ii = modlam.modlambda_exponent(r, spec).value
+            e_a = awgn.awgn_exponent(r, spec).value
             if not (e_r - 1e-9 <= e_ii <= e_a + 1e-9):
                 return abs(min(e_ii - e_r, e_a - e_ii))
         return 0.0
@@ -355,10 +372,10 @@ def _fast_checks():
 
     def branch_agreement_error():
         worst = 0.0
-        for r in np.linspace(0.05, spec.capacity_nats - 0.01, 12):
-            event = regions.typical_event(float(r), awgn.min_distance(float(r)), spec)
-            got = regions.f_bnd(event.d, event.theta, float(r), spec)
-            want = awgn.awgn_exponent(float(r), spec).value
+        for r in _linspace(0.05, spec.capacity_nats - 0.01, 12):
+            event = regions.typical_event(r, awgn.min_distance(r), spec)
+            got = regions.f_bnd(event.d, event.theta, r, spec)
+            want = awgn.awgn_exponent(r, spec).value
             worst = max(worst, abs(got - want))
         return worst
 
@@ -367,6 +384,8 @@ def _fast_checks():
 
 
 def _mc_checks():
+    from . import simulator
+
     spec = ChannelSpec(10.0)
     checks = []
 

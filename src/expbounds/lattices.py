@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 MAX_DIMENSION = 16  # exact enumeration stays cheap up to here
 # Closest-point queries enumerated together: the search state is a few
@@ -346,6 +345,8 @@ class VoronoiShell:
         facets (Conway & Sloane, SPLAG ch. 21).  A cap at distance h has
         volume 1/2 V_n t^(n/2) I_(1 - h^2/t)((n+1)/2, 1/2).
         """
+        from scipy import special  # here only, so importing `lattices` loads no scipy
+
         t = np.asarray(t, dtype=float)
         ball = unit_ball_volume(self.n) * t ** (0.5 * self.n)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -197,7 +197,7 @@ def modlambda_exponent(R, spec: ChannelSpec) -> ExponentValue:
     if not 0.0 <= R <= spec.capacity_nats * CAPACITY_SLACK:
         raise ValueError("rate must be in [0, C]")
     val = f_bnd(typical_distance_ii(R, spec), theta_of_rate(R), R, spec)
-    if R <= rate_ii(spec):
+    if R < rate_ii(spec):  # empty below SNR 8/3, where rate_ii = 0
         regime = EXPURGATED
     elif R <= critical_rate(spec):
         regime = RANDOM_CODING

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .awgn import (
     beta_star,
     critical_rate,
-    critical_distance,
     rate_of_theta,
     sphere_packing_exponent,
     theta_of_rate,
@@ -107,13 +106,6 @@ def beta_star_cone(theta: float, theta_d: float, spec: ChannelSpec):
     if r_theta > critical_rate_of_theta_d(theta_d, spec):
         return beta_star(theta, spec), ABOVE_CRITICAL
     return math.cos(theta_d / 2.0) ** 2, BELOW_CRITICAL
-
-
-def d_star_cone(theta: float, spec: ChannelSpec) -> float:
-    """Chord of the dominating error event for a cone at angle theta."""
-    if rate_of_theta(theta) > critical_rate(spec):
-        return math.sqrt(2.0) * math.sin(theta)
-    return critical_distance(spec)
 
 
 def f_bnd(d: float, theta: float, R: float, spec: ChannelSpec) -> float:

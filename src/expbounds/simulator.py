@@ -28,9 +28,11 @@ decodes by distance.
 
 The lattice-coset ensemble is simulated without coset leaders (Erez & Zamir
 2004, "Achieving 1/2 log(1+SNR) on the AWGN channel with lattice encoding and
-decoding").  After dither removal and scaling by alpha the receiver sees
-v_sent + z_eff mod Lambda with z_eff = -K x + z, K = (1-alpha)/alpha and x
-uniform over the Voronoi region, so coset i lies at distance
+decoding").  The sender transmits x = [v_sent - u] mod Lambda for a dither u
+uniform over the Voronoi region, so x is uniform over that region and
+independent of the message.  The receiver forms y' = [alpha y + u] mod Lambda
+= [v_sent + z_eff] mod Lambda, with the effective noise
+z_eff = alpha z - (1-alpha) x, so coset i lies at distance
 dist(z_eff + v_sent - v_i, Lambda).  The leaders are independent and uniform
 over R^n/Lambda, so for every i != sent the offset (v_sent - v_i) mod Lambda
 is uniform too, independent across i and of z_eff: each rival distance is
@@ -351,11 +353,10 @@ def _simulate_lattice_block(config, rng, count, lattice):
     when a rival coset is at most as far as the sent one; the extended decoder
     also errs when z_eff leaves the Voronoi region of the correct point.
     """
-    n, m = config.n, config.codebook_size
-    k = (1.0 - config.alpha) / config.alpha
+    n, m, alpha = config.n, config.codebook_size, config.alpha
     x = lattice.sample_voronoi(count, rng)
     z = rng.normal(scale=math.sqrt(config.noise_variance), size=(count, n))
-    z_eff = -k * x + z
+    z_eff = alpha * z - (1.0 - alpha) * x  # exactly z at alpha = 1
     near = lattice.nearest(z_eff)
     d2_sent = ((z_eff - near) ** 2).sum(axis=1)
     # Pessimistic tie rule: a rival at equal distance counts as an error.

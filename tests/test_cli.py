@@ -334,21 +334,57 @@ def test_simulate_over_expurgated_budget_exits_2_at_once(tmp_path, capsys, monke
     assert not out.exists()
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # Start-up cost: numpy and scipy.special are the floor; scipy.stats and
-    # scipy.optimize (test-only oracles) stay out of the process.
+def _fresh_process(code):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    for name in ("expbounds.cli", "expbounds"):
-        probe = (
-            "import sys, %s\n"
-            "print(' '.join(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
-            % name
-        )
-        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "", (name, proc.stdout)
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# Prints which of numpy and scipy the process has loaded.
+_LOADED = (
+    "import sys\n"
+    "print(' '.join(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})))"
+)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # Start-up cost: the closed forms need only `math`, so the CLI and the
+    # package load neither numpy nor any of scipy; `lattices` loads numpy but
+    # no scipy.
+    for name, allowed in (
+        ("expbounds.cli", ""), ("expbounds", ""), ("expbounds.lattices", "numpy")
+    ):
+        loaded = _fresh_process("import %s\n%s" % (name, _LOADED)).strip()
+        assert loaded == allowed, (name, loaded)
+
+
+def test_closed_form_requests_load_no_numpy():
+    # `geometry`, `exponents` and `validate fast` run on the standard library.
+    out = _fresh_process(
+        "import contextlib, io, sys\n"
+        "from expbounds import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['geometry', '--snr', '10', '--rate-nats', '0.7']) == 0\n"
+        "    assert cli.main(['exponents', '--snr-db', '10', '--grid', '0.1:1.7:20']) == 0\n"
+        "    assert cli.main(['validate', 'fast']) == 0\n"
+        + _LOADED
+    )
+    assert out.strip() == ""
+
+
+def test_lattice_and_simulator_names_load_on_first_use():
+    import expbounds
+    from expbounds import (  # noqa: F401
+        Lattice, SimConfig, SimResult, d4, e8, integer_lattice, lattice_figures, load_basis,
+        simulate,
+    )
+    from expbounds import lattices
+
+    assert e8 is lattices.e8 and simulate is simulator.simulate and Lattice is lattices.Lattice
+    with pytest.raises(AttributeError):
+        expbounds.no_such_name  # noqa: B018
 
 
 def test_simulate_missing_snr(tmp_path, capsys):

@@ -218,6 +218,23 @@ def test_modlambda_exponent_value_and_regimes():
     assert abs(high.value - awgn.sphere_packing_exponent(1.0, SNR10).value) < 1e-10
 
 
+@pytest.mark.parametrize("snr", [1.0, 2.6, 2.7, 10.0])
+def test_modlambda_regime_at_zero_rate(snr):
+    # rate_ii is 0 up to SNR 8/3 (d_crit >= 1): the interval [0, rate_ii) is
+    # empty there, and E_II(0) is E_r(0).  Above it R = 0 is expurgated.
+    spec = ChannelSpec(snr)
+    at_zero = modlam.modlambda_exponent(0.0, spec)
+    e_r = awgn.random_coding_exponent(0.0, spec).value
+    if snr < 8.0 / 3.0:
+        assert modlam.rate_ii(spec) == 0.0
+        assert at_zero.regime == RANDOM_CODING
+        assert abs(at_zero.value - e_r) < 1e-12
+    else:
+        assert modlam.rate_ii(spec) > 0.0
+        assert at_zero.regime == EXPURGATED
+        assert at_zero.value > e_r
+
+
 def test_exponent_ordering_chain():
     for snr in (1.0, 10.0):
         spec = ChannelSpec(snr)

@@ -11,6 +11,7 @@ import io
 import json
 import math
 
+import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from expbounds import awgn, cli, modlam
@@ -118,3 +119,14 @@ def test_geometry_report_is_finite(snr, frac):
     assert code == 0, (snr, rate)
     values = list(_numbers(json.loads(out.getvalue())))
     assert values and all(math.isfinite(v) for v in values), (snr, rate)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(0.0, 60.0), st.floats(0.0, 60.0), st.integers(2, 2000))
+@example(0.0, 5e-324, 4)  # a span of one subnormal: numpy's zero-step branch
+@example(0.1, 1.7, 200)
+def test_cli_grid_is_numpy_linspace(a, b, num):
+    # `exponents` and `validate` build their rate grids without numpy.
+    assume(a != b)
+    lo, hi = min(a, b), max(a, b)
+    assert cli._linspace(lo, hi, num) == np.linspace(lo, hi, num).tolist()

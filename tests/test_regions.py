@@ -62,16 +62,6 @@ def test_cone_union_min_equals_sphere_packing():
         assert abs(beta - awgn.beta_star(theta, SNR10)) < 1e-5
 
 
-def test_d_star_cone_branches():
-    r = 1.0
-    theta = awgn.theta_of_rate(r)
-    d_star = regions.d_star_cone(theta, SNR10)
-    assert abs(d_star - math.sqrt(2.0) * math.sin(theta)) < 1e-12
-    # Low-rate cone: the critical chord takes over.
-    theta_low = awgn.theta_of_rate(0.2)
-    assert abs(regions.d_star_cone(theta_low, SNR10) - awgn.critical_distance(SNR10)) < 1e-12
-
-
 def test_f_bnd_value():
     assert abs(regions.f_bnd(0.5, 0.6, 0.45, SNR10) - FBND_05_06_045) < 1e-12
 

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from expbounds.channel import ChannelSpec
-from expbounds import simulator as sim
+from expbounds import modlam, simulator as sim
 from expbounds.lattices import Lattice, d4, e8, integer_lattice, voronoi_shell
 
 SNR2 = ChannelSpec(2.0)
@@ -238,8 +238,7 @@ def _brute_force_coset_errors(config, seed):
     """
     rng = np.random.default_rng(seed)
     lattice = sim.normalized_lattice(config.lattice)
-    n, m = config.n, config.codebook_size
-    k = (1.0 - config.alpha) / config.alpha
+    n, m, alpha = config.n, config.codebook_size, config.alpha
     sd = math.sqrt(config.noise_variance)
     errors = 0
     for _, count in sim._blocks(config.trials):
@@ -247,7 +246,7 @@ def _brute_force_coset_errors(config, seed):
         sent = rng.integers(m, size=count)
         rows = np.arange(count)
         x = lattice.sample_voronoi(count, rng)
-        z_eff = -k * x + rng.normal(scale=sd, size=(count, n))
+        z_eff = alpha * rng.normal(scale=sd, size=(count, n)) - (1.0 - alpha) * x
         # Distance from z_eff + (v_sent - v_i) to the lattice, per coset.
         offs = z_eff[:, None, :] + leaders[rows, sent][:, None, :] - leaders
         flat = offs.reshape(count * m, n)
@@ -263,16 +262,58 @@ def _brute_force_coset_errors(config, seed):
     return errors
 
 
+def _erez_zamir_errors(config, seed):
+    """Oracle from the channel's definition (Erez & Zamir 2004).
+
+    Draws M coset leaders v_i, a sent index and a dither u, all uniform over
+    the Voronoi region, sends x = [v_sent - u] mod Lambda through y = x + z,
+    and decodes from alpha y + u.  Closest-coset decoding picks the coset
+    nearest y' = [alpha y + u] mod Lambda.  The extended decoder picks the
+    point of the union of the cosets nearest alpha y + u, and is right only
+    on the point x + u that was sent.  Shares no reduction with `simulate`.
+    """
+    rng = np.random.default_rng(seed)
+    lattice = sim.normalized_lattice(config.lattice)
+    n, m = config.n, config.codebook_size
+    sd = math.sqrt(config.noise_variance)
+
+    def mod(points):
+        return points - lattice.nearest(points)
+
+    errors = 0
+    for _, count in sim._blocks(config.trials):
+        leaders = lattice.sample_voronoi(count * m, rng).reshape(count, m, n)
+        sent = rng.integers(m, size=count)
+        rows = np.arange(count)
+        v = leaders[rows, sent]
+        u = lattice.sample_voronoi(count, rng)
+        x = mod(v - u)
+        received = config.alpha * (x + rng.normal(scale=sd, size=(count, n))) + u
+        y_mod = mod(received)
+        d2 = (mod((y_mod[:, None, :] - leaders).reshape(count * m, n)) ** 2).sum(axis=1)
+        d2 = d2.reshape(count, m)
+        d2_sent = d2[rows, sent]
+        d2[rows, sent] = np.inf
+        rival = d2.min(axis=1)
+        if config.decoder == sim.DEC_CLOSEST_COSET:
+            errors += int((rival <= d2_sent).sum())
+        else:
+            point = x + u  # the point of the extended code that was sent
+            in_coset = v + lattice.nearest(received - v)  # nearest point of the sent coset
+            wrong = ((in_coset - point) ** 2).sum(axis=1) > 1e-9
+            errors += int((wrong | (rival <= ((received - point) ** 2).sum(axis=1))).sum())
+    return errors
+
+
 def _iid_rival_block(config, rng, count, lattice, rows=sim.BLOCK):
     """Oracle: the block that draws all M-1 iid Voronoi rivals of every trial.
 
     Rivals are drawn `rows` trials at a time, in trial order.
     """
-    n, m = config.n, config.codebook_size
-    k = (1.0 - config.alpha) / config.alpha
+    n, m, alpha = config.n, config.codebook_size, config.alpha
     x = lattice.sample_voronoi(count, rng)
     z = rng.normal(scale=math.sqrt(config.noise_variance), size=(count, n))
-    z_eff = -k * x + z
+    z_eff = alpha * z - (1.0 - alpha) * x
     near = lattice.nearest(z_eff)
     d2_sent = ((z_eff - near) ** 2).sum(axis=1)
     lost = np.empty(count, dtype=bool)
@@ -344,6 +385,20 @@ def test_lattice_coset_matches_brute_force(lattice, m, decoder, alpha):
     assert res.errors > 0
     _assert_ci_overlap(res, _brute_force_coset_errors(cfg, 107))
     _assert_ci_overlap(res, _iid_rival_errors(cfg, 109))
+    _assert_ci_overlap(res, _erez_zamir_errors(cfg, 139))
+
+
+@pytest.mark.parametrize("snr", [1.0, 4.0])
+def test_lattice_coset_mmse_scaling_beats_unit_alpha(snr):
+    # At alpha = SNR/(1+SNR) the effective noise alpha z - (1-alpha) x has
+    # power 1/(1+SNR) a dimension, against 1/SNR at alpha = 1.
+    spec = ChannelSpec(snr)
+    alpha = modlam.mmse_alpha(spec).alpha
+    mmse, unit = (
+        sim.simulate(_coset_config(e8(), 4, sim.DEC_CLOSEST_COSET, a, trials=20_000, snr=snr))
+        for a in (alpha, 1.0)
+    )
+    assert mmse.ci95[1] < unit.ci95[0], (mmse.pe, unit.pe)
 
 
 def _count_decoded_points(monkeypatch):
@@ -363,8 +418,8 @@ def _count_decoded_points(monkeypatch):
     [(e8(), 11, 1.0, 1.0), (integer_lattice(8), 3, 4.0, 0.5)],
 )
 def test_lattice_coset_rival_rounds_above_cap_overlap(lattice, m, snr, alpha, monkeypatch):
-    # Low SNR or low alpha puts many sent distances past the cap-overlap
-    # radius, where rivals are drawn in rounds.
+    # Low SNR, or alpha well below SNR/(1+SNR), puts many sent distances past
+    # the cap-overlap radius, where rivals are drawn in rounds.
     cfg = _coset_config(lattice, m, sim.DEC_CLOSEST_COSET, alpha, snr=snr)
     points = _count_decoded_points(monkeypatch)
     sim._simulate_lattice_block(cfg, sim.block_rng(0, 0), 1000, sim.normalized_lattice(lattice))
