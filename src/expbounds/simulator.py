@@ -61,16 +61,11 @@ from scipy import special
 
 from .awgn import sphere_packing_exponent, tail_exponents, theta_of_rate
 from .channel import ChannelSpec
-from .lattices import Lattice, lattice_figures, voronoi_shell
+from .lattices import MEMORY_BUDGET_BYTES, Lattice, lattice_figures, voronoi_shell
 from .regions import joint_tail_exponent, tangent_sphere_scaling
 
 BLOCK = 4096
 MAX_CODEBOOK = 65536
-# Working-set cap of the expurgated ensemble: a block holds its codebooks
-# (min(trials, BLOCK) * M * n floats) and about as much again while
-# expurgating, and a config whose estimate exceeds this is rejected before
-# anything is drawn.
-EXPURGATED_BUDGET_BYTES = 1 << 30
 
 SPHERICAL = "spherical"
 SPHERICAL_EXPURGATED = "spherical-expurgated"
@@ -159,12 +154,13 @@ class SimConfig:
                 % (self.d_min, self.n + 1, m)
             )
         if self.ensemble == SPHERICAL_EXPURGATED:
+            # A block holds its codebooks and about as much again while expurgating.
             need = 2 * min(self.trials, BLOCK) * m * self.n * 8
-            if need > EXPURGATED_BUDGET_BYTES:
+            if need > MEMORY_BUDGET_BYTES:
                 raise ValueError(
                     "expurgated codebooks need about %.3g GiB, over the %.3g GiB budget;"
                     " lower n, rate or trials"
-                    % (need / 2 ** 30, EXPURGATED_BUDGET_BYTES / 2 ** 30)
+                    % (need / 2 ** 30, MEMORY_BUDGET_BYTES / 2 ** 30)
                 )
         if self.ensemble == LATTICE_COSET:
             if self.lattice is None:

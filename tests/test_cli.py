@@ -334,6 +334,26 @@ def test_simulate_over_expurgated_budget_exits_2_at_once(tmp_path, capsys, monke
     assert not out.exists()
 
 
+def test_lattice_over_memory_budget_exits_2_in_a_fresh_process(tmp_path):
+    # 10**12 Voronoi samples of E8 would need about 119 TiB: the request is
+    # refused before anything is drawn, with one line and no traceback.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = tmp_path / "figures.json"
+    code = (
+        "import sys\n"
+        "from expbounds import cli\n"
+        "sys.exit(cli.main(['lattice', '--lattice', 'e8', '--trials', str(10 ** 12),"
+        " '--out', %r]))" % str(out)
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "budget" in proc.stderr
+    assert not out.exists()
+
+
 def _fresh_process(code):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),

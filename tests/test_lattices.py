@@ -90,6 +90,56 @@ def _assert_lattice_points(lat, pts):
     assert np.max(np.abs(coords - np.round(coords))) < 1e-9
 
 
+# The row-major decoders that the blocked, coordinate-major kernels replaced,
+# kept as bit-for-bit oracles: one pass over the whole batch, with masks.
+
+
+def _decode_dn_rows(points):
+    f = np.floor(points + 0.5)
+    odd = (f.sum(axis=1) % 2).astype(bool)
+    if np.any(odd):
+        err = points[odd] - f[odd]
+        idx = np.argmax(np.abs(err), axis=1)
+        rows = np.arange(err.shape[0])
+        step = np.where(err[rows, idx] >= 0.0, 1.0, -1.0)
+        f2 = f[odd]
+        f2[rows, idx] += step
+        f[odd] = f2
+    return f
+
+
+def _decode_e8_rows(points):
+    y0 = _decode_dn_rows(points)
+    y1 = _decode_dn_rows(points - 0.5) + 0.5
+    d0 = ((points - y0) ** 2).sum(axis=1)
+    d1 = ((points - y1) ** 2).sum(axis=1)
+    return np.where((d0 <= d1)[:, None], y0, y1)
+
+
+def _coset_bisector(points):
+    """Points moved onto the bisector of their two E8 candidates, one from
+    each D8 coset: there the two distances agree up to round-off, and the
+    order of their sums decides the tie."""
+    y0 = _decode_dn_rows(points)
+    y1 = _decode_dn_rows(points - 0.5) + 0.5
+    w = y1 - y0
+    lag = ((points - 0.5 * (y0 + y1)) * w).sum(axis=1) / (w * w).sum(axis=1)
+    return points - lag[:, None] * w
+
+
+_ROW_MAJOR = {"Zn": lambda x: np.floor(x + 0.5), "D4": _decode_dn_rows, "E8": _decode_e8_rows}
+
+
+def _row_major_nearest(lat, points):
+    return _ROW_MAJOR[lat.decoder](points / lat.scale) * lat.scale
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_volumes():
     assert abs(integer_lattice(4).volume - 1.0) < 1e-12
     assert abs(d4().volume - 2.0) < 1e-12
@@ -207,6 +257,49 @@ def test_enumeration_on_unimodular_copies_matches_fast_rule(case):
     _assert_lattice_points(lat, got)
 
 
+@pytest.mark.parametrize("make", [lambda: integer_lattice(4), d4, e8], ids=["Z4", "D4", "E8"])
+@pytest.mark.parametrize("scale", [1.0, 2.5, 1.0 / 3.0])
+@pytest.mark.parametrize("chunk", [CVP_ROWS, 7])
+def test_fast_decoders_bit_identical_to_row_major_oracles(monkeypatch, make, scale, chunk):
+    # Empty, single and block-edge batches; random points and points on
+    # step * Z^n (ties between closest points, and signed zeros) or on the
+    # E8 coset bisector: every bit of `nearest`, `reduce` and
+    # `sample_voronoi` is the oracle's.
+    monkeypatch.setattr("expbounds.lattices.CVP_ROWS", chunk)
+    lat = make().rescaled(scale)
+    rng = np.random.default_rng(14)
+    for count in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
+        for pts in (
+            scale * rng.uniform(-3.0, 3.0, size=(count, lat.n)),
+            scale * 0.5 * rng.integers(-8, 9, size=(count, lat.n)),
+            -scale * 0.5 * rng.integers(-8, 9, size=(count, lat.n)),
+            scale * 0.25 * rng.integers(-8, 9, size=(count, lat.n)),
+            scale * _coset_bisector(rng.uniform(-3.0, 3.0, size=(count, 8)))[:, : lat.n],
+        ):
+            want = _row_major_nearest(lat, pts)
+            _assert_same_bits(lat.nearest(pts), want)
+            _assert_same_bits(lat.reduce(pts), pts - want)
+        u = np.random.default_rng(count).random((count, lat.n)) @ lat.basis
+        got = lat.sample_voronoi(count, np.random.default_rng(count))
+        _assert_same_bits(got, u - _row_major_nearest(lat, u))
+
+
+@pytest.mark.parametrize("make, method", [(e8, "nearest"), (d4, "reduce")], ids=["E8-nearest", "D4-reduce"])
+@pytest.mark.parametrize("count", [CVP_ROWS + 1, 16 * CVP_ROWS])
+def test_fast_path_memory_is_bounded(make, method, count):
+    # Each block's temporaries are a few (CVP_ROWS, n) arrays, so beyond the
+    # output the peak does not grow with the batch.
+    lat = make()
+    pts = np.random.default_rng(15).normal(size=(count, lat.n))
+    tracemalloc.start()
+    try:
+        getattr(lat, method)(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < pts.nbytes + 10 * CVP_ROWS * lat.n * 8, peak
+
+
 def test_enumeration_chunks_do_not_change_answers(monkeypatch):
     lat = Lattice("d4-file", D4_UNIMODULAR @ d4().basis)
     pts = np.random.default_rng(10).uniform(-3.0, 3.0, size=(100, 4))
@@ -235,11 +328,22 @@ def test_enumeration_memory_is_bounded(monkeypatch, chunk):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_enumeration_rejects_non_finite_queries(bad):
-    lat = Lattice("d4-file", D4_UNIMODULAR @ d4().basis)
-    pts = np.zeros((3, 4))
-    pts[1, 2] = bad
-    with pytest.raises(ValueError, match="finite"):
-        lat.nearest_enumerated(pts)
+    # Every decoder, fast rule or enumeration, rejects such a query the same
+    # way, in the first block or a later one.
+    for lat in (Lattice("d4-file", D4_UNIMODULAR @ d4().basis), integer_lattice(4), d4(), e8(),
+                e8().rescaled(2.5)):
+        for row in (1, CVP_ROWS + 1):
+            pts = np.zeros((CVP_ROWS + 3, lat.n))
+            pts[row, 2] = bad
+            for decode in (lat.nearest, lat.reduce, lat.nearest_enumerated):
+                with pytest.raises(ValueError, match="finite"):
+                    decode(pts)
+
+
+def test_queries_must_have_the_lattice_dimension():
+    for lat in (d4(), e8(), Lattice("d4-file", D4_UNIMODULAR @ d4().basis)):
+        with pytest.raises(ValueError, match="coordinates"):
+            lat.nearest(np.zeros((2, lat.n + 1)))
 
 
 def test_decoded_points_are_lattice_points():

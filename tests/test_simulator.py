@@ -405,9 +405,9 @@ def _count_decoded_points(monkeypatch):
     points = []
     real_nearest = Lattice.nearest
 
-    def counting_nearest(self, pts):
+    def counting_nearest(self, pts, **kwargs):
         points.append(len(pts))
-        return real_nearest(self, pts)
+        return real_nearest(self, pts, **kwargs)
 
     monkeypatch.setattr(Lattice, "nearest", counting_nearest)
     return points
