@@ -20,11 +20,19 @@ noise only through its component g ~ N(0, sigma^2) along the sent codeword
 and its squared orthogonal part sigma^2 chi^2_(n-1).  A trial draws those two
 scalars and an Exp(1) variate E = -ln V, and errs iff
 E < -(M-1) ln(1-q): a Bernoulli(P(err | y)) draw, which is the brute-force
-ML error law at O(1) cost and memory per trial.  n = 1 is the discrete case:
-the "sphere" is {-1, +1}, a rival equals the sent word with probability 1/2
-and that tie counts as an error.  The expurgated ensemble has dependent
-codewords, so it still builds its codebooks (all of a block at once) and
-decodes by distance.
+ML error law at O(1) cost and memory per trial.  q rises with x, so a cached
+table of q at CAP_KNOTS + 1 knots of x in [0, 1/2] (built once per n)
+brackets each trial's threshold; only trials whose E falls inside their
+bracket, about 0.15% at n = 8 and 12, SNR 2, evaluate betainc.  The decisions
+are those of one betainc call per trial, bit for bit, at 0.13 us a trial
+instead of 0.29 (n = 8, M = 9, 2-vCPU Xeon); the random draws are now most of
+the cost.  The noise is handled in units of a power of two at least
+max(1, sigma), so sigma^2 chi^2 cannot overflow at any finite noise
+variance.  n = 1 is the discrete case: the "sphere" is {-1, +1}, a rival
+equals the sent word with probability 1/2 and that tie counts as an error.
+The expurgated ensemble has dependent codewords, so it still builds its
+codebooks (all of a block at once) and decodes by the largest inner
+product, which does not cancel to ties at huge noise as distances do.
 
 The lattice-coset ensemble is simulated without coset leaders (Erez & Zamir
 2004, "Achieving 1/2 log(1+SNR) on the AWGN channel with lattice encoding and
@@ -269,31 +277,86 @@ def _expurgated_codebooks(rng, count, m, n, d_min):
     return books
 
 
+# Knots of the cap table: s = k / (2 CAP_KNOTS), k = 0..CAP_KNOTS, cover
+# [0, 1/2].  A power of two, so s * 2 CAP_KNOTS and every knot are exact.
+# 1024 knots leave about 0.15% of the benchmark's trials to an exact
+# evaluation, and the table costs one 1025-point betainc call per n.
+CAP_KNOTS = 1024
+# Relative slack on the tabulated cap probabilities.  betainc is not monotone
+# at the level of its rounding: at knots +-3 ulps it steps backwards by up to
+# 2.4e-14 relative for n <= 200.  1e-9 covers that with room, and keeps the
+# bounds on ln P(miss) many ulps away from any value betainc can return.
+CAP_SLACK = 1e-9
+# Absolute slack: below the smallest normal float betainc returns
+# subnormals, whose relative error CAP_SLACK does not bound.
+_CAP_TINY = np.finfo(float).tiny
+
+
+@functools.lru_cache(maxsize=64)
+def _cap_table(n):
+    """Bounds on ln P(a rival misses) between the cap-table knots, for dimension n.
+
+    Returns (least, most), each of length 2 CAP_KNOTS: entry k bounds
+    ln(1 - I_s(a, a)) and entry CAP_KNOTS + k bounds ln I_s(a, a), a = (n-1)/2,
+    for every s in [s_k, s_{k+1}].  I_s rises with s, so I_{s_k} and
+    I_{s_{k+1}}, widened by the slack, bound it on the interval.
+    """
+    a = 0.5 * (n - 1)
+    cap = special.betainc(a, a, np.arange(CAP_KNOTS + 1) / (2.0 * CAP_KNOTS))
+    lo = np.maximum(cap[:-1] * (1.0 - CAP_SLACK) - _CAP_TINY, 0.0)
+    hi = cap[1:] * (1.0 + CAP_SLACK) + _CAP_TINY
+    with np.errstate(divide="ignore"):
+        least = np.concatenate([np.log1p(-hi), np.log(lo)])
+        most = np.concatenate([np.log1p(-lo), np.log(hi)])
+    least.flags.writeable = most.flags.writeable = False  # shared by every caller
+    return least, most
+
+
+def _log_miss_bounds(n, s, par):
+    """Bounds (least, most) on each trial's ln P(a rival misses); see `_cap_table`."""
+    least, most = _cap_table(n)
+    k = np.minimum((s * (2 * CAP_KNOTS)).astype(np.intp), CAP_KNOTS - 1)
+    k = np.where(par >= 0.0, k, k + CAP_KNOTS)
+    return least[k], most[k]
+
+
 def _spherical_ml_errors(config, rng, count):
     """ML errors of `count` trials, each with a fresh uniform spherical codebook.
 
     Draws only the noise along the sent codeword, its orthogonal energy and
-    one Exp(1) variate per trial; see the module docstring.
+    one Exp(1) variate per trial; see the module docstring.  A trial errs iff
+    E < -(M-1) ln P(miss).  The cap table brackets ln P(miss), and only the
+    trials whose E falls inside the bracket evaluate betainc.
     """
     n, m = config.n, config.codebook_size
+    # Lengths in units of a power of two at least max(1, sigma), so that
+    # sigma^2 chi^2 cannot overflow.  The scaling is exact, so s keeps its
+    # bits wherever it did not overflow unscaled.
     sd = math.sqrt(config.noise_variance)
-    par = math.sqrt(n) + rng.normal(scale=sd, size=count)
+    unit = 1.0 if sd <= 1.0 else math.ldexp(1.0, math.frexp(sd)[1])
+    sd /= unit
+    par = math.sqrt(n) / unit + rng.normal(scale=sd, size=count)
     expo = rng.standard_exponential(count)
-    with np.errstate(divide="ignore"):
-        if n == 1:
-            # A rival is the sent point (a tie, counted) or the other one,
-            # which wins when y is not on the sent side.
-            log_miss = np.where(par > 0.0, math.log(0.5), -np.inf)
-        else:
-            perp2 = (sd * sd) * rng.chisquare(n - 1, size=count)
-            norm = np.sqrt(par * par + perp2)
-            # sin^2 of half the angle between y and the nearer of +-sent,
-            # in a form without cancellation.
-            s = perp2 / (2.0 * norm * (norm + np.abs(par)))
-            cap = special.betainc(0.5 * (n - 1), 0.5 * (n - 1), s)
-            # Past the equator I_{1-s}(a, a) = 1 - I_s(a, a), so 1 - q = cap.
-            log_miss = np.where(par >= 0.0, np.log1p(-cap), np.log(cap))
-    return int((expo < -(m - 1) * log_miss).sum())
+    if n == 1:
+        # A rival is the sent point (a tie, counted) or the other one,
+        # which wins when y is not on the sent side.
+        log_miss = np.where(par > 0.0, math.log(0.5), -np.inf)
+        return int((expo < -(m - 1) * log_miss).sum())
+    perp2 = (sd * sd) * rng.chisquare(n - 1, size=count)
+    norm = np.sqrt(par * par + perp2)
+    # sin^2 of half the angle between y and the nearer of +-sent,
+    # in a form without cancellation.
+    s = perp2 / (2.0 * norm * (norm + np.abs(par)))
+    least, most = _log_miss_bounds(n, s, par)
+    err = expo < -(m - 1) * most
+    unsure = np.flatnonzero(~err & (expo < -(m - 1) * least))
+    if unsure.size:
+        cap = special.betainc(0.5 * (n - 1), 0.5 * (n - 1), s[unsure])
+        # Past the equator I_{1-s}(a, a) = 1 - I_s(a, a), so 1 - q = cap.
+        with np.errstate(divide="ignore"):
+            log_miss = np.where(par[unsure] >= 0.0, np.log1p(-cap), np.log(cap))
+        err[unsure] = expo[unsure] < -(m - 1) * log_miss
+    return int(err.sum())
 
 
 def _simulate_spherical_block(config, rng, count):
@@ -305,11 +368,13 @@ def _simulate_spherical_block(config, rng, count):
     sent = rng.integers(m, size=count)
     rows = np.arange(count)
     y = books[rows, sent] + rng.normal(scale=sd, size=(count, n))
-    d2 = ((books - y[:, None, :]) ** 2).sum(axis=2)
-    d2_sent = d2[rows, sent]
-    d2[rows, sent] = np.inf
-    # Pessimistic tie rule: a rival at equal distance counts as an error.
-    return int((d2.min(axis=1) <= d2_sent).sum())
+    # Equal norms: ML picks the largest inner product.  Distances would cancel
+    # to ties once ||y||^2 dwarfs the codeword terms, and overflow near 1e308.
+    ips = (books * y[:, None, :]).sum(axis=2)
+    ip_sent = ips[rows, sent]
+    ips[rows, sent] = -np.inf
+    # Pessimistic tie rule: a rival at an equal inner product counts as an error.
+    return int((ips.max(axis=1) >= ip_sent).sum())
 
 
 def _rivals_lost(lattice, shell, rng, d2_sent, m):

@@ -5,7 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy import special, stats
 
 from expbounds.channel import ChannelSpec
 from expbounds import modlam, simulator as sim
@@ -117,6 +118,145 @@ def test_spherical_ml_n1_pessimistic_ties(m):
     assert lo <= exact <= hi
     lo, hi = sim.clopper_pearson(_brute_force_errors(cfg, 103), cfg.trials)
     assert lo <= exact <= hi
+
+
+def _all_trials_ml_errors(config, rng, count):
+    """Oracle: the spherical ML block with one exact betainc call per trial.
+
+    The same draws in the same order as `simulate`, without the cap table's
+    screen and without rescaling the noise, so it is exact only where
+    sigma^2 chi^2 does not overflow.
+    """
+    n, m = config.n, config.codebook_size
+    sd = math.sqrt(config.noise_variance)
+    par = math.sqrt(n) + rng.normal(scale=sd, size=count)
+    expo = rng.standard_exponential(count)
+    with np.errstate(divide="ignore"):
+        if n == 1:
+            log_miss = np.where(par > 0.0, math.log(0.5), -np.inf)
+        else:
+            perp2 = (sd * sd) * rng.chisquare(n - 1, size=count)
+            norm = np.sqrt(par * par + perp2)
+            s = perp2 / (2.0 * norm * (norm + np.abs(par)))
+            cap = special.betainc(0.5 * (n - 1), 0.5 * (n - 1), s)
+            log_miss = np.where(par >= 0.0, np.log1p(-cap), np.log(cap))
+    return int((expo < -(m - 1) * log_miss).sum())
+
+
+# SNR per dimension, or None for noise_var 0.
+_ORACLE_NOISE = (1e-4, 0.1, 2.0, 100.0, 1e5, None)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 12, 50, 200])
+def test_spherical_ml_screen_matches_all_trials_oracle(n):
+    # Every count must equal the oracle's: the screen only decides trials
+    # whose exact decision it can prove.  One full block and a partial one.
+    for snr in _ORACLE_NOISE:
+        for m in (2, 3, 9, 512, 4096, 65536):
+            cfg = sim.SimConfig(
+                n=n, spec=ChannelSpec(snr or 1.0), rate=math.log(m) / n,
+                trials=sim.BLOCK + 777, seed=n * m, noise_var=None if snr else 0.0,
+            )
+            assert cfg.codebook_size == m
+            want = sum(
+                _all_trials_ml_errors(cfg, sim.block_rng(cfg.seed, index), size)
+                for index, size in sim._blocks(cfg.trials)
+            )
+            assert sim.simulate(cfg).errors == want, (n, snr, m)
+
+
+def _exact_log_miss(n, s, par):
+    cap = special.betainc(0.5 * (n - 1), 0.5 * (n - 1), s)
+    with np.errstate(divide="ignore"):
+        return np.where(par >= 0.0, np.log1p(-cap), np.log(cap))
+
+
+def _near_knots(ulps):
+    """Every knot of the cap table, and `ulps` floats on each side of it."""
+    s = np.arange(sim.CAP_KNOTS + 1) / (2.0 * sim.CAP_KNOTS)
+    out = [s]
+    up, down = s, s
+    for _ in range(ulps):
+        up, down = np.nextafter(up, 1.0), np.nextafter(down, -1.0)
+        out += [up, down[1:]]  # no s below 0
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 12, 31, 64, 101, 200])
+def test_cap_bracket_holds_at_every_knot(n):
+    # betainc steps backwards by up to ~1e-14 relative at knots +-2 ulps, so
+    # the bracket holds only with its slack.
+    s = _near_knots(2)
+    for sign in (1.0, -1.0):
+        par = np.full(s.size, sign)
+        least, most = sim._log_miss_bounds(n, s, par)
+        exact = _exact_log_miss(n, s, par)
+        assert (least <= exact).all() and (exact <= most).all()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 200),
+    st.integers(0, sim.CAP_KNOTS),
+    st.integers(-4, 4),
+    st.sampled_from([1.0, 0.0, -1.0]),
+)
+@example(8, sim.CAP_KNOTS, 1, 0.0)  # s a ulp above 1/2, as par = 0 can give
+def test_cap_bracket_holds_near_knots(n, knot, ulps, par):
+    s = knot / (2.0 * sim.CAP_KNOTS)
+    for _ in range(abs(ulps)):
+        s = float(np.nextafter(s, math.copysign(1.0, ulps)))
+    assume(s >= 0.0)
+    s, par = np.array([s]), np.array([par])
+    least, most = sim._log_miss_bounds(n, s, par)
+    exact = _exact_log_miss(n, s, par)
+    assert least[0] <= exact[0] <= most[0], (least, exact, most)
+
+
+def test_spherical_ml_par_zero_gives_s_about_one_half():
+    # With par = 0 the angle to y is a right angle; rounding may put s an ulp
+    # past 1/2, which the last knot interval must still cover.
+    perp2 = np.random.default_rng(0).chisquare(7, size=10_000)
+    norm = np.sqrt(perp2)
+    s = perp2 / (2.0 * norm * norm)
+    assert np.abs(s - 0.5).max() < 1e-15
+    least, most = sim._log_miss_bounds(8, s, np.zeros_like(s))
+    exact = _exact_log_miss(8, s, np.zeros_like(s))
+    assert (least <= exact).all() and (exact <= most).all()
+
+
+@pytest.mark.parametrize(
+    "n, m, trials", [(8, 9, 16384), (8, 16, 16384), (8, 32, 16384), (8, 64, 16384),
+                     (12, 64, 8192), (12, 512, 8192)],
+)
+def test_spherical_ml_screen_decides_most_trials(n, m, trials, monkeypatch):
+    # The benchmark's spherical configs: at most 1% of trials call betainc.
+    sim._cap_table(n)
+    evaluated = []
+    exact = special.betainc
+
+    def spy(a, b, x):
+        evaluated.append(np.size(x))
+        return exact(a, b, x)
+
+    monkeypatch.setattr(sim.special, "betainc", spy)
+    cfg = _grid_config(n, m, 2.0, trials, 11)
+    sim.simulate(cfg)
+    assert sum(evaluated) <= 0.01 * trials, sum(evaluated)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("noise_var", [1e31, 1e300, 1e307, 1e308])
+@pytest.mark.parametrize("ensemble", [sim.SPHERICAL, sim.SPHERICAL_EXPURGATED])
+def test_spherical_pe_at_huge_noise(ensemble, noise_var):
+    # As the noise grows, y's direction forgets the codebook and the sent word
+    # is the best of M only by chance: Pe -> 1 - 1/M.
+    d_min = 0.6 if ensemble == sim.SPHERICAL_EXPURGATED else 0.0
+    cfg = _spherical_config(
+        ensemble=ensemble, d_min=d_min, noise_var=noise_var, trials=8192, seed=5
+    )
+    lo, hi = sim.simulate(cfg).ci95
+    assert lo <= 1.0 - 1.0 / cfg.codebook_size <= hi, (lo, hi)
 
 
 def test_block_split_invariance():
