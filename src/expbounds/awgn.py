@@ -16,7 +16,6 @@ from .channel import (
     SPHERE_PACKING,
     ZERO,
 )
-from .numerics import _EPS, golden_min
 
 
 def capacity(spec: ChannelSpec) -> float:
@@ -207,21 +206,22 @@ def beta_star(theta: float, spec: ChannelSpec) -> float:
 def leave_cone_exponent(theta: float, spec: ChannelSpec) -> ExponentValue:
     """Exponent of the event that the received vector leaves the cone.
 
-    Minimizes E_v(beta^2 SNR) + E_h(r(beta)^2 SNR) over beta > -1 with
-    r(beta) = (1+beta) tan(theta).  For R(theta) between the critical rate
-    and capacity this equals the sphere-packing exponent at R(theta).
+    The minimum of E_v(beta^2 SNR) + E_h(r(beta)^2 SNR) over beta > -1 with
+    r(beta) = (1+beta) tan(theta).  Where tan^2(theta) SNR > 1 it is reached
+    at `beta_star`, the root of the smooth branch's derivative, and there
+    r(beta)^2 SNR > 1; otherwise (R(theta) >= C) it is 0 at beta = 0.  For
+    R(theta) between the critical rate and capacity this equals the
+    sphere-packing exponent at R(theta).
     """
     if not 0.0 < theta < math.pi / 2.0:
         raise ValueError("theta must be in (0, pi/2)")
     snr = spec.snr
     tan_t = math.tan(theta)
-
-    def objective(beta):
-        e_h, _ = tail_exponents(((1.0 + beta) * tan_t) ** 2 * snr)
-        return beta * beta * snr / 2.0 + e_h
-
-    _, val = golden_min(objective, -1.0 + _EPS, tol=1e-10)
-    return ExponentValue(max(val, 0.0), SPHERE_PACKING)
+    if tan_t * tan_t * snr <= 1.0:
+        return ExponentValue(0.0, SPHERE_PACKING)
+    beta = beta_star(theta, spec)
+    e_h, _ = tail_exponents(((1.0 + beta) * tan_t) ** 2 * snr)
+    return ExponentValue(max(beta * beta * snr / 2.0 + e_h, 0.0), SPHERE_PACKING)
 
 
 def typical_chord(R: float, floor: float, spec: ChannelSpec) -> float:

@@ -459,7 +459,11 @@ class LatticeFigures:
     deep_hole_probe: float  # largest point-to-lattice distance found by probing
 
 
-def lattice_figures(lattice, samples=200_000, seed=0, probe=2_000):
+# Reduced points probed for the deep-hole estimate of `lattice_figures`.
+_DEEP_HOLE_PROBES = 2_000
+
+
+def lattice_figures(lattice, samples=200_000, seed=0):
     """Monte Carlo figures of merit, with exact volume and r_eff.
 
     sigma^2 and G come from uniform Voronoi sampling with a reported standard
@@ -469,7 +473,8 @@ def lattice_figures(lattice, samples=200_000, seed=0, probe=2_000):
     """
     if samples < 2:
         raise ValueError("samples must be >= 2 for a second moment and its stderr")
-    need = 8 * lattice.n * (2 * samples + probe)  # the samples and their squares
+    # The samples, their squares and the deep-hole probes.
+    need = 8 * lattice.n * (2 * samples + _DEEP_HOLE_PROBES)
     if need > MEMORY_BUDGET_BYTES:
         raise ValueError(
             "%d samples need about %.3g GiB, over the %.3g GiB budget; lower the sample count"
@@ -482,7 +487,7 @@ def lattice_figures(lattice, samples=200_000, seed=0, probe=2_000):
     norms2 = (x ** 2).sum(axis=1)
     sigma2 = norms2.mean() / n
     stderr = norms2.std(ddof=1) / math.sqrt(samples) / n
-    probe_pts = lattice.sample_voronoi(probe, rng)
+    probe_pts = lattice.sample_voronoi(_DEEP_HOLE_PROBES, rng)
     probe_max = float(np.sqrt((probe_pts ** 2).sum(axis=1)).max())
     return LatticeFigures(
         n=n,

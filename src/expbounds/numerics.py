@@ -1,7 +1,7 @@
 """Small numerical toolkit: golden-section minimization and bracketed bisection.
 
-Both routines support automatic bracket growth so callers can pass a lower
-bound only.  Failures raise instead of silently clamping.
+Bisection supports automatic bracket growth so callers can pass a lower bound
+only.  Failures raise instead of silently clamping.
 """
 
 import math
@@ -16,27 +16,14 @@ _EPS = 1e-12
 
 
 class BracketError(RuntimeError):
-    """Raised when a root/minimum bracket cannot be established."""
+    """Raised when a root bracket cannot be established."""
 
 
-def golden_min(f, lo, hi=None, tol=1e-10):
-    """Minimize a unimodal scalar function by golden-section search.
+def golden_min(f, lo, hi, tol=1e-10):
+    """Minimize a unimodal scalar function on [lo, hi] by golden-section search.
 
-    If `hi` is None the upper edge starts at lo+1 and doubles until the
-    function is increasing there (adaptive bracket).  Returns (x, f(x)).
+    Returns (x, f(x)).
     """
-    if hi is None:
-        span = 1.0
-        hi = lo + span
-        f_hi = f(hi)
-        while f(hi + span) < f_hi:
-            span *= 2.0
-            hi = lo + span
-            f_hi = f(hi)
-            if span > _MAX_GROW:
-                raise BracketError("minimum bracket expansion failed")
-        hi = lo + 2.0 * span
-
     a, b = lo, hi
     h = b - a
     c = a + _INVPHI2 * h

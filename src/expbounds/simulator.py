@@ -1,9 +1,9 @@
 """Seeded Monte Carlo validation of the bounds at small blocklengths.
 
-Randomness contract: trials are split into fixed-size blocks and every block
-gets its own counter-based substream derived from (seed, block index) only,
-so results are identical for any worker count or scheduling; error counts
-are reduced by addition (a commutative monoid).
+Randomness contract, kept by `_per_block` alone: block i (BLOCK trials, the
+last may be fewer) of substream s draws from a counter-based Philox stream
+keyed by the seed at counter (s << 32) + i, so results do not depend on
+scheduling; block results are added (counts) or concatenated, in block order.
 
 Power convention: P = 1, codewords have norm sqrt(n), noise variance 1/SNR
 per dimension.  Normalized distances divide by sqrt(n).
@@ -83,13 +83,6 @@ DEC_ML = "ml"
 DEC_EUCLIDEAN_EXTENDED = "euclidean-extended"
 DEC_CLOSEST_COSET = "closest-coset"
 
-# The decoders each ensemble accepts.
-_DECODERS = {
-    SPHERICAL: (DEC_ML,),
-    SPHERICAL_EXPURGATED: (DEC_ML,),
-    LATTICE_COSET: (DEC_EUCLIDEAN_EXTENDED, DEC_CLOSEST_COSET),
-}
-
 
 def block_rng(seed, index):
     """Independent substream for one block: counter-based, scheduling-proof."""
@@ -100,6 +93,14 @@ def _blocks(trials):
     full, rem = divmod(trials, BLOCK)
     sizes = [BLOCK] * full + ([rem] if rem else [])
     return list(enumerate(sizes))
+
+
+def _per_block(trials, seed, draw, stream=0):
+    """draw(rng, size) for each block of `trials`, in block order, as a list.
+
+    The one block driver: the only caller of `block_rng` (module docstring).
+    """
+    return [draw(block_rng(seed, (stream << 32) + i), size) for i, size in _blocks(trials)]
 
 
 @dataclass(frozen=True)
@@ -119,11 +120,11 @@ class SimConfig:
     noise_var: float | None = None  # defaults to 1/SNR
 
     def __post_init__(self):
-        decoders = _DECODERS.get(self.ensemble)
-        if decoders is None:
+        if self.ensemble not in _ENSEMBLES:
             raise ValueError(
-                "unknown ensemble %r; choose from %s" % (self.ensemble, ", ".join(_DECODERS))
+                "unknown ensemble %r; choose from %s" % (self.ensemble, ", ".join(_ENSEMBLES))
             )
+        decoders, _ = _ENSEMBLES[self.ensemble]
         if self.decoder not in decoders:
             raise ValueError(
                 "ensemble %r takes decoder %s, not %r"
@@ -359,9 +360,8 @@ def _spherical_ml_errors(config, rng, count):
     return int(err.sum())
 
 
-def _simulate_spherical_block(config, rng, count):
-    if config.ensemble != SPHERICAL_EXPURGATED:
-        return _spherical_ml_errors(config, rng, count)
+def _expurgated_errors(config, rng, count):
+    """ML errors of `count` trials, each with a fresh expurgated codebook."""
     n, m = config.n, config.codebook_size
     sd = math.sqrt(config.noise_variance)
     books = _expurgated_codebooks(rng, count, m, n, config.d_min)
@@ -448,19 +448,41 @@ def normalized_lattice(lattice):
     return lattice.rescaled(1.0 / math.sqrt(sigma2))
 
 
+# Each ensemble's decoders, and its block function: block(config, rng, count)
+# returns the errors of `count` trials.  The coset block also takes the
+# normalized lattice.
+_ENSEMBLES = {
+    SPHERICAL: ((DEC_ML,), _spherical_ml_errors),
+    SPHERICAL_EXPURGATED: ((DEC_ML,), _expurgated_errors),
+    LATTICE_COSET: ((DEC_EUCLIDEAN_EXTENDED, DEC_CLOSEST_COSET), _simulate_lattice_block),
+}
+
+
 def simulate(config: SimConfig) -> SimResult:
     """Run the configured Monte Carlo experiment; deterministic given seed."""
-    lattice = None
+    _, block = _ENSEMBLES[config.ensemble]
+    draw = functools.partial(block, config)
     if config.ensemble == LATTICE_COSET:
-        lattice = normalized_lattice(config.lattice)
-    errors = 0
-    for index, size in _blocks(config.trials):
-        rng = block_rng(config.seed, index)
-        if config.ensemble == LATTICE_COSET:
-            errors += _simulate_lattice_block(config, rng, size, lattice)
-        else:
-            errors += _simulate_spherical_block(config, rng, size)
+        draw = functools.partial(draw, lattice=normalized_lattice(config.lattice))
+    errors = sum(_per_block(config.trials, config.seed, draw))
     return _result(errors, config.trials, config.n)
+
+
+def _tail_record(hits, trials, n, bound):
+    """A tail check's report: the empirical probability against its bound."""
+    emp = hits / trials
+    return {
+        "empirical": emp,
+        "bound": bound,
+        "log_ratio_per_n": (math.log(emp / bound) / n) if emp > 0 else None,
+        "stderr": math.sqrt(max(emp * (1.0 - emp), 1e-12) / trials),
+    }
+
+
+def _axis_and_rest(rng, size, n, snr):
+    """Noise along one axis, and the squared norm of its other n-1 coordinates."""
+    g = rng.normal(scale=1.0 / math.sqrt(snr), size=size)
+    return g, rng.chisquare(n - 1, size=size) / snr
 
 
 def tail_check_norm(n, spec: ChannelSpec, r_list, trials, seed):
@@ -472,23 +494,14 @@ def tail_check_norm(n, spec: ChannelSpec, r_list, trials, seed):
     """
     reports = []
     for j, r in enumerate(r_list):
-        hits = 0
         thresh = r * r * n * spec.snr  # threshold for the chi-square variate
-        for index, size in _blocks(trials):
-            rng = block_rng(seed, (j << 32) + index)
-            hits += int((rng.chisquare(n, size=size) >= thresh).sum())
-        emp = hits / trials
+
+        def above(rng, size):
+            return int((rng.chisquare(n, size=size) >= thresh).sum())
+
+        hits = sum(_per_block(trials, seed, above, stream=j))
         e_h, _ = tail_exponents(r * r * spec.snr)
-        bound = math.exp(-n * e_h)
-        reports.append(
-            {
-                "r": r,
-                "empirical": emp,
-                "bound": bound,
-                "log_ratio_per_n": (math.log(emp / bound) / n) if emp > 0 else None,
-                "stderr": math.sqrt(max(emp * (1.0 - emp), 1e-12) / trials),
-            }
-        )
+        reports.append({"r": r, **_tail_record(hits, trials, n, math.exp(-n * e_h))})
     return reports
 
 
@@ -497,22 +510,13 @@ def tail_check_joint(n, spec: ChannelSpec, x, y, trials, seed):
     if not (y > x >= 0.0):
         raise ValueError("require y > x >= 0")
     snr = spec.snr
-    hits = 0
-    for index, size in _blocks(trials):
-        rng = block_rng(seed, index)
-        z1 = rng.normal(scale=1.0 / math.sqrt(snr), size=size)
-        rest2 = rng.chisquare(n - 1, size=size) / snr
-        hits += int(
-            ((np.abs(z1) >= x * math.sqrt(n)) & (rest2 <= y * y * n)).sum()
-        )
-    emp = hits / trials
+
+    def hits(rng, size):
+        z1, rest2 = _axis_and_rest(rng, size, n, snr)
+        return int(((np.abs(z1) >= x * math.sqrt(n)) & (rest2 <= y * y * n)).sum())
+
     bound = math.exp(-n * joint_tail_exponent(x, y, snr))
-    return {
-        "empirical": emp,
-        "bound": bound,
-        "log_ratio_per_n": (math.log(emp / bound) / n) if emp > 0 else None,
-        "stderr": math.sqrt(max(emp * (1.0 - emp), 1e-12) / trials),
-    }
+    return _tail_record(sum(_per_block(trials, seed, hits)), trials, n, bound)
 
 
 def effective_noise_ball(n, spec: ChannelSpec, R, dither, trials, seed, lattice=None):
@@ -533,32 +537,29 @@ def effective_noise_ball(n, spec: ChannelSpec, R, dither, trials, seed, lattice=
     k = (1.0 - alpha) / alpha
     radius2 = n * (math.sin(theta) / alpha) ** 2
     snr = spec.snr
-    hits = 0
     if dither == "spherical":
-        # By rotational symmetry only the component of z along b matters.
-        for index, size in _blocks(trials):
-            rng = block_rng(seed, index)
-            g = rng.normal(scale=1.0 / math.sqrt(snr), size=size)
-            rest2 = rng.chisquare(n - 1, size=size) / snr
-            norm2 = (k * math.sqrt(n) + g) ** 2 + rest2
-            hits += int((norm2 > radius2).sum())
+
+        def exits(rng, size):
+            # By rotational symmetry only the component of z along b matters.
+            g, rest2 = _axis_and_rest(rng, size, n, snr)
+            return int(((k * math.sqrt(n) + g) ** 2 + rest2 > radius2).sum())
+
     elif dither == "voronoi":
         lat = normalized_lattice(lattice)
-        for index, size in _blocks(trials):
-            rng = block_rng(seed, index)
+
+        def exits(rng, size):
             b = lat.sample_voronoi(size, rng)
             z = rng.normal(scale=1.0 / math.sqrt(snr), size=(size, n))
-            norm2 = ((k * b + z) ** 2).sum(axis=1)
-            hits += int((norm2 > radius2).sum())
+            return int((((k * b + z) ** 2).sum(axis=1) > radius2).sum())
+
     else:
         raise ValueError("dither must be 'spherical' or 'voronoi'")
-    emp = hits / trials
-    e_sp = sphere_packing_exponent(R, spec).value
+    res = _result(sum(_per_block(trials, seed, exits)), trials, n)
     return {
-        "empirical": emp,
-        "ci95": clopper_pearson(hits, trials),
-        "empirical_exponent": (-math.log(emp) / n) if emp > 0 else None,
-        "target_exponent": e_sp,
+        "empirical": res.pe,
+        "ci95": res.ci95,
+        "empirical_exponent": res.empirical_exponent,
+        "target_exponent": sphere_packing_exponent(R, spec).value,
     }
 
 
@@ -571,27 +572,25 @@ def empirical_spectrum(ensemble, n, bins, trials, seed, lattice=None):
     Returns (hist, edges, distances[, angles]).
     """
     if ensemble == SPHERICAL:
-        chunks = []
-        for index, size in _blocks(trials):
-            rng = block_rng(seed, index)
+
+        def chords(rng, size):
             u = rng.normal(size=(size, n))
             u /= np.linalg.norm(u, axis=1, keepdims=True)
             v = rng.normal(size=(size, n))
             v /= np.linalg.norm(v, axis=1, keepdims=True)
-            chunks.append(np.linalg.norm(u - v, axis=1))
-        d = np.concatenate(chunks)
+            return np.linalg.norm(u - v, axis=1)
+
+        d = np.concatenate(_per_block(trials, seed, chords))
         hist, edges = np.histogram(d, bins=bins, range=(0.0, 2.0))
         return hist, edges, d
     if ensemble == LATTICE_COSET:
         if lattice is None:
             raise ValueError("lattice-coset spectrum requires a lattice")
-        offs = []
-        for index, size in _blocks(trials):
-            rng = block_rng(seed, index)
-            offs.append(
-                lattice.sample_voronoi(size, rng) - lattice.sample_voronoi(size, rng)
-            )
-        w = np.concatenate(offs)
+
+        def offsets(rng, size):
+            return lattice.sample_voronoi(size, rng) - lattice.sample_voronoi(size, rng)
+
+        w = np.concatenate(_per_block(trials, seed, offsets))
         d = np.linalg.norm(w, axis=1)
         angles = np.arccos(np.clip(w[:, 0] / np.maximum(d, 1e-300), -1.0, 1.0))
         hist, edges = np.histogram(d, bins=bins)

@@ -16,7 +16,7 @@ from expbounds.channel import (
     ZERO,
 )
 from expbounds import awgn
-from expbounds.numerics import bisect_root
+from expbounds.numerics import bisect_root, golden_min
 
 SNR10 = ChannelSpec(10.0)
 SNR1 = ChannelSpec(1.0)
@@ -254,6 +254,24 @@ def test_leave_cone_matches_sphere_packing():
         got = awgn.leave_cone_exponent(awgn.theta_of_rate(r), SNR10).value
         want = awgn.sphere_packing_exponent(r, SNR10).value
         assert abs(got - want) < 1e-9
+
+
+@pytest.mark.parametrize("snr", [1e-4, 1e-2, 0.5, 2.0, 10.0, 1e3, 1e5])
+def test_leave_cone_closed_form_matches_golden_search(snr):
+    # Oracle: golden-section search of the objective over beta in (-1, 1],
+    # for rates up to 1.2 C (above C the minimum is 0 at beta = 0).
+    spec = ChannelSpec(snr)
+    for k in range(1, 61):
+        theta = awgn.theta_of_rate(k / 50.0 * spec.capacity_nats)
+        tan_t = math.tan(theta)
+
+        def objective(b):
+            e_h, _ = awgn.tail_exponents(((1.0 + b) * tan_t) ** 2 * snr)
+            return b * b * snr / 2.0 + e_h
+
+        _, want = golden_min(objective, -1.0 + 1e-12, 1.0, tol=1e-10)
+        got = awgn.leave_cone_exponent(theta, spec).value
+        assert abs(got - max(want, 0.0)) <= 1e-14 * want + 1e-16, (k, got, want)
 
 
 def test_beta_star_is_leave_cone_minimizer():

@@ -1,0 +1,129 @@
+"""Frozen outputs: fixed configs must keep every count and every byte.
+
+A fixed config must give byte-identical output on every run and across
+refactors of the block driver, the ensemble table or the binomial records.
+Only a change meant to move the random streams (new substreams, say) may
+update these values, and it must say so.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+
+from expbounds import simulator as sim
+from expbounds.channel import ChannelSpec
+from expbounds.lattices import Lattice, d4, e8, integer_lattice
+
+SNR2 = ChannelSpec(2.0)
+SNR4 = ChannelSpec(4.0)
+SNR10 = ChannelSpec(10.0)
+
+
+def _config(n, m, trials, seed, spec=SNR2, **kwargs):
+    cfg = sim.SimConfig(n=n, spec=spec, rate=math.log(m) / n, trials=trials, seed=seed, **kwargs)
+    assert cfg.codebook_size == m
+    return cfg
+
+
+def _permuted_d4():
+    # D4 with its basis rows permuted: the same lattice, but no fast decoder.
+    return Lattice("file", d4().basis[[2, 0, 3, 1]])
+
+
+def _configs():
+    coset = dict(ensemble=sim.LATTICE_COSET, spec=SNR4)
+    return {
+        "ml n=1": _config(1, 2, 3000, 5, spec=ChannelSpec(1.0)),
+        "ml n=3": _config(3, 8, 3000, 6),
+        "ml n=8": _config(8, 9, 4096, 7),
+        "ml n=12 partial": _config(12, 512, sim.BLOCK + 777, 11),
+        "expurgated": _config(8, 9, 2000, 3, ensemble=sim.SPHERICAL_EXPURGATED, d_min=0.6),
+        "e8 closest-coset": _config(
+            8, 11, 3000, 3, lattice=e8(), decoder=sim.DEC_CLOSEST_COSET, **coset
+        ),
+        "e8 extended alpha=0.8": _config(
+            8, 11, 3000, 4, lattice=e8(), decoder=sim.DEC_EUCLIDEAN_EXTENDED, alpha=0.8, **coset
+        ),
+        "d4 extended": _config(
+            4, 5, 3000, 5, lattice=d4(), decoder=sim.DEC_EUCLIDEAN_EXTENDED, **coset
+        ),
+        "permuted d4": _config(
+            4, 5, 1500, 6, lattice=_permuted_d4(), decoder=sim.DEC_CLOSEST_COSET, **coset
+        ),
+    }
+
+
+FROZEN_ERRORS = {
+    "ml n=1": 1748,
+    "ml n=3": 1103,
+    "ml n=8": 220,
+    "ml n=12 partial": 1178,
+    "expurgated": 110,
+    "e8 closest-coset": 133,
+    "e8 extended alpha=0.8": 59,
+    "d4 extended": 420,
+    "permuted d4": 216,
+}
+
+# Hit counts of the tail checks and the effective-noise ball.
+FROZEN_HITS = {
+    "norm r=0.4": 299,
+    "norm r=0.45": 39,
+    "joint": 61,
+    "ball spherical": 479,
+    "ball voronoi": 758,
+}
+
+FROZEN_SPECTRUM_SHA256 = {
+    "spherical": "bd913682569956af5a4c0b384d2b6e24888b5a4745710140b3c118bdba33d5be",
+    "lattice-coset": "df1e95674bd94d9603e32f8394ade74f1d4944b75b30f9118e4deb90de64a857",
+}
+
+
+def _hits(report, trials):
+    hits = round(report["empirical"] * trials)
+    assert hits / trials == report["empirical"]
+    return hits
+
+
+def test_simulate_errors_frozen():
+    got = {name: sim.simulate(cfg).errors for name, cfg in _configs().items()}
+    assert got == FROZEN_ERRORS
+
+
+def test_tail_and_ball_hits_frozen():
+    trials = sim.BLOCK + 1000
+    norm = sim.tail_check_norm(16, SNR10, [0.4, 0.45], trials, 11)
+    got = {
+        "norm r=0.4": _hits(norm[0], trials),
+        "norm r=0.45": _hits(norm[1], trials),
+        "joint": _hits(sim.tail_check_joint(16, SNR10, 0.2, 0.5, trials, 11), trials),
+        "ball spherical": _hits(
+            sim.effective_noise_ball(16, SNR10, 1.0, "spherical", trials, 5), trials
+        ),
+        "ball voronoi": _hits(
+            sim.effective_noise_ball(8, SNR10, 1.0, "voronoi", trials, 5, lattice=e8()), trials
+        ),
+    }
+    assert got == FROZEN_HITS
+
+
+def _sha256(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def test_empirical_spectrum_frozen():
+    trials = sim.BLOCK + 500
+    got = {
+        "spherical": _sha256(sim.empirical_spectrum(sim.SPHERICAL, 16, 40, trials, 9)),
+        "lattice-coset": _sha256(
+            sim.empirical_spectrum(
+                sim.LATTICE_COSET, 8, 30, trials, 9, lattice=integer_lattice(8)
+            )
+        ),
+    }
+    assert got == FROZEN_SPECTRUM_SHA256

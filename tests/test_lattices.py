@@ -394,7 +394,7 @@ def test_covering_radius_bounds_probe():
         Lattice("d4-file", D4_UNIMODULAR @ d4().basis),
         Lattice("random-6d", np.random.default_rng(12).normal(size=(6, 6))),
     ):
-        figs = lattice_figures(lat, samples=1_000, seed=0, probe=2_000)
+        figs = lattice_figures(lat, samples=1_000, seed=0)
         assert figs.deep_hole_probe <= figs.r_cov + 1e-9, lat.name
         assert figs.r_cov >= figs.r_eff  # covering radius cannot beat equal volume
 

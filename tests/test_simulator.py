@@ -1,5 +1,6 @@
 """Monte Carlo machinery: determinism, decoders, tail checks, spectra."""
 
+import functools
 import math
 import tracemalloc
 
@@ -260,25 +261,27 @@ def test_spherical_pe_at_huge_noise(ensemble, noise_var):
 
 
 def test_block_split_invariance():
-    # Splitting trials into blocks must not depend on call pattern: a run of
-    # k*BLOCK trials equals the sum of per-block runs with the same seed.
-    coset = dict(
-        n=8, ensemble=sim.LATTICE_COSET, decoder=sim.DEC_CLOSEST_COSET, lattice=e8(),
-        rate=math.log(11) / 8, spec=ChannelSpec(4.0),
-    )
-    for extra in ({}, {"ensemble": sim.SPHERICAL_EXPURGATED, "d_min": 0.6}, coset):
-        cfg = _spherical_config(trials=2 * sim.BLOCK, **extra)
-        total = sim.simulate(cfg).errors
-        assert total > 0
-        partial = 0
-        for index in range(2):
-            rng = sim.block_rng(cfg.seed, index)
-            if cfg.ensemble == sim.LATTICE_COSET:
-                lattice = sim.normalized_lattice(cfg.lattice)
-                partial += sim._simulate_lattice_block(cfg, rng, sim.BLOCK, lattice)
-            else:
-                partial += sim._simulate_spherical_block(cfg, rng, sim.BLOCK)
-        assert partial == total
+    # For every ensemble of the table, a run equals the sum of its blocks, each
+    # run by the ensemble's block function on its own substream
+    # block_rng(seed, i), the partial last block included.
+    extra = {
+        sim.SPHERICAL: {},
+        sim.SPHERICAL_EXPURGATED: {"d_min": 0.6},
+        sim.LATTICE_COSET: dict(
+            decoder=sim.DEC_CLOSEST_COSET, lattice=e8(), rate=math.log(11) / 8,
+            spec=ChannelSpec(4.0),
+        ),
+    }
+    assert extra.keys() == sim._ENSEMBLES.keys()
+    for ensemble, (decoders, block) in sim._ENSEMBLES.items():
+        cfg = _spherical_config(ensemble=ensemble, trials=2 * sim.BLOCK + 777, **extra[ensemble])
+        assert cfg.decoder in decoders
+        if ensemble == sim.LATTICE_COSET:
+            block = functools.partial(block, lattice=sim.normalized_lattice(cfg.lattice))
+        sizes = (sim.BLOCK, sim.BLOCK, 777)
+        parts = [block(cfg, sim.block_rng(cfg.seed, i), size) for i, size in enumerate(sizes)]
+        assert min(parts) > 0, ensemble
+        assert sum(parts) == sim.simulate(cfg).errors, ensemble
 
 
 def test_zero_noise_zero_errors():
