@@ -141,7 +141,6 @@ def critical_rates(spec: ChannelSpec) -> CriticalRates:
         r_crit=critical_rate(spec),
         r_x=rate_x(spec),
         d_crit=critical_distance(spec),
-        beta_g_prime=beta_g_prime(spec),
     )
 
 

@@ -75,7 +75,6 @@ class CriticalRates:
     r_crit: float
     r_x: float
     d_crit: float
-    beta_g_prime: float
 
     def __post_init__(self):
         if not (0.0 < self.r_x < self.r_crit < self.c):

@@ -39,10 +39,6 @@ from .channel import (
 CURVES = ("E_sp", "E_r", "E_x", "E_awgn", "E_modlambda")
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _channel(args) -> ChannelSpec:
     if args.snr is not None:
         return ChannelSpec(args.snr)
@@ -55,23 +51,23 @@ def _rate_nats(args, spec):
     elif args.rate_bits is not None:
         r = bits_to_nats(args.rate_bits)
     else:
-        raise UsageError("one of --rate-bits / --rate-nats is required")
+        raise ValueError("one of --rate-bits / --rate-nats is required")
     c = spec.capacity_nats
     if not 0.0 < r <= c * CAPACITY_SLACK:
-        raise UsageError("rate %.6g nats outside (0, C=%.6g]" % (r, c))
+        raise ValueError("rate %.6g nats outside (0, C=%.6g]" % (r, c))
     return min(r, c)  # C given in bits lands an ulp either side of C
 
 
 def _parse_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError("--grid expects min:max:points")
+        raise ValueError("--grid expects min:max:points")
     try:
         lo, hi, points = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise UsageError("bad --grid value: %s" % exc)
+        raise ValueError("bad --grid value: %s" % exc)
     if points < 2 or not lo < hi:
-        raise UsageError("--grid needs points >= 2 and min < max")
+        raise ValueError("--grid needs points >= 2 and min < max")
     return lo, hi, points
 
 
@@ -99,7 +95,7 @@ def _load_lattice(name_or_path):
     try:
         return lattices.load_basis(name_or_path)
     except (OSError, ValueError) as exc:
-        raise UsageError("cannot load lattice %r: %s" % (name_or_path, exc))
+        raise ValueError("cannot load lattice %r: %s" % (name_or_path, exc))
 
 
 def _write_out(args, text):
@@ -113,7 +109,7 @@ def _write_out(args, text):
             f.write(text)
         os.replace(tmp, args.out)
     except OSError as exc:
-        raise UsageError("cannot write %s: %s" % (args.out, exc))
+        raise ValueError("cannot write %s: %s" % (args.out, exc))
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -136,14 +132,14 @@ def cmd_exponents(args):
         lo, hi = bits_to_nats(lo), bits_to_nats(hi)
     c = spec.capacity_nats
     if hi > c * CAPACITY_SLACK:
-        raise UsageError("grid max %.6g exceeds capacity %.6g nats" % (hi, c))
+        raise ValueError("grid max %.6g exceeds capacity %.6g nats" % (hi, c))
     hi = min(hi, c)
     curves = CURVES
     if args.curves:
         curves = tuple(s.strip() for s in args.curves.split(","))
         bad = [s for s in curves if s not in CURVES]
         if bad:
-            raise UsageError("unknown curves %s; choose from %s" % (bad, list(CURVES)))
+            raise ValueError("unknown curves %s; choose from %s" % (bad, list(CURVES)))
     header = ["rate_nats", "rate_over_C"]
     header += [c_ for c_ in curves]
     header += ["E_over_snr_" + c_[2:] for c_ in curves]
@@ -213,7 +209,7 @@ def cmd_geometry(args):
 
 def cmd_lattice(args):
     if args.lattice is None:
-        raise UsageError("--lattice NAME|FILE is required")
+        raise ValueError("--lattice NAME|FILE is required")
     from . import lattices
 
     lat = _load_lattice(args.lattice)
@@ -254,42 +250,33 @@ def _sim_config(doc):
     from . import simulator
 
     if not isinstance(doc, dict):
-        raise UsageError("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     for key, value in doc.items():
         if key not in _SIM_SCHEMA:
-            raise UsageError("unknown config field %r" % key)
+            raise ValueError("unknown config field %r" % key)
         want = _SIM_SCHEMA[key]
         kinds = (int, float) if want is float else want
         if isinstance(value, bool) or not isinstance(value, kinds):  # JSON true is an int
-            raise UsageError("field %r must be %s" % (key, want.__name__))
-    for required in ("n",):
-        if required not in doc:
-            raise UsageError("missing config field %r" % required)
+            raise ValueError("field %r must be %s" % (key, want.__name__))
+    if "n" not in doc:
+        raise ValueError("missing config field 'n'")
     if "snr" in doc:
         spec = ChannelSpec(float(doc["snr"]))
     elif "snr_db" in doc:
         spec = ChannelSpec(db_to_linear(float(doc["snr_db"])))
     else:
-        raise UsageError("missing config field 'snr' or 'snr_db'")
+        raise ValueError("missing config field 'snr' or 'snr_db'")
     if "rate_nats" in doc:
         rate = float(doc["rate_nats"])
     elif "rate_bits" in doc:
         rate = bits_to_nats(float(doc["rate_bits"]))
     else:
-        raise UsageError("missing config field 'rate_nats' or 'rate_bits'")
-    kwargs = {
-        "n": doc["n"],
-        "spec": spec,
-        "rate": rate,
-        "ensemble": doc.get("ensemble", simulator.SPHERICAL),
-        "decoder": doc.get("decoder", simulator.DEC_ML),
-        "trials": doc.get("trials", 10_000),
-        "seed": doc.get("seed", 0),
-        "d_min": float(doc.get("d_min", 0.0)),
-        "alpha": float(doc.get("alpha", 1.0)),
-    }
-    if "noise_var" in doc:
-        kwargs["noise_var"] = float(doc["noise_var"])
+        raise ValueError("missing config field 'rate_nats' or 'rate_bits'")
+    kwargs = {"n": doc["n"], "spec": spec, "rate": rate}
+    # Fields the config leaves out take SimConfig's defaults.
+    for key in ("ensemble", "decoder", "trials", "seed", "d_min", "alpha", "noise_var"):
+        if key in doc:
+            kwargs[key] = float(doc[key]) if _SIM_SCHEMA[key] is float else doc[key]
     if "lattice" in doc:
         kwargs["lattice"] = _load_lattice(doc["lattice"])
     return simulator.SimConfig(**kwargs)
@@ -300,9 +287,9 @@ def cmd_simulate(args):
         with open(args.config) as f:
             doc = json.load(f)
     except OSError as exc:
-        raise UsageError("cannot read config: %s" % exc)
+        raise ValueError("cannot read config: %s" % exc)
     except json.JSONDecodeError as exc:
-        raise UsageError("config is not valid JSON: %s" % exc)
+        raise ValueError("config is not valid JSON: %s" % exc)
     from . import simulator
 
     config = _sim_config(doc)
@@ -493,7 +480,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # UsageError included
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError) as exc:

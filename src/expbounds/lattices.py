@@ -91,7 +91,12 @@ def _decode_e8(t):
     return np.where(d0 <= d1, y0, y1)
 
 
-_FAST_DECODERS = {"Zn": _round_half_away, "D4": _decode_dn, "E8": _decode_e8}
+# Each fast decoder's rule, and its unit-scale Voronoi data at dimension n (`voronoi_shell`).
+_FAST_DECODERS = {
+    "Zn": (_round_half_away, lambda n: (1.0, 1.0 / 12.0, 1.0, 2 * n, 0.5 if n > 1 else math.inf)),
+    "D4": (_decode_dn, lambda n: (2.0, 13.0 / 120.0, 2.0, 24, 2.0 / 3.0)),
+    "E8": (_decode_e8, lambda n: (1.0, 929.0 / 12960.0, 2.0, 240, 2.0 / 3.0)),
+}
 
 
 def _lll(basis):
@@ -246,9 +251,9 @@ class Lattice:
         the result.  A fast rule decodes each block coordinate-major, on its
         transpose; any other basis goes through `nearest_enumerated`.
         """
-        fast = _FAST_DECODERS.get(self.decoder)
-        if fast is None:
+        if self.decoder not in _FAST_DECODERS:
             return self.nearest_enumerated(points, residual=residual, out=out)
+        fast, _ = _FAST_DECODERS[self.decoder]
         scale = self.scale
 
         def decode(block):
@@ -424,16 +429,11 @@ def voronoi_shell(lattice):
     (volume 1) 929/12960 (SPLAG Table 2.3); both have min norm 2, and two of
     their facets at 60 degrees meet at (v1 + v2)/3, of squared norm 2/3.
     """
-    n = lattice.n
-    if lattice.decoder == "Zn":
-        data = (1.0, 1.0 / 12.0, 1.0, 2 * n, 0.5 if n > 1 else math.inf)
-    elif lattice.decoder == "D4":
-        data = (2.0, 13.0 / 120.0, 2.0, 24, 2.0 / 3.0)
-    elif lattice.decoder == "E8":
-        data = (1.0, 929.0 / 12960.0, 2.0, 240, 2.0 / 3.0)
-    else:
+    if lattice.decoder not in _FAST_DECODERS:
         return None
-    volume, sigma2, min_norm2, kissing, overlap2 = data
+    n = lattice.n
+    _, unit_data = _FAST_DECODERS[lattice.decoder]
+    volume, sigma2, min_norm2, kissing, overlap2 = unit_data(n)
     c2 = lattice.scale * lattice.scale
     return VoronoiShell(
         n=n,

@@ -110,17 +110,13 @@ def beta_circ_star(r, d, l, scaling: ScalingSpec, spec: ChannelSpec):
     )
 
 
-ABOVE_THRESHOLD = "above-threshold"
-BELOW_THRESHOLD = "below-threshold"
-
-
 def beta_star_lattice(r, d, l, scaling: ScalingSpec, spec: ChannelSpec):
-    """Optimal radial offset of the lattice union bound; returns (beta, regime)."""
+    """Optimal radial offset of the lattice union bound."""
     if rate_of_scaled_radius(r, scaling.alpha) > critical_rate_lattice(
         d, l, scaling, spec
     ):
-        return beta_circ_star(r, d, l, scaling, spec), ABOVE_THRESHOLD
-    return d * d / (4.0 * l * l) * (l - scaling.k_alpha), BELOW_THRESHOLD
+        return beta_circ_star(r, d, l, scaling, spec)
+    return d * d / (4.0 * l * l) * (l - scaling.k_alpha)
 
 
 def l_circ_star(r, k_alpha, spec: ChannelSpec):
@@ -206,17 +202,17 @@ def modlambda_exponent(R, spec: ChannelSpec) -> ExponentValue:
     return ExponentValue(max(val, 0.0), regime)
 
 
-def lattice_union_min(r, scaling: ScalingSpec, spec: ChannelSpec, R, d_floor=0.0):
-    """Minimize the lattice union exponent over (l, d >= d_floor, beta).
+def lattice_union_min(r, scaling: ScalingSpec, spec: ChannelSpec, R):
+    """Minimize the lattice union exponent over (l, d, beta).
 
-    Uses the closed-form beta and the analytic warm starts, then refines with
-    golden-section sweeps; returns (l, d, beta, value).
+    Uses the closed-form beta and the analytic warm starts, then refines
+    (l, d) by Nelder-Mead; returns (l, d, beta, value).
     """
     k_a = scaling.k_alpha
 
     def at_ld(l, d):
         try:
-            beta, _ = beta_star_lattice(r, d, l, scaling, spec)
+            beta = beta_star_lattice(r, d, l, scaling, spec)
         except ValueError:
             return math.inf
         return union_bound_exponent_lattice(r, k_a, l, d, beta, R, spec)
@@ -224,11 +220,11 @@ def lattice_union_min(r, scaling: ScalingSpec, spec: ChannelSpec, R, d_floor=0.0
     from scipy import optimize
 
     l0 = l_circ_star(r, k_a, spec)
-    d0 = max(math.sqrt(2.0) * r, d_floor)
+    d0 = math.sqrt(2.0) * r
 
     def objective(v):
         l, d = v
-        if l <= k_a or not d_floor <= d < 2.0 * l:
+        if l <= k_a or not 0.0 <= d < 2.0 * l:
             return math.inf
         return at_ld(l, d)
 
@@ -239,6 +235,6 @@ def lattice_union_min(r, scaling: ScalingSpec, spec: ChannelSpec, R, d_floor=0.0
         options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
     )
     l_opt, d_opt = best.x
-    beta_opt, _ = beta_star_lattice(r, d_opt, l_opt, scaling, spec)
+    beta_opt = beta_star_lattice(r, d_opt, l_opt, scaling, spec)
     val = union_bound_exponent_lattice(r, k_a, l_opt, d_opt, beta_opt, R, spec)
     return l_opt, d_opt, beta_opt, val

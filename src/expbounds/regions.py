@@ -23,9 +23,6 @@ from .awgn import (
 from .channel import ChannelSpec
 from .numerics import _EPS, bisect_root, golden_min
 
-ABOVE_CRITICAL = "above-critical"
-BELOW_CRITICAL = "below-critical"
-
 
 def theta_d_of_chord(d: float) -> float:
     """Angle subtended by a chord of normalized length d: 2 arcsin(d/2)."""
@@ -100,12 +97,12 @@ def critical_rate_of_theta_d(theta_d: float, spec: ChannelSpec) -> float:
     return -math.log(math.sqrt(arg))
 
 
-def beta_star_cone(theta: float, theta_d: float, spec: ChannelSpec):
-    """Optimal radial offset of the cone union bound; returns (beta, regime)."""
+def beta_star_cone(theta: float, theta_d: float, spec: ChannelSpec) -> float:
+    """Optimal radial offset of the cone union bound."""
     r_theta = rate_of_theta(theta)
     if r_theta > critical_rate_of_theta_d(theta_d, spec):
-        return beta_star(theta, spec), ABOVE_CRITICAL
-    return math.cos(theta_d / 2.0) ** 2, BELOW_CRITICAL
+        return beta_star(theta, spec)
+    return math.cos(theta_d / 2.0) ** 2
 
 
 def f_bnd(d: float, theta: float, R: float, spec: ChannelSpec) -> float:
@@ -127,22 +124,19 @@ def f_bnd(d: float, theta: float, R: float, spec: ChannelSpec) -> float:
     )
 
 
-def cone_union_min(theta, R, spec: ChannelSpec, d_floor: float = 0.0):
-    """Minimize the cone union exponent over (beta, d >= d_floor).
+def cone_union_min(theta, R, spec: ChannelSpec):
+    """Minimize the cone union exponent over (beta, d).
 
-    Nested golden-section warm-checked against the closed forms; returns
-    (d, beta, value).
+    Golden-section search over d with the closed-form beta, then over beta
+    at that d; returns (d, beta, value).
     """
 
     def at_d(d):
-        b, _ = beta_star_cone(theta, theta_d_of_chord(d), spec)
+        b = beta_star_cone(theta, theta_d_of_chord(d), spec)
         return union_bound_exponent_cone(theta, d, b, R, spec)
 
-    lo = max(d_floor, 1e-9)
     hi = min(2.0, 2.0 * math.sin(theta)) - 1e-9  # widest chord inside the cone
-    d_opt, _ = golden_min(at_d, lo, hi, tol=1e-11)
-    if d_floor > 0.0 and at_d(d_floor) < at_d(d_opt):
-        d_opt = d_floor
+    d_opt, _ = golden_min(at_d, 1e-9, hi, tol=1e-11)
     b_opt, val = golden_min(
         lambda b: union_bound_exponent_cone(theta, d_opt, b, R, spec),
         -1.0 + _EPS,
@@ -170,9 +164,7 @@ def smallest_valid_region(R, spec: ChannelSpec, beta_grid):
             profile.append(None)
             continue
         # E_h(mu) = (mu - 1 - ln mu)/2 is increasing for mu >= 1.
-        mu = bisect_root(
-            lambda m: 0.5 * (m - 1.0 - math.log(m)) - target, 1.0, tol=1e-12
-        )
+        mu = bisect_root(lambda m: 0.5 * (m - 1.0 - math.log(m)) - target, 1.0)
         profile.append(math.sqrt(mu / snr))
     return profile
 
@@ -232,7 +224,7 @@ def z_of_k(K: float, d: float, R: float, spec: ChannelSpec) -> float:
 def k_zeta(d: float, R: float, spec: ChannelSpec) -> float:
     """Unique root of z_of_k on (1/SNR, inf), by bisection with bracket growth."""
     lo = 1.0 / spec.snr + 1e-12
-    return bisect_root(lambda K: z_of_k(K, d, R, spec), lo, tol=1e-12)
+    return bisect_root(lambda K: z_of_k(K, d, R, spec), lo)
 
 
 def event_alpha(d: float, R: float, spec: ChannelSpec) -> float:

@@ -199,21 +199,20 @@ class SimResult:
     ci95: tuple
     empirical_exponent: float | None
 
-    def to_json(self, config_summary=None):
+    def to_json(self, config_summary):
         rec = asdict(self)
         rec["ci95"] = list(self.ci95)
-        if config_summary is not None:
-            rec["config"] = config_summary
+        rec["config"] = config_summary
         return json.dumps(rec, sort_keys=True)
 
 
-def clopper_pearson(errors, trials, level=0.95):
-    """Exact binomial confidence interval (valid at zero counts).
+def clopper_pearson(errors, trials):
+    """Exact 95% binomial confidence interval (valid at zero counts).
 
     Clopper-Pearson: the bounds are beta quantiles, taken by inverting the
     regularized incomplete beta function with `scipy.special.betaincinv`.
     """
-    a = (1.0 - level) / 2.0
+    a = (1.0 - 0.95) / 2.0
     lo = 0.0 if errors == 0 else float(special.betaincinv(errors, trials - errors + 1, a))
     hi = (
         1.0
@@ -536,20 +535,21 @@ def effective_noise_ball(n, spec: ChannelSpec, R, dither, trials, seed, lattice=
     _, alpha, _ = tangent_sphere_scaling(theta, spec)
     k = (1.0 - alpha) / alpha
     radius2 = n * (math.sin(theta) / alpha) ** 2
-    snr = spec.snr
     if dither == "spherical":
 
         def exits(rng, size):
             # By rotational symmetry only the component of z along b matters.
-            g, rest2 = _axis_and_rest(rng, size, n, snr)
+            g, rest2 = _axis_and_rest(rng, size, n, spec.snr)
             return int(((k * math.sqrt(n) + g) ** 2 + rest2 > radius2).sum())
 
     elif dither == "voronoi":
+        if lattice is None:
+            raise ValueError("voronoi dither requires a lattice")
         lat = normalized_lattice(lattice)
 
         def exits(rng, size):
             b = lat.sample_voronoi(size, rng)
-            z = rng.normal(scale=1.0 / math.sqrt(snr), size=(size, n))
+            z = rng.normal(scale=1.0 / math.sqrt(spec.snr), size=(size, n))
             return int((((k * b + z) ** 2).sum(axis=1) > radius2).sum())
 
     else:

@@ -288,6 +288,20 @@ def test_simulate_deterministic_output(tmp_path, capsys):
     assert rec["ci95"][0] <= rec["pe"] <= rec["ci95"][1]
 
 
+def test_simulate_with_every_optional_field_defaulted_is_pinned(tmp_path, capsys):
+    # Ensemble, decoder, trials, seed, d_min and alpha all come from SimConfig.
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"n": 8, "snr": 2.0, "rate_nats": 0.42}))
+    code, out, _ = _run(capsys, "simulate", str(cfg))
+    assert code == 0
+    assert out == (
+        '{"ci95": [0.13854505099822728, 0.15246214709311612], '
+        '"config": {"n": 8, "rate_nats": 0.42, "snr": 2.0}, '
+        '"empirical_exponent": 0.24103333923533976, "errors": 1454, "pe": 0.1454, '
+        '"trials": 10000}\n'
+    )
+
+
 def test_simulate_rejects_unknown_field(tmp_path, capsys):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({"n": 8, "snr": 2.0, "rate_nats": 0.42, "bogus": 1}))
@@ -420,6 +434,13 @@ def test_validate_fast_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "PASS" in out
+
+
+def test_validate_full_passes(capsys):
+    code, out, _ = _run(capsys, "validate", "full")
+    assert code == 0
+    assert "FAIL" not in out
+    assert len([line for line in out.splitlines() if line.startswith("PASS: ")]) == 11
 
 
 def test_exponents_failure_keeps_existing_out_file(tmp_path, capsys, monkeypatch):

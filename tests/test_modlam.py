@@ -127,7 +127,7 @@ def _grid_scan_l_star(d_omega, scaling, spec, r):
     d_lat = d_omega * (1.0 + k_a)
 
     def value(l):
-        beta, _ = modlam.beta_star_lattice(r, d_lat, l, scaling, spec)
+        beta = modlam.beta_star_lattice(r, d_lat, l, scaling, spec)
         return modlam.union_bound_exponent_lattice(r, k_a, l, d_lat, beta, 0.0, spec)
 
     return min(roots, key=value)

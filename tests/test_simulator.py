@@ -689,6 +689,11 @@ def test_effective_noise_ball_voronoi_close_to_spherical():
     assert abs(a["empirical"] - b["empirical"]) < slack + 0.05
 
 
+def test_effective_noise_ball_voronoi_requires_a_lattice():
+    with pytest.raises(ValueError, match="lattice"):
+        sim.effective_noise_ball(8, SNR10, 1.0, "voronoi", 100, 5)
+
+
 def test_spherical_spectrum_basics():
     hist, edges, d = sim.empirical_spectrum(sim.SPHERICAL, 16, 40, 50_000, 9)
     assert hist.sum() == 50_000
