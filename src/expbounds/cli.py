@@ -324,7 +324,7 @@ def _fast_checks():
         (
             "tangent scaling at capacity is the MMSE ratio",
             lambda: abs(
-                regions.tangent_sphere_scaling(awgn.theta_of_rate(spec.capacity_nats), spec)[1]
+                regions.tangent_sphere_scaling(awgn.theta_of_rate(spec.capacity_nats), spec)
                 - spec.snr / (1.0 + spec.snr)
             ),
             1e-12,

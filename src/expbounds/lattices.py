@@ -53,11 +53,35 @@ def _round_half_away(x):
 
 
 def _row_sum(a):
-    """Per-column sum of the n coordinate rows of `a`, in numpy's order for a
-    row of n (pairwise for n = 8), so sums keep the bits of `x.sum(axis=1)`."""
-    if len(a) == 8:
-        return ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
-    return a.sum(axis=0)
+    """Sum of the n coordinate rows of `a` (over its first axis), in numpy's
+    pairwise order for a row of n, so the sums keep the bits of
+    `x.sum(axis=-1)` for x = `a` with its first axis moved last.
+
+    numpy adds a row of n < 8 one term at a time from +0.0, of n <= 128 in
+    eight interleaved accumulators, and of more as the sum of two halves
+    whose split is a multiple of 8; the total is added to +0.0.
+    """
+    n = len(a)
+    if n < 8:
+        s = a[0] + 0.0
+        for k in range(1, n):
+            s += a[k]
+        return s
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        s = _row_sum(a[:half])
+        s += _row_sum(a[half:])
+        return s
+    r = a[:8]
+    if n >= 16:
+        r = r.copy()
+        for i in range(8, n - n % 8, 8):
+            r += a[i : i + 8]
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for k in range(n - n % 8, n):
+        s += a[k]
+    s += 0.0  # an all -0.0 sum is +0.0, as in numpy
+    return s
 
 
 def _decode_dn(t):

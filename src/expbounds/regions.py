@@ -169,22 +169,17 @@ def smallest_valid_region(R, spec: ChannelSpec, beta_grid):
     return profile
 
 
-def tangent_sphere_scaling(theta: float, spec: ChannelSpec):
-    """Scaling that turns the cone into a tangent sphere.
+def tangent_sphere_scaling(theta: float, spec: ChannelSpec) -> float:
+    """Scaling alpha* that turns the cone into a tangent sphere.
 
-    Returns (alpha_of_beta, alpha_star, radius): alpha_s(beta) =
-    cos^2(theta)/(1+beta); alpha* evaluates it at beta*(theta), with
-    1/alpha* = (1 + sqrt(1 + 4/(SNR cos^2 theta)))/2; radius = sin(theta)/alpha*.
+    alpha* = alpha_s(beta*(theta)) with alpha_s(beta) = cos^2(theta)/(1+beta),
+    so 1/alpha* = (1 + sqrt(1 + 4/(SNR cos^2 theta)))/2.  The tangent sphere
+    has radius sin(theta)/alpha*.
     """
     if not 0.0 < theta < math.pi / 2.0:
         raise ValueError("theta must be in (0, pi/2)")
     c2 = math.cos(theta) ** 2
-
-    def alpha_of_beta(beta):
-        return c2 / (1.0 + beta)
-
-    alpha_star = 1.0 / (0.5 * (1.0 + math.sqrt(1.0 + 4.0 / (spec.snr * c2))))
-    return alpha_of_beta, alpha_star, math.sin(theta) / alpha_star
+    return 1.0 / (0.5 * (1.0 + math.sqrt(1.0 + 4.0 / (spec.snr * c2))))
 
 
 def theta_zeta(K: float, spec: ChannelSpec) -> float:
@@ -234,7 +229,7 @@ def event_alpha(d: float, R: float, spec: ChannelSpec) -> float:
     K = 1/((1 - d^2/4) SNR).  Continuous at R_crit, where d = d_crit.
     """
     if R >= critical_rate(spec):
-        return tangent_sphere_scaling(theta_of_rate(R), spec)[1]
+        return tangent_sphere_scaling(theta_of_rate(R), spec)
     k_alpha = 1.0 / ((1.0 - d * d / 4.0) * spec.snr)
     return 1.0 / (1.0 + k_alpha)
 
@@ -276,5 +271,5 @@ def typical_event(R: float, floor: float, spec: ChannelSpec) -> TypicalEvent:
 
 def alpha_awgn_r(R: float, spec: ChannelSpec) -> float:
     """Scaling achieving the random-coding exponent: alpha*_s at max(R, R_crit)."""
-    return tangent_sphere_scaling(theta_of_rate(max(R, critical_rate(spec))), spec)[1]
+    return tangent_sphere_scaling(theta_of_rate(max(R, critical_rate(spec))), spec)
 

@@ -32,7 +32,20 @@ variance.  n = 1 is the discrete case: the "sphere" is {-1, +1}, a rival
 equals the sent word with probability 1/2 and that tie counts as an error.
 The expurgated ensemble has dependent codewords, so it still builds its
 codebooks (all of a block at once) and decodes by the largest inner
-product, which does not cancel to ties at huge noise as distances do.
+product, which does not cancel to ties at huge noise as distances do.  The
+books are held coordinate-major, as (slot, coordinate, book), the layout of
+the `lattices` decoders, so each round of candidates is normalized, screened
+against the earlier codewords and decoded by numpy operations on whole rows
+of books rather than on axes of length n.  Norms and the decode's inner
+products are summed in numpy's pairwise order (`lattices._row_sum`), so
+codewords and decisions keep the bits of a row-major build; the screen adds
+its inner products one coordinate at a time, which can differ from a matrix
+product only for a candidate within a few ulps of the floor.  At n = 8,
+M = 9, d_min = 0.6 a trial costs about 3 us against 5 us row-major (2-vCPU
+Xeon), and the 85 normal variates it draws take about half of that: the
+draws are the floor.  Once its books pass about 1 MB, a block's memory peak
+is about 0.5-0.7 of the 2 min(trials, BLOCK) M n 8 bytes that `SimConfig`
+budgets for it.
 
 The lattice-coset ensemble is simulated without coset leaders (Erez & Zamir
 2004, "Achieving 1/2 log(1+SNR) on the AWGN channel with lattice encoding and
@@ -45,7 +58,8 @@ dist(z_eff + v_sent - v_i, Lambda).  The leaders are independent and uniform
 over R^n/Lambda, so for every i != sent the offset (v_sent - v_i) mod Lambda
 is uniform too, independent across i and of z_eff: each rival distance is
 ||U_i||^2 with U_i iid uniform over the Voronoi region.  A trial draws x and
-z; one closest-point call on z_eff gives the sent coset's distance
+z (at alpha = 1, z_eff = z, and x's variates are drawn but never reduced);
+one closest-point call on z_eff gives the sent coset's distance
 t = ||z_eff mod Lambda||^2 and whether z_eff left the Voronoi region.
 Closest-coset decoding errs iff some rival has ||U_i||^2 <= t, which has
 probability 1 - (1 - F(t))^(M-1) with F the Voronoi-norm CDF.  For Z^n, D4
@@ -69,7 +83,7 @@ from scipy import special
 
 from .awgn import sphere_packing_exponent, tail_exponents, theta_of_rate
 from .channel import ChannelSpec
-from .lattices import MEMORY_BUDGET_BYTES, Lattice, lattice_figures, voronoi_shell
+from .lattices import MEMORY_BUDGET_BYTES, Lattice, _row_sum, lattice_figures, voronoi_shell
 from .regions import joint_tail_exponent, tangent_sphere_scaling
 
 BLOCK = 4096
@@ -163,7 +177,9 @@ class SimConfig:
                 % (self.d_min, self.n + 1, m)
             )
         if self.ensemble == SPHERICAL_EXPURGATED:
-            # A block holds its codebooks and about as much again while expurgating.
+            # A block holds its codebooks, and less than as much again while it
+            # expurgates and decodes once they pass about 1 MB (the module
+            # docstring; `tests/test_expurgation.py` traces the peak).
             need = 2 * min(self.trials, BLOCK) * m * self.n * 8
             if need > MEMORY_BUDGET_BYTES:
                 raise ValueError(
@@ -233,11 +249,50 @@ def _result(errors, trials, n):
     )
 
 
-def _sphere_points(rng, shape, n):
-    c = rng.normal(size=(*shape, n))
-    c /= np.linalg.norm(c, axis=-1, keepdims=True)  # exactly +-1 when n = 1
-    c *= math.sqrt(n)
-    return c
+def _on_sphere(rng, shape, n, out=None):
+    """Uniform points of norm sqrt(n), drawn as `shape` rows, coordinate-major.
+
+    The normal draws fill an array of shape (*shape, n) in row-major order;
+    the result, in `out` if given, is (n, *shape), one contiguous row a
+    coordinate, with the bits of `draw / ||draw|| * sqrt(n)` taken row by
+    row (`_row_sum` keeps numpy's order; exactly +-1 when n = 1).
+    """
+    if out is None:
+        out = np.empty((n, *shape))
+    out[...] = np.moveaxis(rng.standard_normal((*shape, n)), -1, 0)
+    out /= np.sqrt(_row_sum(out * out))
+    out *= math.sqrt(n)
+    return out
+
+
+# Bytes of inner products the expurgation kernel holds at once: the screen
+# takes the earlier codewords, and the decode the books, in chunks of at
+# most this many products, so neither holds a full (M, count) array.
+_CHUNK_BYTES = 1 << 18
+
+
+def _largest_ip(earlier, cand, todo=None):
+    """Each candidate's largest inner product with the codewords `earlier`.
+
+    `earlier` is (k, n, count).  `cand` is (n, count), one candidate a book,
+    or with `todo`, (n, todo.size, per): `per` candidates for each book in
+    `todo`.  For a chunk of codewords at a time (gathered for `todo`), the
+    products are added one coordinate at a time into a (chunk, ...) array,
+    and its maximum over the chunk joins the running maximum.
+    """
+    step = max(1, _CHUNK_BYTES // (8 * cand[0].size))
+    best = None
+    for j in range(0, len(earlier), step):
+        part = earlier[j : j + step]
+        if todo is not None:
+            part = part[:, :, todo, None]
+        ips = part[:, 0] * cand[0]
+        term = np.empty_like(ips)
+        for c in range(1, len(cand)):
+            ips += np.multiply(part[:, c], cand[c], out=term)
+        top = ips.max(axis=0)
+        best = top if best is None else np.maximum(best, top, out=best)
+    return best
 
 
 # Candidates drawn per round while expurgating: a few pending codebooks draw
@@ -253,10 +308,11 @@ def _expurgated_codebooks(rng, count, m, n, d_min):
     books still pending draw again; each candidate is accepted or rejected
     exactly as in one-at-a-time sequential rejection, so each codebook has that
     law.  A book that needs more than 10 000 M draws in all raises
-    RuntimeError.
+    RuntimeError.  The books are held coordinate-major, as (slot, coordinate,
+    book), and returned as a (count, M, n) view of that array.
     """
-    books = np.empty((count, m, n))
-    books[:, 0] = _sphere_points(rng, (count,), n)
+    books = np.empty((m, n, count))
+    _on_sphere(rng, (count,), n, out=books[0])
     # Equal norms: |a - b|^2 >= d_min^2 n  iff  <a, b> <= n (1 - d_min^2 / 2).
     ip_max = n * (1.0 - 0.5 * d_min * d_min)
     attempts = np.ones(count, dtype=np.int64)
@@ -264,17 +320,26 @@ def _expurgated_codebooks(rng, count, m, n, d_min):
         todo = np.arange(count)
         while todo.size:
             per = max(1, _CANDIDATES // todo.size)
-            cand = _sphere_points(rng, (todo.size, per), n)
-            ips = cand @ books[todo, :k].transpose(0, 2, 1)
-            ok = (ips <= ip_max).all(axis=2)
-            hit = ok.any(axis=1)
-            first = ok.argmax(axis=1)  # the first candidate in draw order that clears
-            attempts[todo] += np.where(hit, first + 1, per)
-            if (attempts[todo] > 10_000 * m).any():
+            if todo.size == count and per == 1:
+                # Every book draws one candidate: draw them all into the slot,
+                # and let the books that reject theirs overwrite it below.
+                _on_sphere(rng, (count,), n, out=books[k])
+                ok = _largest_ip(books[:k], books[k]) <= ip_max
+                attempts += 1
+                todo = np.flatnonzero(~ok)
+            else:
+                cand = _on_sphere(rng, (todo.size, per), n)
+                ok = _largest_ip(books[:k], cand, todo) <= ip_max
+                hit = ok.any(axis=1)
+                first = ok.argmax(axis=1)  # the first candidate in draw order that clears
+                attempts[todo] += np.where(hit, first + 1, per)
+                books[k][:, todo[hit]] = cand[:, hit, first[hit]]
+                todo = todo[~hit]
+            # Only this round's books drew, and every other book was checked
+            # when it last drew.
+            if attempts.max() > 10_000 * m:
                 raise RuntimeError("expurgation cannot reach %d codewords" % m)
-            books[todo[hit], k] = cand[hit, first[hit]]
-            todo = todo[~hit]
-    return books
+    return books.transpose(2, 0, 1)
 
 
 # Knots of the cap table: s = k / (2 CAP_KNOTS), k = 0..CAP_KNOTS, cover
@@ -365,15 +430,25 @@ def _expurgated_errors(config, rng, count):
     sd = math.sqrt(config.noise_variance)
     books = _expurgated_codebooks(rng, count, m, n, config.d_min)
     sent = rng.integers(m, size=count)
+    slots = books.transpose(1, 2, 0)  # (slot, coordinate, book), contiguous
+    y = rng.normal(scale=sd, size=(count, n)).T
     rows = np.arange(count)
-    y = books[rows, sent] + rng.normal(scale=sd, size=(count, n))
+    for c in range(n):
+        y[c] += slots[sent, c, rows]
     # Equal norms: ML picks the largest inner product.  Distances would cancel
     # to ties once ||y||^2 dwarfs the codeword terms, and overflow near 1e308.
-    ips = (books * y[:, None, :]).sum(axis=2)
-    ip_sent = ips[rows, sent]
-    ips[rows, sent] = -np.inf
-    # Pessimistic tie rule: a rival at an equal inner product counts as an error.
-    return int((ips.max(axis=1) >= ip_sent).sum())
+    # Each inner product keeps the bits of a row sum over the n coordinates.
+    width = max(1, _CHUNK_BYTES // (8 * m * n))
+    errors = 0
+    for start in range(0, count, width):
+        cols = slice(start, start + width)
+        ips = _row_sum((slots[:, :, cols] * y[:, cols]).transpose(1, 0, 2))
+        own = sent[cols], rows[: ips.shape[1]]
+        ip_sent = ips[own]
+        ips[own] = -np.inf
+        # Pessimistic tie rule: a rival at an equal inner product counts as an error.
+        errors += int((ips.max(axis=0) >= ip_sent).sum())
+    return errors
 
 
 def _rivals_lost(lattice, shell, rng, d2_sent, m):
@@ -414,9 +489,14 @@ def _simulate_lattice_block(config, rng, count, lattice):
     also errs when z_eff leaves the Voronoi region of the correct point.
     """
     n, m, alpha = config.n, config.codebook_size, config.alpha
-    x = lattice.sample_voronoi(count, rng)
-    z = rng.normal(scale=math.sqrt(config.noise_variance), size=(count, n))
-    z_eff = alpha * z - (1.0 - alpha) * x  # exactly z at alpha = 1
+    if alpha == 1.0:
+        # z_eff is z: x's variates are drawn, to keep the stream in step, but never reduced.
+        rng.random((count, n))
+        z_eff = rng.normal(scale=math.sqrt(config.noise_variance), size=(count, n))
+    else:
+        x = lattice.sample_voronoi(count, rng)
+        z = rng.normal(scale=math.sqrt(config.noise_variance), size=(count, n))
+        z_eff = alpha * z - (1.0 - alpha) * x
     near = lattice.nearest(z_eff)
     d2_sent = ((z_eff - near) ** 2).sum(axis=1)
     # Pessimistic tie rule: a rival at equal distance counts as an error.
@@ -532,7 +612,7 @@ def effective_noise_ball(n, spec: ChannelSpec, R, dither, trials, seed, lattice=
     Convergence to E_sp at a fixed n is not promised.
     """
     theta = theta_of_rate(R)
-    _, alpha, _ = tangent_sphere_scaling(theta, spec)
+    alpha = tangent_sphere_scaling(theta, spec)
     k = (1.0 - alpha) / alpha
     radius2 = n * (math.sin(theta) / alpha) ** 2
     if dither == "spherical":

@@ -100,7 +100,7 @@ def test_criterion_03_rho_and_scaling_endpoints():
         if abs(awgn.rho_g(awgn.critical_rate(spec), spec) - 1.0) > 1e-9:
             failures.append("rho(R_crit) snr=%g" % snr)
         theta_c = awgn.theta_of_rate(spec.capacity_nats)
-        _, alpha, _ = regions.tangent_sphere_scaling(theta_c, spec)
+        alpha = regions.tangent_sphere_scaling(theta_c, spec)
         if abs(alpha - snr / (1.0 + snr)) > 1e-12:
             failures.append("alpha*(theta(C)) snr=%g" % snr)
     _line(3, not failures, "; ".join(failures))
@@ -262,7 +262,7 @@ def test_criterion_08_monte_carlo_suite():
     # (b2) the exact exponent falls strictly towards E_sp with the
     # P_n ~ n^{-1/2} e^{-n E_sp} gap: 0 < e_n - E_sp <= ln(n)/n.
     theta = awgn.theta_of_rate(r_target)
-    _, alpha, _ = regions.tangent_sphere_scaling(theta, spec)
+    alpha = regions.tangent_sphere_scaling(theta, spec)
     k = (1.0 - alpha) / alpha
     e_sp = awgn.sphere_packing_exponent(r_target, spec).value
     exact = []

@@ -6,13 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from expbounds.lattices import (
     CVP_ROWS,
     Lattice,
     MAX_DIMENSION,
     _closest_coords,
+    _row_sum,
     d4,
     e8,
     integer_lattice,
@@ -26,6 +27,32 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 # The benchmark's D4 basis in a non-standard form: the standard rows times a
 # unimodular matrix, so no fast rule recognises it.
 D4_UNIMODULAR = np.array([[1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 1, 0], [1, 0, 1, 1]])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 300),
+    st.integers(1, 5000),
+    st.integers(0, 300),
+    st.integers(0, 2 ** 32 - 1),
+)
+@example(7, 3, 0, 0)
+@example(8, 3, 0, 0)
+@example(128, 5000, 30, 1)
+@example(129, 17, 300, 2)
+@example(300, 1, 300, 3)
+def test_row_sum_keeps_numpy_sum_bits(n, rows, spread, seed):
+    # Every branch of numpy's pairwise order: sequential below 8 terms,
+    # eight accumulators up to 128, halves above.  Mixed signs, magnitudes
+    # 10^-spread .. 10^spread, and zeros of both signs.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-spread, spread + 1, (rows, n))
+    x[rng.random((rows, n)) < 0.05] = 0.0
+    x[rng.random((rows, n)) < 0.05] = -0.0
+    x[rng.random(rows) < 0.1] = -0.0
+    want = x.sum(axis=-1).tobytes()
+    assert _row_sum(np.ascontiguousarray(x.T)).tobytes() == want
+    assert _row_sum(x.T).tobytes() == want
 
 
 def _dfs_cvp(R, t, seed_u, seed_d2):

@@ -32,7 +32,7 @@ def test_mmse_alpha():
 def _matched_geometry(r_rate):
     """Scaled-lattice parameters that mirror the cone geometry at rate r_rate."""
     theta = awgn.theta_of_rate(r_rate)
-    _, alpha, _ = regions.tangent_sphere_scaling(theta, SNR10)
+    alpha = regions.tangent_sphere_scaling(theta, SNR10)
     scaling = modlam.ScalingSpec(alpha)
     return (
         theta,

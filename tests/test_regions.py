@@ -127,11 +127,11 @@ def test_k_zeta_at_low_snr():
 
 def test_tangent_sphere_scaling_identities():
     theta_c = awgn.theta_of_rate(awgn.capacity(SNR10))
-    _, alpha, _ = regions.tangent_sphere_scaling(theta_c, SNR10)
+    alpha = regions.tangent_sphere_scaling(theta_c, SNR10)
     assert abs(alpha - SNR10.snr / (1.0 + SNR10.snr)) < 1e-12
     # Generic angle: closed form 1/alpha = (1 + sqrt(1 + 4/(snr cos^2)))/2.
     theta = 0.5
-    _, alpha, _ = regions.tangent_sphere_scaling(theta, SNR10)
+    alpha = regions.tangent_sphere_scaling(theta, SNR10)
     want = 1.0 / (0.5 * (1.0 + math.sqrt(1.0 + 4.0 / (SNR10.snr * math.cos(theta) ** 2))))
     assert abs(alpha - want) < 1e-14
 
