@@ -40,16 +40,17 @@ SINGULAR_RTOL = 1e-15
 MEMORY_BUDGET_BYTES = 1 << 30
 
 
-def _round_half_away(x):
+def _round_half_away(t, out):
     # Ties broken away from zero; any consistent tie-break is a valid CVP answer.
-    f = x + 0.5
-    return np.floor(f, out=f)
+    np.add(t, 0.5, out=out)
+    return np.floor(out, out=out)
 
 
 # The fast rules below are coordinate-major: they decode a block t of shape
-# (n, rows), one coordinate a row, and return the lattice points in the same
-# layout.  No boolean-mask gather or scatter runs, so every temporary is one
-# small block.
+# (n, rows), one coordinate a row, into blocks of that shape that the caller
+# allocates once for all its blocks, and return a view of one of them.  No
+# boolean-mask gather or scatter runs, and no block allocates more than a
+# few (rows,) arrays.
 
 
 def _row_sum(a):
@@ -84,43 +85,61 @@ def _row_sum(a):
     return s
 
 
-def _decode_dn(t):
-    """Nearest point of D_n = {k in Z^n : sum(k) even} for each column of t.
+def _decode_dn(t, f, err, mag, first):
+    """Nearest point of D_n = {k in Z^n : sum(k) even} for each column of t, into f.
 
     Round every coordinate; where the sum is odd, move the coordinate that
     rounded worst one step the other way (Conway & Sloane, SPLAG ch. 20).
+    `err`, `mag` and the int8 `first` are scratch blocks of t's shape.
     """
-    f = _round_half_away(t)
-    err = t - f
-    mag = np.abs(err)
-    top = mag.max(axis=0)
-    # The first coordinate at the largest error, the one np.argmax picks.
-    idx = np.full(t.shape[1], len(t) - 1)
-    for k in range(len(t) - 2, -1, -1):
-        idx = np.where(mag[k] == top, k, idx)
-    flat = idx * t.shape[1] + np.arange(t.shape[1])
+    n, cols = t.shape
+    _round_half_away(t, f)
+    np.subtract(t, f, out=err)
+    np.abs(err, out=mag)
+    # The first coordinate at the largest error, the one np.argmax picks:
+    # the largest weight n - k among the coordinates k at the top.
+    top = np.equal(mag, mag.max(axis=0), out=first.view(bool))
+    np.multiply(top, np.arange(n, 0, -1, dtype=np.int8)[:, None], out=first)
+    flat = (n - first.max(axis=0).astype(np.intp)) * cols + np.arange(cols)
     step = np.where(err.reshape(-1)[flat] >= 0.0, 1.0, -1.0)
+    # The sums are integers, odd where half of one is not.  A sum that
+    # overflows counts as even, so the point stays finite: every float that
+    # large is an even integer.
+    half = _row_sum(f) * 0.5
+    step *= np.floor(half) < half
     # Even columns get a step of +-0, which leaves f alone: f = floor(t + 0.5)
     # is never -0.
-    f.reshape(-1)[flat] += step * (_row_sum(f) % 2)
+    f.reshape(-1)[flat] += step
     return f
 
 
-def _decode_e8(t):
-    """Nearest point of E8 = D8 union (D8 + 1/2), via the two-coset rule."""
-    y0 = _decode_dn(t)
-    y1 = _decode_dn(t - 0.5) + 0.5
-    d0 = _row_sum((t - y0) ** 2)
-    d1 = _row_sum((t - y1) ** 2)
-    return np.where(d0 <= d1, y0, y1)
+def _decode_e8(t, y0, y1, t1, err, mag, first):
+    """Nearest point of E8 = D8 union (D8 + 1/2), via the two-coset rule, into y0."""
+    _decode_dn(t, y0, err, mag, first)
+    _decode_dn(np.subtract(t, 0.5, out=t1), y1, err, mag, first)
+    y1 += 0.5
+    d0 = _row_sum(np.square(np.subtract(t, y0, out=err), out=err))
+    d1 = _row_sum(np.square(np.subtract(t, y1, out=err), out=err))
+    np.copyto(y0, y1, where=d0 > d1)
+    return y0
 
 
-# Each fast decoder's rule, and its unit-scale Voronoi data at dimension n (`voronoi_shell`).
+# Each fast decoder's rule, the dtypes of the scratch blocks it takes after
+# t, and its unit-scale Voronoi data at dimension n (`voronoi_shell`).  Z^n
+# rounds t in place.
+_DN_SCRATCH = (float, float, float, np.int8)
 _FAST_DECODERS = {
-    "Zn": (_round_half_away, lambda n: (1.0, 1.0 / 12.0, 1.0, 2 * n, 0.5 if n > 1 else math.inf)),
-    "D4": (_decode_dn, lambda n: (2.0, 13.0 / 120.0, 2.0, 24, 2.0 / 3.0)),
-    "E8": (_decode_e8, lambda n: (1.0, 929.0 / 12960.0, 2.0, 240, 2.0 / 3.0)),
+    "Zn": (lambda t: _round_half_away(t, t), (),
+           lambda n: (1.0, 1.0 / 12.0, 1.0, 2 * n, 0.5 if n > 1 else math.inf)),
+    "D4": (_decode_dn, _DN_SCRATCH, lambda n: (2.0, 13.0 / 120.0, 2.0, 24, 2.0 / 3.0)),
+    "E8": (_decode_e8, (float, float) + _DN_SCRATCH,
+           lambda n: (1.0, 929.0 / 12960.0, 2.0, 240, 2.0 / 3.0)),
 }
+
+
+def _require_finite(block):
+    if not np.isfinite(block).all():
+        raise ValueError("closest-point queries must be finite")
 
 
 def _lll(basis):
@@ -277,15 +296,12 @@ class Lattice:
         """
         if self.decoder not in _FAST_DECODERS:
             return self.nearest_enumerated(points, residual=residual, out=out)
-        fast, _ = _FAST_DECODERS[self.decoder]
-        scale = self.scale
 
-        def decode(block):
-            t = block.T.copy()
-            t /= scale
-            return (fast(t) * scale).T
+        def decoder(cols):
+            decode = self._fast_decoder(cols)
+            return lambda block: decode(block)[1].T
 
-        return self._blocks(points, decode, residual, out)
+        return self._blocks(points, decoder, residual, out)
 
     def nearest_enumerated(self, points, *, residual=False, out=None):
         """Exact closest lattice points by enumeration, for any basis.
@@ -297,13 +313,34 @@ class Lattice:
         """
         unimodular, q, r = _cvp_frame(self.basis.tobytes(), self.n)
 
+        def decoder(cols):
+            return lambda block: (_closest_coords(r, block @ q) @ unimodular) @ self.basis
+
+        return self._blocks(points, decoder, residual, out)
+
+    def _fast_decoder(self, cols):
+        """decode(block) -> (x, f) for blocks of at most `cols` query rows.
+
+        x is the block and f its closest lattice points, both coordinate-major
+        (n, rows) views of blocks allocated here, once: every call reuses
+        them, so a view holds only until the next call.  Each is a flat
+        buffer, so that a short last block views it as a contiguous array too.
+        """
+        rule, scratch, _ = _FAST_DECODERS[self.decoder]
+        n, scale = self.n, self.scale
+        work = [np.empty(n * cols, dtype) for dtype in (float, float) + scratch]
+
         def decode(block):
-            return (_closest_coords(r, block @ q) @ unimodular) @ self.basis
+            x, t, *w = (b[: block.size].reshape(n, len(block)) for b in work)
+            np.copyto(x, block.T)
+            f = rule(np.divide(x, scale, out=t), *w)
+            f *= scale
+            return x, f
 
-        return self._blocks(points, decode, residual, out)
+        return decode
 
-    def _blocks(self, points, decode, residual, out):
-        """Run `decode` over the rows of `points` CVP_ROWS at a time.
+    def _blocks(self, points, decoder, residual, out):
+        """Run decoder(min(N, CVP_ROWS)) over the rows of `points` CVP_ROWS at a time.
 
         Every decoder's memory is a few (CVP_ROWS, n) blocks, whatever the
         batch; a residual is taken inside the block, so no full-size array of
@@ -314,11 +351,11 @@ class Lattice:
             raise ValueError("closest-point queries must be rows of %d coordinates" % self.n)
         if out is None:
             out = np.empty_like(pts)
+        decode = decoder(min(len(pts), CVP_ROWS))
         for start in range(0, len(pts), CVP_ROWS):
             rows = slice(start, start + CVP_ROWS)
             block = pts[rows]
-            if not np.isfinite(block).all():
-                raise ValueError("closest-point queries must be finite")
+            _require_finite(block)
             if residual:
                 np.subtract(block, decode(block), out=out[rows])
             else:
@@ -338,6 +375,33 @@ class Lattice:
         """
         u = rng.random((count, self.n)) @ self.basis
         return self.nearest(u, residual=True, out=u)
+
+    def voronoi_norms2(self, count, rng):
+        """Squared norms of `sample_voronoi(count, rng)`, bit for bit, without the samples.
+
+        The samples are drawn from the same stream, reduced and squared
+        CVP_ROWS at a time, so beyond the (count,) result memory is a few
+        (CVP_ROWS, n) blocks.  A fast rule keeps each block coordinate-major
+        from the transpose to the sum (`_row_sum`, numpy's order); any other
+        basis reduces it in place through `nearest_enumerated`.
+        """
+        n = self.n
+        cols = min(count, CVP_ROWS)
+        fast = self.decoder in _FAST_DECODERS
+        decode = self._fast_decoder(cols) if fast else None
+        draw, u = np.empty((cols, n)), np.empty((cols, n))
+        norms2 = np.empty(count)
+        for start in range(0, count, CVP_ROWS):
+            rows = min(CVP_ROWS, count - start)
+            block = np.matmul(rng.random(out=draw[:rows]), self.basis, out=u[:rows])
+            if fast:
+                _require_finite(block)
+                x, f = decode(block)
+                r = np.subtract(x, f, out=f)
+            else:
+                r = self.nearest_enumerated(block, residual=True, out=block).T
+            norms2[start : start + rows] = _row_sum(np.square(r, out=r))
+        return norms2
 
     def covering_radius_bound(self):
         """Guaranteed upper bound on the covering radius (nearest-plane bound).
@@ -456,7 +520,7 @@ def voronoi_shell(lattice):
     if lattice.decoder not in _FAST_DECODERS:
         return None
     n = lattice.n
-    _, unit_data = _FAST_DECODERS[lattice.decoder]
+    *_, unit_data = _FAST_DECODERS[lattice.decoder]
     volume, sigma2, min_norm2, kissing, overlap2 = unit_data(n)
     c2 = lattice.scale * lattice.scale
     return VoronoiShell(
@@ -485,6 +549,12 @@ class LatticeFigures:
 
 # Reduced points probed for the deep-hole estimate of `lattice_figures`.
 _DEEP_HOLE_PROBES = 2_000
+# The working set of `lattice_figures` beyond its 8 bytes a sample, in
+# (CVP_ROWS, n) blocks: the draw, the query and the decoder's state.  The
+# traced peaks are about 4.5 blocks for Z^n, 8.2 for D4 and 9.9 for E8;
+# enumeration takes 10-12 at n >= 4 and 18 at n = 1, where its (rows,)
+# bookkeeping is as large as a block (`tests/test_lattices.py`).
+_FIGURES_BLOCKS = 20
 
 
 def lattice_figures(lattice, samples=200_000, seed=0):
@@ -493,12 +563,12 @@ def lattice_figures(lattice, samples=200_000, seed=0):
     sigma^2 and G come from uniform Voronoi sampling with a reported standard
     error.  r_cov is the guaranteed nearest-plane upper bound; the probing
     value (max distance over random reduced points, a lower estimate of the
-    covering radius) is reported alongside.
+    covering radius) is reported alongside.  Only the samples' squared norms
+    are kept (`Lattice.voronoi_norms2`).
     """
     if samples < 2:
         raise ValueError("samples must be >= 2 for a second moment and its stderr")
-    # The samples, their squares and the deep-hole probes.
-    need = 8 * lattice.n * (2 * samples + _DEEP_HOLE_PROBES)
+    need = 8 * samples + _FIGURES_BLOCKS * CVP_ROWS * lattice.n * 8
     if need > MEMORY_BUDGET_BYTES:
         raise ValueError(
             "%d samples need about %.3g GiB, over the %.3g GiB budget; lower the sample count"
@@ -507,12 +577,15 @@ def lattice_figures(lattice, samples=200_000, seed=0):
     rng = np.random.default_rng(seed)
     n = lattice.n
     v = lattice.volume
-    x = lattice.sample_voronoi(samples, rng)
-    norms2 = (x ** 2).sum(axis=1)
-    sigma2 = norms2.mean() / n
-    stderr = norms2.std(ddof=1) / math.sqrt(samples) / n
-    probe_pts = lattice.sample_voronoi(_DEEP_HOLE_PROBES, rng)
-    probe_max = float(np.sqrt((probe_pts ** 2).sum(axis=1)).max())
+    norms2 = lattice.voronoi_norms2(samples, rng)
+    mean = norms2.mean()
+    sigma2 = mean / n
+    # norms2.std(ddof=1) in numpy's own order, but in place: the deviations
+    # overwrite the norms rather than fill a second (samples,) array.
+    norms2 -= mean
+    np.square(norms2, out=norms2)
+    stderr = math.sqrt(norms2.sum() / (samples - 1)) / math.sqrt(samples) / n
+    probe_max = float(np.sqrt(lattice.voronoi_norms2(_DEEP_HOLE_PROBES, rng)).max())
     return LatticeFigures(
         n=n,
         volume=v,

@@ -43,9 +43,10 @@ its inner products one coordinate at a time, which can differ from a matrix
 product only for a candidate within a few ulps of the floor.  At n = 8,
 M = 9, d_min = 0.6 a trial costs about 3 us against 5 us row-major (2-vCPU
 Xeon), and the 85 normal variates it draws take about half of that: the
-draws are the floor.  Once its books pass about 1 MB, a block's memory peak
-is about 0.5-0.7 of the 2 min(trials, BLOCK) M n 8 bytes that `SimConfig`
-budgets for it.
+draws are the floor.  `SimConfig` budgets min(trials, BLOCK) (2 M n + n + 16)
+8 bytes for a block: its books, as much again for expurgating and decoding,
+and the per-trial bookkeeping.  Once the books pass about 1 MB, a block's
+memory peak is about 0.5-0.7 of that.
 
 The lattice-coset ensemble is simulated without coset leaders (Erez & Zamir
 2004, "Achieving 1/2 log(1+SNR) on the AWGN channel with lattice encoding and
@@ -179,8 +180,10 @@ class SimConfig:
         if self.ensemble == SPHERICAL_EXPURGATED:
             # A block holds its codebooks, and less than as much again while it
             # expurgates and decodes once they pass about 1 MB (the module
-            # docstring; `tests/test_expurgation.py` traces the peak).
-            need = 2 * min(self.trials, BLOCK) * m * self.n * 8
+            # docstring), plus n + 16 floats a trial of bookkeeping: the
+            # noise, counters, indices and the screen's chunk.
+            # `tests/test_expurgation.py` traces the peak.
+            need = min(self.trials, BLOCK) * (2 * m * self.n + self.n + 16) * 8
             if need > MEMORY_BUDGET_BYTES:
                 raise ValueError(
                     "expurgated codebooks need about %.3g GiB, over the %.3g GiB budget;"
@@ -460,7 +463,6 @@ def _rivals_lost(lattice, shell, rng, d2_sent, m):
     when `shell` is None, draw rivals in rounds of at most BLOCK in all,
     until one is at most t away or M-1 have been drawn.
     """
-    n = lattice.n
     lost = np.zeros(d2_sent.size, dtype=bool)
     todo = np.arange(d2_sent.size)
     if shell is not None:
@@ -473,8 +475,8 @@ def _rivals_lost(lattice, shell, rng, d2_sent, m):
     drawn = 0
     while todo.size and drawn < m - 1:
         per = min(m - 1 - drawn, max(1, BLOCK // todo.size))
-        rivals = lattice.sample_voronoi(todo.size * per, rng).reshape(todo.size, per, n)
-        hit = ((rivals ** 2).sum(axis=2) <= d2_sent[todo, None]).any(axis=1)
+        rivals2 = lattice.voronoi_norms2(todo.size * per, rng).reshape(todo.size, per)
+        hit = (rivals2 <= d2_sent[todo, None]).any(axis=1)
         lost[todo[hit]] = True
         todo = todo[~hit]
         drawn += per

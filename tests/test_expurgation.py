@@ -110,12 +110,18 @@ def test_kernel_matches_oracle_at_every_block_split(trials):
     assert sim.simulate(cfg).errors == oracle
 
 
-@pytest.mark.parametrize("n, m", [(4, 16), (8, 9), (8, 64), (16, 64)])
+@pytest.mark.parametrize(
+    "n, m",
+    # The last five have small books, where the per-trial bookkeeping is
+    # most of the block.
+    [(4, 16), (8, 9), (8, 64), (16, 64), (1, 2), (2, 2), (1, 16), (8, 2), (2, 8)],
+)
 def test_block_peak_within_budget_estimate(n, m):
-    # SimConfig refuses a config whose estimate 2 min(trials, BLOCK) M n 8
-    # bytes is over the budget; a block's traced peak must stay below it.
-    cfg = _config(n, m, 0.3, sim.BLOCK, seed=1)
-    estimate = 2 * sim.BLOCK * m * n * 8
+    # SimConfig refuses a config whose estimate min(trials, BLOCK)
+    # (2 M n + n + 16) 8 bytes is over the budget; a block's traced peak must
+    # stay below it.  On the line n = 1 only two points are d_min > 0 apart.
+    cfg = _config(n, m, 0.0 if n == 1 and m > 2 else 0.3, sim.BLOCK, seed=1)
+    estimate = sim.BLOCK * (2 * m * n + n + 16) * 8
     tracemalloc.start()
     try:
         sim.simulate(cfg)
@@ -123,3 +129,12 @@ def test_block_peak_within_budget_estimate(n, m):
     finally:
         tracemalloc.stop()
     assert peak <= estimate, (peak, estimate)
+
+
+def test_budget_counts_per_trial_bookkeeping():
+    # n = 16, M = 1024: books and their working copy are exactly the 1 GiB
+    # budget at BLOCK trials, so the per-trial term tips it over; 4000
+    # trials leave room for it.
+    with pytest.raises(ValueError, match="budget"):
+        _config(16, 1024, 0.3, sim.BLOCK)
+    assert _config(16, 1024, 0.3, 4000).codebook_size == 1024

@@ -1,5 +1,6 @@
 """Lattice layer: exact nearest-point decoding, sampling, figures of merit."""
 
+import dataclasses
 import math
 import os
 import tracemalloc
@@ -11,7 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 from expbounds.lattices import (
     CVP_ROWS,
     Lattice,
+    LatticeFigures,
     MAX_DIMENSION,
+    _DEEP_HOLE_PROBES,
+    _FIGURES_BLOCKS,
     _closest_coords,
     _row_sum,
     d4,
@@ -284,14 +288,41 @@ def test_enumeration_on_unimodular_copies_matches_fast_rule(case):
     _assert_lattice_points(lat, got)
 
 
+def _edge_points(rng, count, n):
+    """Rounding edges: +-(1/2 - 2^-54), which rounds to 1 under floor(t + 1/2),
+    with halves, zeros and ones; subnormals; and coordinates of 2^53 and
+    more, where the coordinate sums that decide parity are no longer exact."""
+    below_half = 0.5 - 2.0 ** -54
+    edges = np.array([below_half, -below_half, 0.5, -0.5, 0.0, -0.0, 1.0, -1.0, 1.5 - 2.0 ** -53])
+    tiny = np.finfo(float).smallest_subnormal
+    big = 2.0 ** 53 * rng.integers(-4, 5, size=(count, n)) + rng.uniform(-3.0, 3.0, size=(count, n))
+    small = rng.random((count, n)) < 0.5
+    big[small] = rng.uniform(-3.0, 3.0, size=int(small.sum()))
+    return (
+        rng.choice(edges, size=(count, n)),
+        tiny * rng.integers(-2 ** 20, 2 ** 20, size=(count, n)),
+        big,
+    )
+
+
+def _overflow_points(rng, count, n):
+    """Coordinates near 1e308, so that t's coordinate sums overflow to +-inf
+    (one sign a row) or to nan (mixed signs, from pairwise sums)."""
+    mag = 1e308 * rng.uniform(0.45, 0.7, size=(count, n))
+    sign = np.where(rng.random((count, 1)) < 0.5, 1.0, -1.0)
+    mixed = rng.random(count) < 0.3
+    sign = np.where(mixed[:, None], np.where(rng.random((count, n)) < 0.5, 1.0, -1.0), sign)
+    return sign * mag
+
+
 @pytest.mark.parametrize("make", [lambda: integer_lattice(4), d4, e8], ids=["Z4", "D4", "E8"])
 @pytest.mark.parametrize("scale", [1.0, 2.5, 1.0 / 3.0])
 @pytest.mark.parametrize("chunk", [CVP_ROWS, 7])
 def test_fast_decoders_bit_identical_to_row_major_oracles(monkeypatch, make, scale, chunk):
     # Empty, single and block-edge batches; random points and points on
     # step * Z^n (ties between closest points, and signed zeros) or on the
-    # E8 coset bisector: every bit of `nearest`, `reduce` and
-    # `sample_voronoi` is the oracle's.
+    # E8 coset bisector, and rounding edges: every bit of `nearest`,
+    # `reduce` and `sample_voronoi` is the oracle's.
     monkeypatch.setattr("expbounds.lattices.CVP_ROWS", chunk)
     lat = make().rescaled(scale)
     rng = np.random.default_rng(14)
@@ -302,13 +333,93 @@ def test_fast_decoders_bit_identical_to_row_major_oracles(monkeypatch, make, sca
             -scale * 0.5 * rng.integers(-8, 9, size=(count, lat.n)),
             scale * 0.25 * rng.integers(-8, 9, size=(count, lat.n)),
             scale * _coset_bisector(rng.uniform(-3.0, 3.0, size=(count, 8)))[:, : lat.n],
+            *(scale * p for p in _edge_points(rng, count, lat.n)),
         ):
             want = _row_major_nearest(lat, pts)
             _assert_same_bits(lat.nearest(pts), want)
             _assert_same_bits(lat.reduce(pts), pts - want)
+        # Near 1e308 every float is an even integer, so each point is its own
+        # closest point; a parity sum that overflows must leave it alone (the
+        # oracle's flip of one step vanishes there too) and never give nan.
+        pts = scale * _overflow_points(rng, count, lat.n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = lat.nearest(pts)
+            _assert_same_bits(got, _row_major_nearest(lat, pts))
+        assert np.isfinite(got).all()
+        assert np.array_equal(got / scale % 2.0, np.zeros_like(got))
         u = np.random.default_rng(count).random((count, lat.n)) @ lat.basis
         got = lat.sample_voronoi(count, np.random.default_rng(count))
         _assert_same_bits(got, u - _row_major_nearest(lat, u))
+
+
+def _whole_lattice_figures(lat, samples, seed):
+    """Oracle: `lattice_figures` on whole arrays, as it was before streaming,
+    with the row-major decoders (or enumeration for a basis file)."""
+    near = lat.nearest_enumerated if lat.decoder == "" else lambda u: _row_major_nearest(lat, u)
+    rng = np.random.default_rng(seed)
+    n, v = lat.n, lat.volume
+    u = rng.random((samples, n)) @ lat.basis
+    x = u - near(u)
+    norms2 = (x ** 2).sum(axis=1)
+    sigma2 = norms2.mean() / n
+    stderr = norms2.std(ddof=1) / math.sqrt(samples) / n
+    u = rng.random((_DEEP_HOLE_PROBES, n)) @ lat.basis
+    probe_pts = u - near(u)
+    return LatticeFigures(
+        n=n, volume=v, second_moment=float(sigma2), second_moment_stderr=float(stderr),
+        nsm=float(sigma2 / v ** (2.0 / n)), r_eff=(v / unit_ball_volume(n)) ** (1.0 / n),
+        r_cov=lat.covering_radius_bound(),
+        deep_hole_probe=float(np.sqrt((probe_pts ** 2).sum(axis=1)).max()),
+    )
+
+
+_FIGURES_LATTICES = [
+    lambda: integer_lattice(8), d4, e8, lambda: e8().rescaled(1.0 / 3.0),
+    lambda: Lattice("d4-file", D4_UNIMODULAR @ d4().basis),
+]
+_FIGURES_IDS = ["Z8", "D4", "E8", "E8-rescaled", "d4-file"]
+
+
+@pytest.mark.parametrize("make", _FIGURES_LATTICES, ids=_FIGURES_IDS)
+@pytest.mark.parametrize("samples", [2, CVP_ROWS - 1, CVP_ROWS, CVP_ROWS + 1, 3 * CVP_ROWS + 7])
+def test_streamed_figures_match_whole_array_oracle(make, samples):
+    # Drawn, reduced and squared a block at a time, every field keeps its bits.
+    lat = make()
+    got = lattice_figures(lat, samples=samples, seed=samples)
+    want = _whole_lattice_figures(lat, samples, samples)
+    for field in dataclasses.fields(LatticeFigures):
+        assert np.float64(getattr(got, field.name)).tobytes() == np.float64(
+            getattr(want, field.name)).tobytes(), field.name
+
+
+def test_voronoi_norms2_are_the_samples_norms():
+    for lat in (e8().rescaled(2.5), d4(), integer_lattice(3), Lattice("d4-file", D4_UNIMODULAR @ d4().basis)):
+        for count in (0, 1, CVP_ROWS + 5):
+            want = (lat.sample_voronoi(count, np.random.default_rng(count)) ** 2).sum(axis=1)
+            _assert_same_bits(lat.voronoi_norms2(count, np.random.default_rng(count)), want)
+
+
+@pytest.mark.parametrize(
+    "make",
+    _FIGURES_LATTICES + [lambda: Lattice("line", np.array([[1.7]]))],
+    ids=_FIGURES_IDS + ["1d-file"],
+)
+@pytest.mark.parametrize("samples", [2, CVP_ROWS - 1, CVP_ROWS + 1, 200_000])
+def test_figures_peak_within_budget_estimate(make, samples):
+    # `lattice_figures` refuses a sample count whose estimate, 8 bytes a
+    # sample and _FIGURES_BLOCKS (CVP_ROWS, n) blocks, is over the budget;
+    # the traced peak must stay below it for every decoder.  Enumeration at
+    # n = 1, whose (rows,) bookkeeping is as large as its blocks, is the most.
+    lat = make()
+    lattice_figures(lat, samples=2)  # the cached CVP frame is built outside the count
+    tracemalloc.start()
+    try:
+        lattice_figures(lat, samples=samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    estimate = 8 * samples + _FIGURES_BLOCKS * CVP_ROWS * lat.n * 8
+    assert peak <= estimate, (peak, estimate)
 
 
 @pytest.mark.parametrize("make, method", [(e8, "nearest"), (d4, "reduce")], ids=["E8-nearest", "D4-reduce"])

@@ -545,14 +545,22 @@ def test_lattice_coset_mmse_scaling_beats_unit_alpha(snr):
 
 
 def _count_decoded_points(monkeypatch):
+    # Closest-point queries, and the Voronoi samples whose norms alone are
+    # drawn (the rivals), each decoded once.
     points = []
     real_nearest = Lattice.nearest
+    real_norms2 = Lattice.voronoi_norms2
 
     def counting_nearest(self, pts, **kwargs):
         points.append(len(pts))
         return real_nearest(self, pts, **kwargs)
 
+    def counting_norms2(self, count, rng):
+        points.append(count)
+        return real_norms2(self, count, rng)
+
     monkeypatch.setattr(Lattice, "nearest", counting_nearest)
+    monkeypatch.setattr(Lattice, "voronoi_norms2", counting_norms2)
     return points
 
 
