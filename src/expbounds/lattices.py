@@ -5,9 +5,13 @@ time, which rejects non-finite queries and takes a reduction's residual
 inside the block, so memory beyond the output is a few (CVP_ROWS, n) arrays
 whatever the batch.  Fast exact decoders are provided for Z^n, D4, and E8
 (the classic rounding rules), run coordinate-major and without masks on each
-transposed block: on a 2-vCPU Xeon D4 costs about 0.12 us a point and E8
-0.33 us (0.23 and 0.71 us for the earlier whole-batch, row-major
-rules).  Any other basis goes through batched exact enumeration
+transposed block, into a few blocks allocated once per call: on a 2-vCPU
+Xeon D4 costs about 0.04 us a point and E8 0.20 us (0.08 and 0.25 us with
+temporaries allocated per block, 0.23 and 0.71 us for the earlier
+whole-batch, row-major rules).  `Lattice.voronoi_norms2` draws, reduces and
+squares Voronoi samples a block at a time and keeps only their squared
+norms, which is all `lattice_figures` and the simulator's rivals read.
+Any other basis goes through batched exact enumeration
 (`Lattice.nearest_enumerated`): the basis is LLL-reduced once and its QR frame
 cached; every query row gets a nearest-plane start, whose distance is the
 search radius, and Schnorr-Euchner enumeration then runs over all rows of a

@@ -393,7 +393,8 @@ def test_streamed_figures_match_whole_array_oracle(make, samples):
 
 
 def test_voronoi_norms2_are_the_samples_norms():
-    for lat in (e8().rescaled(2.5), d4(), integer_lattice(3), Lattice("d4-file", D4_UNIMODULAR @ d4().basis)):
+    file_d4 = Lattice("d4-file", D4_UNIMODULAR @ d4().basis)
+    for lat in (e8().rescaled(2.5), d4(), integer_lattice(3), file_d4):
         for count in (0, 1, CVP_ROWS + 5):
             want = (lat.sample_voronoi(count, np.random.default_rng(count)) ** 2).sum(axis=1)
             _assert_same_bits(lat.voronoi_norms2(count, np.random.default_rng(count)), want)
