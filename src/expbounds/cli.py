@@ -371,6 +371,8 @@ def _fast_checks():
 
 
 def _mc_checks():
+    from scipy import special
+
     from . import simulator
 
     spec = ChannelSpec(10.0)
@@ -397,16 +399,23 @@ def _mc_checks():
 
     checks.append(("repeat run is identical", determinism, 0.5))
 
+    # The cone-leaving event's tails at n = 16, exactly, against their bounds;
+    # the joint law takes ||z_2..n||, which y^2 - x^2 >= 1/SNR keeps bounded.
+    n, snr = 16, spec.snr
+    half = n * snr / 2
+
     def tail_bound():
-        reports = simulator.tail_check_norm(16, spec, [0.5], 200_000, 11)
-        rpt = reports[0]
-        return max(0.0, rpt["empirical"] - rpt["bound"] - 3.0 * rpt["stderr"])
+        r = 0.5
+        exact = special.gammaincc(n / 2, r * r * half)
+        e_h, _ = awgn.tail_exponents(r * r * snr)
+        return max(0.0, exact - math.exp(-n * e_h))
 
     checks.append(("radial tail bound holds", tail_bound, 0.0))
 
     def joint_tail_bound():
-        rpt = simulator.tail_check_joint(16, spec, 0.2, 0.5, 200_000, 11)
-        return max(0.0, rpt["empirical"] - rpt["bound"] - 3.0 * rpt["stderr"])
+        x, y = 0.2, 0.5
+        exact = special.erfc(x * math.sqrt(half)) * special.gammainc((n - 1) / 2, y * y * half)
+        return max(0.0, exact - math.exp(-n * regions.joint_tail_exponent(x, y, snr)))
 
     checks.append(("joint tail bound holds", joint_tail_bound, 0.0))
     return checks

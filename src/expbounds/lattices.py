@@ -305,7 +305,10 @@ class Lattice:
             decode = self._fast_decoder(cols)
             return lambda block: decode(block)[1].T
 
-        return self._blocks(points, decoder, residual, out)
+        # Sums overflow near 1e308 with the points still right (`_decode_dn`);
+        # one errstate a call, as entering one costs about 2 us.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._blocks(points, decoder, residual, out)
 
     def nearest_enumerated(self, points, *, residual=False, out=None):
         """Exact closest lattice points by enumeration, for any basis.

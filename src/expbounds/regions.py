@@ -1,9 +1,9 @@
 """Bounding-region geometry for the AWGN union bound.
 
 Covers the joint tail exponents, the cone union-bound exponent and its
-optimal (beta, d), the valid-region envelope, tangent-sphere scalings, the
-theta_zeta / K_zeta parametrization of the sphere-packing curve, and the
-typical error event that the spherical and coset ensembles share.
+optimal (beta, d), tangent-sphere scalings, the theta_zeta / K_zeta
+parametrization of the sphere-packing curve, and the typical error event that
+the spherical and coset ensembles share.
 
 Angles are radians; theta_D(d) = 2 arcsin(d/2) is the angle subtended at the
 origin by a chord of normalized length d.
@@ -32,10 +32,10 @@ def theta_d_of_chord(d: float) -> float:
 
 
 def joint_tail_exponent(x: float, y: float, tau: float) -> float:
-    """Exponent of P(|z_1| >= sqrt(n) x, ||z_rest|| <= sqrt(n) y), noise var 1/tau.
+    """Exponent of P(|z_1| >= sqrt(n) x, ||z|| <= sqrt(n) y), noise var 1/tau.
 
-    Equals tau x^2/2 when y^2 - x^2 >= 1/tau, else
-    1/2 [tau y^2 - ln(e tau (y^2 - x^2))].
+    Equals tau x^2/2 when y^2 - x^2 >= 1/tau (and bounds ||z_2..n|| <= sqrt(n) y
+    there too), else 1/2 [tau y^2 - ln(e tau (y^2 - x^2))].
     """
     if not (y > x >= 0.0):
         raise ValueError("require y > x >= 0")
@@ -146,29 +146,6 @@ def cone_union_min(theta, R, spec: ChannelSpec):
     return d_opt, b_opt, val
 
 
-def smallest_valid_region(R, spec: ChannelSpec, beta_grid):
-    """Envelope r(beta) of the smallest region matching the cone-exit exponent.
-
-    For each beta, solves E_v(beta^2 SNR) + E_h(r^2 SNR) = E_sp(R) for r.
-    Returns a list aligned with beta_grid; None marks a pinched-off slice
-    (radial exponent alone already exceeds E_sp).
-    """
-    if not critical_rate(spec) < R < spec.capacity_nats:
-        raise ValueError("rate must be between the critical rate and capacity")
-    snr = spec.snr
-    e_sp = sphere_packing_exponent(R, spec).value
-    profile = []
-    for beta in beta_grid:
-        target = e_sp - beta * beta * snr / 2.0
-        if target < 0.0:
-            profile.append(None)
-            continue
-        # E_h(mu) = (mu - 1 - ln mu)/2 is increasing for mu >= 1.
-        mu = bisect_root(lambda m: 0.5 * (m - 1.0 - math.log(m)) - target, 1.0)
-        profile.append(math.sqrt(mu / snr))
-    return profile
-
-
 def tangent_sphere_scaling(theta: float, spec: ChannelSpec) -> float:
     """Scaling alpha* that turns the cone into a tangent sphere.
 
@@ -188,19 +165,6 @@ def theta_zeta(K: float, spec: ChannelSpec) -> float:
     if K < 1.0 / snr:
         raise ValueError("require K >= 1/SNR")
     return math.asin(math.sqrt(1.0 - 1.0 / (K * (1.0 + K) * snr)))
-
-
-def sphere_param(K: float, spec: ChannelSpec) -> float:
-    """Sphere-packing exponent along the K-parametrization.
-
-    Equals E_sp(R(theta_zeta(K))); vanishes at K = 1/SNR (capacity point).
-    """
-    snr = spec.snr
-    if K < 1.0 / snr:
-        raise ValueError("require K >= 1/SNR")
-    return (-1.0 + K * snr - K * math.log(1.0 + 1.0 / K - 1.0 / (K * K * snr))) / (
-        2.0 * K
-    )
 
 
 def z_of_k(K: float, d: float, R: float, spec: ChannelSpec) -> float:

@@ -77,15 +77,13 @@ Memory is O(BLOCK n) for any M.
 import functools
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy import special
 
-from .awgn import sphere_packing_exponent, tail_exponents, theta_of_rate
 from .channel import ChannelSpec
 from .lattices import MEMORY_BUDGET_BYTES, Lattice, _row_sum, lattice_figures, voronoi_shell
-from .regions import joint_tail_exponent, tangent_sphere_scaling
 
 BLOCK = 4096
 MAX_CODEBOOK = 65536
@@ -547,102 +545,6 @@ def simulate(config: SimConfig) -> SimResult:
         draw = functools.partial(draw, lattice=normalized_lattice(config.lattice))
     errors = sum(_per_block(config.trials, config.seed, draw))
     return _result(errors, config.trials, config.n)
-
-
-def _tail_record(hits, trials, n, bound):
-    """A tail check's report: the empirical probability against its bound."""
-    emp = hits / trials
-    return {
-        "empirical": emp,
-        "bound": bound,
-        "log_ratio_per_n": (math.log(emp / bound) / n) if emp > 0 else None,
-        "stderr": math.sqrt(max(emp * (1.0 - emp), 1e-12) / trials),
-    }
-
-
-def _axis_and_rest(rng, size, n, snr):
-    """Noise along one axis, and the squared norm of its other n-1 coordinates."""
-    g = rng.normal(scale=1.0 / math.sqrt(snr), size=size)
-    return g, rng.chisquare(n - 1, size=size) / snr
-
-
-def tail_check_norm(n, spec: ChannelSpec, r_list, trials, seed):
-    """Empirical P(||z|| >= r sqrt(n)) against the radial tail exponent.
-
-    ||z||^2 is chi-square(n)/SNR exactly; each entry reports the empirical
-    probability, the bound exp(-n E_h(r^2 SNR)), and the per-dimension
-    log-ratio.
-    """
-    reports = []
-    for j, r in enumerate(r_list):
-        thresh = r * r * n * spec.snr  # threshold for the chi-square variate
-
-        def above(rng, size):
-            return int((rng.chisquare(n, size=size) >= thresh).sum())
-
-        hits = sum(_per_block(trials, seed, above, stream=j))
-        e_h, _ = tail_exponents(r * r * spec.snr)
-        reports.append({"r": r, **_tail_record(hits, trials, n, math.exp(-n * e_h))})
-    return reports
-
-
-def tail_check_joint(n, spec: ChannelSpec, x, y, trials, seed):
-    """Empirical P(|z_1| >= x sqrt(n), ||z_rest|| <= y sqrt(n)) vs its bound."""
-    if not (y > x >= 0.0):
-        raise ValueError("require y > x >= 0")
-    snr = spec.snr
-
-    def hits(rng, size):
-        z1, rest2 = _axis_and_rest(rng, size, n, snr)
-        return int(((np.abs(z1) >= x * math.sqrt(n)) & (rest2 <= y * y * n)).sum())
-
-    bound = math.exp(-n * joint_tail_exponent(x, y, snr))
-    return _tail_record(sum(_per_block(trials, seed, hits)), trials, n, bound)
-
-
-def effective_noise_ball(n, spec: ChannelSpec, R, dither, trials, seed, lattice=None):
-    """Probability that the scaled self-noise-plus-noise leaves its design ball.
-
-    z_eff = ((1-a)/a) b + z with b either uniform on the power sphere or
-    uniform over a power-matched Voronoi region; the ball radius is
-    sqrt(n) sin(theta(R)) / a with a the tangent-sphere scaling at theta(R).
-    Reports the empirical exponent against the sphere-packing exponent.
-
-    At finite n the exit probability carries a polynomial prefactor, so the
-    reported exponent exceeds E_sp by about (1/2 ln n)/n: for the spherical
-    dither at E_sp = 0.05 and SNR 10 the exact value at n=64 is 0.0832.
-    Convergence to E_sp at a fixed n is not promised.
-    """
-    theta = theta_of_rate(R)
-    alpha = tangent_sphere_scaling(theta, spec)
-    k = (1.0 - alpha) / alpha
-    radius2 = n * (math.sin(theta) / alpha) ** 2
-    if dither == "spherical":
-
-        def exits(rng, size):
-            # By rotational symmetry only the component of z along b matters.
-            g, rest2 = _axis_and_rest(rng, size, n, spec.snr)
-            return int(((k * math.sqrt(n) + g) ** 2 + rest2 > radius2).sum())
-
-    elif dither == "voronoi":
-        if lattice is None:
-            raise ValueError("voronoi dither requires a lattice")
-        lat = normalized_lattice(lattice)
-
-        def exits(rng, size):
-            b = lat.sample_voronoi(size, rng)
-            z = rng.normal(scale=1.0 / math.sqrt(spec.snr), size=(size, n))
-            return int((((k * b + z) ** 2).sum(axis=1) > radius2).sum())
-
-    else:
-        raise ValueError("dither must be 'spherical' or 'voronoi'")
-    res = _result(sum(_per_block(trials, seed, exits)), trials, n)
-    return {
-        "empirical": res.pe,
-        "ci95": res.ci95,
-        "empirical_exponent": res.empirical_exponent,
-        "target_exponent": sphere_packing_exponent(R, spec).value,
-    }
 
 
 def empirical_spectrum(ensemble, n, bins, trials, seed, lattice=None):

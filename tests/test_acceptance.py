@@ -8,6 +8,7 @@ from independent 40-digit evaluations of the closed forms.
 import math
 import time
 
+import mc_oracles as mc
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -233,11 +234,11 @@ def test_criterion_08_monte_carlo_suite():
     dims = (8, 16, 32, 64)
     norm_ratios, joint_ratios = [], []
     for n in dims:
-        rpt = sim.tail_check_norm(n, spec, [0.42], trials, seed=21)[0]
+        rpt = mc.tail_check_norm(n, spec, [0.42], trials, seed=21)[0]
         if rpt["empirical"] > rpt["bound"] + 3.0 * rpt["stderr"]:
             failures.append("(a) norm bound broken at n=%d" % n)
         norm_ratios.append(abs(rpt["log_ratio_per_n"]))
-        rpt = sim.tail_check_joint(n, spec, 0.15, 0.45, trials, seed=22)
+        rpt = mc.tail_check_joint(n, spec, 0.15, 0.45, trials, seed=22)
         if rpt["empirical"] > rpt["bound"] + 3.0 * rpt["stderr"]:
             failures.append("(a) joint bound broken at n=%d" % n)
         joint_ratios.append(abs(rpt["log_ratio_per_n"]))
@@ -252,7 +253,7 @@ def test_criterion_08_monte_carlo_suite():
     r_target = bisect_root(
         lambda r: awgn.sphere_packing_exponent(r, spec).value - 0.05, 0.9, 1.19
     )
-    rpt = sim.effective_noise_ball(64, spec, r_target, "spherical", trials, seed=23)
+    rpt = mc.effective_noise_ball(64, spec, r_target, "spherical", trials, seed=23)
     # (b1) the 1M-trial CI holds the exact P_64 (scipy ncx2 and a 40-digit
     # mpmath Poisson-mixture sum agree on it to 10 digits).
     p_64 = 0.00486223780025

@@ -349,7 +349,7 @@ def test_simulate_over_expurgated_budget_exits_2_at_once(tmp_path, capsys, monke
 
 
 def test_lattice_over_memory_budget_exits_2_in_a_fresh_process(tmp_path):
-    # 10**12 Voronoi samples of E8 would need about 119 TiB: the request is
+    # 10**12 Voronoi samples of E8 would need about 7.3 TiB: the request is
     # refused before anything is drawn, with one line and no traceback.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     out = tmp_path / "figures.json"
@@ -404,6 +404,22 @@ def test_closed_form_requests_load_no_numpy():
         "    assert cli.main(['exponents', '--snr-db', '10', '--grid', '0.1:1.7:20']) == 0\n"
         "    assert cli.main(['validate', 'fast']) == 0\n"
         + _LOADED
+    )
+    assert out.strip() == ""
+
+
+def test_validate_full_and_simulate_load_no_scipy_stats(tmp_path):
+    # `validate full`'s exact tail laws and the simulator need only scipy.special.
+    cfg = tmp_path / "coset.json"
+    cfg.write_text(json.dumps(_COSET))
+    out = _fresh_process(
+        "import contextlib, io, sys\n"
+        "from expbounds import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['validate', 'full']) == 0\n"
+        "    assert cli.main(['simulate', %r]) == 0\n"
+        "print(' '.join(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules))))\n"
+        % str(cfg)
     )
     assert out.strip() == ""
 

@@ -9,6 +9,7 @@ update these values, and it must say so.
 import hashlib
 import math
 
+import mc_oracles as mc
 import numpy as np
 
 from expbounds import simulator as sim
@@ -66,7 +67,7 @@ FROZEN_ERRORS = {
     "permuted d4": 216,
 }
 
-# Hit counts of the tail checks and the effective-noise ball.
+# Hit counts of the tail-check and effective-noise-ball oracles (`mc_oracles`).
 FROZEN_HITS = {
     "norm r=0.4": 299,
     "norm r=0.45": 39,
@@ -94,16 +95,16 @@ def test_simulate_errors_frozen():
 
 def test_tail_and_ball_hits_frozen():
     trials = sim.BLOCK + 1000
-    norm = sim.tail_check_norm(16, SNR10, [0.4, 0.45], trials, 11)
+    norm = mc.tail_check_norm(16, SNR10, [0.4, 0.45], trials, 11)
     got = {
         "norm r=0.4": _hits(norm[0], trials),
         "norm r=0.45": _hits(norm[1], trials),
-        "joint": _hits(sim.tail_check_joint(16, SNR10, 0.2, 0.5, trials, 11), trials),
+        "joint": _hits(mc.tail_check_joint(16, SNR10, 0.2, 0.5, trials, 11), trials),
         "ball spherical": _hits(
-            sim.effective_noise_ball(16, SNR10, 1.0, "spherical", trials, 5), trials
+            mc.effective_noise_ball(16, SNR10, 1.0, "spherical", trials, 5), trials
         ),
         "ball voronoi": _hits(
-            sim.effective_noise_ball(8, SNR10, 1.0, "voronoi", trials, 5, lattice=e8()), trials
+            mc.effective_noise_ball(8, SNR10, 1.0, "voronoi", trials, 5, lattice=e8()), trials
         ),
     }
     assert got == FROZEN_HITS

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -340,10 +341,12 @@ def test_fast_decoders_bit_identical_to_row_major_oracles(monkeypatch, make, sca
             _assert_same_bits(lat.reduce(pts), pts - want)
         # Near 1e308 every float is an even integer, so each point is its own
         # closest point; a parity sum that overflows must leave it alone (the
-        # oracle's flip of one step vanishes there too) and never give nan.
+        # oracle's flip of one step vanishes there too), never give nan, nor warn.
         pts = scale * _overflow_points(rng, count, lat.n)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             got = lat.nearest(pts)
+        with np.errstate(over="ignore", invalid="ignore"):
             _assert_same_bits(got, _row_major_nearest(lat, pts))
         assert np.isfinite(got).all()
         assert np.array_equal(got / scale % 2.0, np.zeros_like(got))

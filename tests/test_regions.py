@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from scipy import special
 
 from expbounds.channel import ChannelSpec
 from expbounds import awgn, regions
@@ -38,6 +39,20 @@ def test_joint_tail_x_zero_trivial():
     # At x=0 the half-space event is sure; the exponent cannot exceed the
     # radial-only branch and the wide-slice branch is 0.
     assert regions.joint_tail_exponent(0.0, 1.0, 10.0) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 64, 1024])
+@pytest.mark.parametrize("snr", [1e-4, 1.0, 10.0, 1e5])
+def test_exact_tails_within_chernoff_bounds(n, snr):
+    # `validate full`'s exact laws never exceed exp(-n E); the joint one only
+    # where y^2 - x^2 >= 1/SNR (`regions.joint_tail_exponent`).
+    sd, half = 1.0 / math.sqrt(snr), n * snr / 2
+    for r in (1.001 * sd, 1.5 * sd, 3.0 * sd, 10.0 * sd):
+        e_h, _ = awgn.tail_exponents(r * r * snr)
+        assert special.gammaincc(n / 2, r * r * half) <= math.exp(-n * e_h), (r, n)
+    for x, y in ((0.0, sd), (0.5 * sd, 2.0 * sd), (2.0 * sd, 3.0 * sd), (sd, 10.0 * sd)):
+        exact = special.erfc(x * math.sqrt(half)) * special.gammainc((n - 1) / 2, y * y * half)
+        assert exact <= math.exp(-n * regions.joint_tail_exponent(x, y, snr)), (x, y, n)
 
 
 def test_cone_cross_section_apex():
@@ -100,7 +115,7 @@ def test_sphere_param_equals_sphere_packing():
         # Invert theta_zeta: K(1+K) = 1/(snr cos^2 theta).
         k = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 / (snr * math.cos(theta) ** 2)))
         assert abs(regions.theta_zeta(k, SNR10) - theta) < 1e-12
-        got = regions.sphere_param(k, SNR10)
+        got = (-1.0 + k * snr - k * math.log(1.0 + 1.0 / k - 1.0 / (k * k * snr))) / (2.0 * k)
         want = awgn.sphere_packing_exponent(r, SNR10).value
         assert abs(got - want) < 1e-10
 
@@ -169,18 +184,3 @@ def test_both_floors_give_one_event_where_their_chords_agree():
                 agreed += 1
                 assert sp == lam, (snr_db, r)
     assert agreed > 19 * 10
-
-
-def test_smallest_valid_region_profile():
-    r = 1.0
-    e_sp = awgn.sphere_packing_exponent(r, SNR10).value
-    snr = SNR10.snr
-    beta_grid = [0.0, 0.05, 1.0]
-    profile = regions.smallest_valid_region(r, SNR10, beta_grid)
-    # Large radial offsets alone exceed the exponent: pinched-off slice.
-    assert profile[-1] is None
-    # Interior slices solve E_v + E_h = E_sp exactly.
-    for beta, radius in zip(beta_grid[:-1], profile[:-1]):
-        mu = radius * radius * snr
-        e_h = 0.5 * (mu - 1.0 - math.log(mu))
-        assert abs(beta * beta * snr / 2.0 + e_h - e_sp) < 1e-9

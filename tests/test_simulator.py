@@ -4,13 +4,14 @@ import functools
 import math
 import tracemalloc
 
+import mc_oracles as mc
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import special, stats
 
 from expbounds.channel import ChannelSpec
-from expbounds import modlam, simulator as sim
+from expbounds import awgn, modlam, regions, simulator as sim
 from expbounds.lattices import Lattice, d4, e8, integer_lattice, voronoi_shell
 
 SNR2 = ChannelSpec(2.0)
@@ -660,46 +661,44 @@ def test_lattice_requires_lattice_and_decoder():
 
 
 def test_tail_check_norm_bound_holds():
-    reports = sim.tail_check_norm(16, SNR10, [0.45, 0.55], 100_000, 11)
+    reports = mc.tail_check_norm(16, SNR10, [0.45, 0.55], 100_000, 11)
     for rpt in reports:
         assert rpt["empirical"] <= rpt["bound"] + 3.0 * rpt["stderr"]
         assert rpt["log_ratio_per_n"] is None or rpt["log_ratio_per_n"] <= 0.0
 
 
 def test_tail_check_joint_bound_holds():
-    rpt = sim.tail_check_joint(16, SNR10, 0.2, 0.5, 100_000, 11)
+    rpt = mc.tail_check_joint(16, SNR10, 0.2, 0.5, 100_000, 11)
     assert rpt["empirical"] <= rpt["bound"] + 3.0 * rpt["stderr"]
 
 
-def test_tail_check_joint_rejects_bad_geometry():
-    with pytest.raises(ValueError):
-        sim.tail_check_joint(16, SNR10, 0.5, 0.2, 100, 0)
-
-
-def test_effective_noise_ball_report_fields():
-    rpt = sim.effective_noise_ball(16, SNR10, 1.0, "spherical", 50_000, 5)
-    assert 0.0 <= rpt["empirical"] <= 1.0
-    assert rpt["target_exponent"] > 0.0
-    assert rpt["ci95"][0] <= rpt["empirical"] <= rpt["ci95"][1]
+def test_oracles_agree_with_exact_laws():
+    # Within 4 standard errors of scipy.stats (not `validate full`'s scipy.special):
+    # chi^2_16, normal z_1 and, with a spherical dither, noncentral chi^2_16.
+    n, snr, trials = 16, SNR10.snr, 100_000
+    theta = awgn.theta_of_rate(1.0)
+    alpha = regions.tangent_sphere_scaling(theta, SNR10)
+    lam = ((1.0 - alpha) / alpha) ** 2 * n * snr
+    cases = [(r, stats.chi2.sf(r["r"] ** 2 * n * snr, n))
+             for r in mc.tail_check_norm(n, SNR10, [0.4, 0.45, 0.5], trials, 11)]
+    joint = 2.0 * stats.norm.sf(0.2 * math.sqrt(n * snr)) * stats.chi2.cdf(0.25 * n * snr, n - 1)
+    cases.append((mc.tail_check_joint(n, SNR10, 0.2, 0.5, trials, 11), joint))
+    cases.append((mc.effective_noise_ball(n, SNR10, 1.0, "spherical", trials, 5),
+                  stats.ncx2.sf(n * snr * (math.sin(theta) / alpha) ** 2, n, lam)))
+    for rpt, exact in cases:
+        assert abs(rpt["empirical"] - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / trials), rpt
 
 
 def test_effective_noise_ball_voronoi_close_to_spherical():
     # Power-matched Voronoi dither behaves like the spherical one.
-    a = sim.effective_noise_ball(8, SNR10, 1.0, "spherical", 100_000, 5)
-    b = sim.effective_noise_ball(
-        8, SNR10, 1.0, "voronoi", 100_000, 5, lattice=e8()
-    )
+    a = mc.effective_noise_ball(8, SNR10, 1.0, "spherical", 100_000, 5)
+    b = mc.effective_noise_ball(8, SNR10, 1.0, "voronoi", 100_000, 5, lattice=e8())
     slack = 3.0 * math.sqrt(
         a["empirical"] * (1 - a["empirical"]) / 100_000
         + b["empirical"] * (1 - b["empirical"]) / 100_000
     )
     # The dither shapes differ, so allow a modest systematic gap on top.
     assert abs(a["empirical"] - b["empirical"]) < slack + 0.05
-
-
-def test_effective_noise_ball_voronoi_requires_a_lattice():
-    with pytest.raises(ValueError, match="lattice"):
-        sim.effective_noise_ball(8, SNR10, 1.0, "voronoi", 100, 5)
 
 
 def test_spherical_spectrum_basics():
