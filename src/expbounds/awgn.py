@@ -2,6 +2,11 @@
 
 Conventions: rates in nats, distances normalized by sqrt(n*P).  The cone
 half-angle associated with a rate is theta(R) = arcsin(e^{-R}).
+
+The exponents that `modlam.exponent_table` tabulates are private kernels
+here that read their SNR-only constants from a `_ChannelConstants`; each
+public per-point function wraps one, so each formula and selection rule
+exists once, whether one rate or a table is asked for.
 """
 
 import math
@@ -35,25 +40,71 @@ def rate_of_theta(theta: float) -> float:
     return -math.log(math.sin(theta))
 
 
+class _once:
+    """`functools.cached_property` without the lock it takes on every first
+    read before Python 3.12: a per-point call reads each constant of a new
+    `_ChannelConstants` once, and the lock cost more than most of them."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, owner=None):
+        value = obj.__dict__[self.name] = self.fn(obj)  # an attribute from now on
+        return value
+
+
+class _ChannelConstants:
+    """C, R_crit, r_x, d_crit and E_r's offset below R_crit for one channel.
+
+    All but C are computed when first read, then kept, so a per-point call
+    computes only those it needs.  d_crit and the offset raise at some
+    extreme SNRs; they raise at the first rate that needs them, and a table
+    fails where its per-point functions fail.
+    """
+
+    def __init__(self, spec: ChannelSpec):
+        self.spec = spec
+        self.snr = spec.snr
+        self.c = spec.capacity_nats
+
+    @_once
+    def r_crit(self):
+        return critical_rate(self.spec)
+
+    @_once
+    def r_x(self):
+        return rate_x(self.spec)
+
+    @_once
+    def d_crit(self):
+        return critical_distance(self.spec)
+
+    @_once
+    def e_r_offset(self):
+        return _eg_offset(beta_g_prime(self.spec), 1.0, self.snr)
+
+
+def _eg_offset(beta, rho, snr):
+    """2 E(beta, rho) + 2 rho R, the part of `gallager_eg` free of R.
+
+    Python adds left to right, so this is the sum the full formula forms
+    before it subtracts 2 rho R, bit for bit.
+    """
+    if beta <= 0.0 or rho < 0.0:
+        raise ValueError("require beta > 0 and rho >= 0")
+    inner = beta - snr / (1.0 + rho)
+    if inner <= 0.0:
+        raise ValueError("log argument beta - SNR/(1+rho) must be positive")
+    return (1.0 - beta) * (1.0 + rho) + snr + rho * math.log(beta) + math.log(inner)
+
+
 def gallager_eg(beta: float, rho: float, R: float, spec: ChannelSpec) -> float:
     """Two-parameter exponent function underlying the sphere-packing bound.
 
     E(beta, rho) = 1/2 [ (1-beta)(1+rho) + SNR + rho ln(beta)
                          + ln(beta - SNR/(1+rho)) - 2 rho R ].
     """
-    snr = spec.snr
-    if beta <= 0.0 or rho < 0.0:
-        raise ValueError("require beta > 0 and rho >= 0")
-    inner = beta - snr / (1.0 + rho)
-    if inner <= 0.0:
-        raise ValueError("log argument beta - SNR/(1+rho) must be positive")
-    return 0.5 * (
-        (1.0 - beta) * (1.0 + rho)
-        + snr
-        + rho * math.log(beta)
-        + math.log(inner)
-        - 2.0 * rho * R
-    )
+    return 0.5 * (_eg_offset(beta, rho, spec.snr) - 2.0 * rho * R)
 
 
 def rho_g(R: float, spec: ChannelSpec) -> float:
@@ -67,10 +118,14 @@ def rho_g(R: float, spec: ChannelSpec) -> float:
     rate.  Near capacity the formula cancels to a tiny negative value, which is
     clamped to 0 up to C * CAPACITY_SLACK; rates clearly above C raise.
     """
-    snr = spec.snr
+    return _rho_g(R, _ChannelConstants(spec))
+
+
+def _rho_g(R, k):
+    snr = k.snr
     if R <= 0.0:
         raise ValueError("rho_g diverges as R -> 0; require R > 0")
-    if R > spec.capacity_nats * CAPACITY_SLACK:
+    if R > k.c * CAPACITY_SLACK:
         raise ValueError("rho_g is defined up to capacity; R > C")
     beta_g = math.exp(2.0 * R)
     em1 = math.expm1(2.0 * R)
@@ -88,13 +143,17 @@ def sphere_packing_exponent(R: float, spec: ChannelSpec) -> ExponentValue:
 
     At R = 0, where rho_G diverges, it is its limit SNR/2.
     """
-    if R >= spec.capacity_nats:
-        return ExponentValue(0.0, ZERO if R > spec.capacity_nats else SPHERE_PACKING)
+    k = _ChannelConstants(spec)
+    return ExponentValue(_sphere_packing(R, k), ZERO if R > k.c else SPHERE_PACKING)
+
+
+def _sphere_packing(R, k):
+    if R >= k.c:
+        return 0.0
     if R == 0.0:
-        return ExponentValue(spec.snr / 2.0, SPHERE_PACKING)
+        return k.snr / 2.0
     beta_g = math.exp(2.0 * R)
-    val = gallager_eg(beta_g, rho_g(R, spec), R, spec)
-    return ExponentValue(max(val, 0.0), SPHERE_PACKING)
+    return max(gallager_eg(beta_g, _rho_g(R, k), R, k.spec), 0.0)
 
 
 def beta_g_prime(spec: ChannelSpec) -> float:
@@ -146,33 +205,54 @@ def critical_rates(spec: ChannelSpec) -> CriticalRates:
 
 def random_coding_exponent(R: float, spec: ChannelSpec) -> ExponentValue:
     """Random-coding exponent: affine with slope -1 below R_crit, E_sp above."""
-    if R < 0.0 or R > spec.capacity_nats * CAPACITY_SLACK:
+    return ExponentValue(_random_coding(R, _ChannelConstants(spec)), RANDOM_CODING)
+
+
+def _random_coding(R, k, e_sp=None):
+    """E_r at R; `e_sp`, E_sp at R if the caller has it, is taken above R_crit."""
+    if R < 0.0 or R > k.c * CAPACITY_SLACK:
         raise ValueError("rate must be in [0, C]")
-    r_c = critical_rate(spec)
-    if R > r_c:
-        val = sphere_packing_exponent(R, spec).value
+    if R > k.r_crit:
+        val = _sphere_packing(R, k) if e_sp is None else e_sp
     else:
-        val = gallager_eg(beta_g_prime(spec), 1.0, R, spec)
-    return ExponentValue(max(val, 0.0), RANDOM_CODING)
+        val = 0.5 * (k.e_r_offset - 2.0 * R)  # gallager_eg(beta'_G, 1, R)
+    return max(val, 0.0)
 
 
 def expurgated_exponent(R: float, spec: ChannelSpec) -> ExponentValue:
     """Expurgated (minimum-distance) exponent (SNR/4)(1 - sqrt(1 - e^{-2R}))."""
+    return ExponentValue(_expurgated(R, spec.snr), EXPURGATED)
+
+
+def _expurgated(R, snr):
     if R < 0.0:
         raise ValueError("rate must be non-negative")
-    val = spec.snr / 4.0 * (1.0 - math.sqrt(max(0.0, -math.expm1(-2.0 * R))))
-    return ExponentValue(val, EXPURGATED)
+    return snr / 4.0 * (1.0 - math.sqrt(max(0.0, -math.expm1(-2.0 * R))))
 
 
 def awgn_exponent(R: float, spec: ChannelSpec) -> ExponentValue:
     """Best lower bound on the AWGN exponent: expurgated below r_x, else random coding."""
-    if R >= spec.capacity_nats:
-        return ExponentValue(0.0, ZERO if R > spec.capacity_nats else RANDOM_CODING)
-    if R <= rate_x(spec):
-        return expurgated_exponent(R, spec)
-    if R > critical_rate(spec):
-        return sphere_packing_exponent(R, spec)
-    return random_coding_exponent(R, spec)
+    k = _ChannelConstants(spec)
+    curve = _awgn_curve(R, k)
+    if curve == EXPURGATED:
+        return ExponentValue(_expurgated(R, k.snr), EXPURGATED)
+    if curve == SPHERE_PACKING:
+        return ExponentValue(_sphere_packing(R, k), SPHERE_PACKING)
+    if curve == RANDOM_CODING:
+        return ExponentValue(_random_coding(R, k), RANDOM_CODING)
+    return ExponentValue(0.0, ZERO if R > k.c else RANDOM_CODING)  # E_r meets 0 at C
+
+
+def _awgn_curve(R, k):
+    """The curve `awgn_exponent` takes at R: ZERO at and above C, E_x up to
+    r_x, E_sp above R_crit and E_r between."""
+    if R >= k.c:
+        return ZERO
+    if R <= k.r_x:
+        return EXPURGATED
+    if R > k.r_crit:
+        return SPHERE_PACKING
+    return RANDOM_CODING
 
 
 def tail_exponents(mu: float):
@@ -230,11 +310,15 @@ def typical_chord(R: float, floor: float, spec: ChannelSpec) -> float:
     e^{-R} for the mod-lattice coset ensemble.  Above R_crit the chord is
     sqrt(2) e^{-R}; at and below it, max(floor, d_crit).
     """
-    if R < 0.0 or R > spec.capacity_nats * CAPACITY_SLACK:
+    return _typical_chord(R, floor, _ChannelConstants(spec))
+
+
+def _typical_chord(R, floor, k):
+    if R < 0.0 or R > k.c * CAPACITY_SLACK:
         raise ValueError("rate must be in [0, C]")
-    if R > critical_rate(spec):
+    if R > k.r_crit:
         return math.sqrt(2.0) * math.exp(-R)
-    return max(floor, critical_distance(spec))
+    return max(floor, k.d_crit)
 
 
 def typical_distance(R: float, spec: ChannelSpec) -> float:

@@ -36,6 +36,7 @@ from .channel import (
 # functions that use them, so `exponents`, `geometry` and `validate fast`
 # start with the standard library alone.
 
+# In the order of `modlam.exponent_table`'s rows.
 CURVES = ("E_sp", "E_r", "E_x", "E_awgn", "E_modlambda")
 
 
@@ -115,16 +116,6 @@ def _write_out(args, text):
             os.unlink(tmp)
 
 
-def _exponent_row(r, spec):
-    return {
-        "E_sp": awgn.sphere_packing_exponent(r, spec).value,
-        "E_r": awgn.random_coding_exponent(r, spec).value,
-        "E_x": awgn.expurgated_exponent(r, spec).value,
-        "E_awgn": awgn.awgn_exponent(r, spec).value,
-        "E_modlambda": modlam.modlambda_exponent(r, spec).value,
-    }
-
-
 def cmd_exponents(args):
     spec = _channel(args)
     lo, hi, points = _parse_grid(args.grid)
@@ -144,12 +135,13 @@ def cmd_exponents(args):
     header += [c_ for c_ in curves]
     header += ["E_over_snr_" + c_[2:] for c_ in curves]
     lines = [",".join(header)]
-    for r in _linspace(lo, hi, points):
-        row = _exponent_row(r, spec)
-        vals = [r, r / c]
-        vals += [row[c_] for c_ in curves]
-        vals += [row[c_] / spec.snr for c_ in curves]
-        lines.append(",".join("%.17g" % v for v in vals))
+    columns = [CURVES.index(c_) for c_ in curves]
+    fmt = ",".join(["%.17g"] * len(header))
+    snr = spec.snr
+    rates = _linspace(lo, hi, points)
+    for r, row in zip(rates, modlam.exponent_table(rates, spec)):
+        picked = [row[i] for i in columns]
+        lines.append(fmt % (r, r / c, *picked, *[v / snr for v in picked]))
     _write_out(args, "\n".join(lines) + "\n")
     return 0
 

@@ -124,7 +124,15 @@ def _decode_e8(t, y0, y1, t1, err, mag, first):
     y1 += 0.5
     d0 = _row_sum(np.square(np.subtract(t, y0, out=err), out=err))
     d1 = _row_sum(np.square(np.subtract(t, y1, out=err), out=err))
-    np.copyto(y0, y1, where=d0 > d1)
+    # Take y1 where it is closer, without a branch per element (a masked copy
+    # mispredicts when the queries split evenly between the cosets): y1 - y0
+    # is exact, so y0 + 1 * (y1 - y0) is y1, and y0 + 0 * (y1 - y0) is y0,
+    # whose zeros are never -0.  Small noise often leaves no y1 in a block.
+    closer = d0 > d1
+    if closer.any():
+        y1 -= y0
+        y1 *= closer
+        y0 += y1
     return y0
 
 

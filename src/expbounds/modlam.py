@@ -12,7 +12,17 @@ normalized AWGN chord.
 import math
 from dataclasses import dataclass
 
-from .awgn import critical_distance, critical_rate, theta_of_rate, typical_chord
+from .awgn import (
+    _ChannelConstants,
+    _awgn_curve,
+    _expurgated,
+    _random_coding,
+    _sphere_packing,
+    _typical_chord,
+    critical_distance,
+    theta_of_rate,
+    typical_chord,
+)
 from .channel import (
     CAPACITY_SLACK,
     ChannelSpec,
@@ -20,9 +30,10 @@ from .channel import (
     EXPURGATED,
     RANDOM_CODING,
     SPHERE_PACKING,
+    ZERO,
 )
 from .numerics import _EPS, bisect_root
-from .regions import ebd, event_alpha, f_bnd
+from .regions import _f_bnd, ebd, event_alpha
 
 
 @dataclass(frozen=True)
@@ -176,7 +187,11 @@ def k_alpha_star(d_omega, R, spec: ChannelSpec) -> ScalingSpec:
 
 def rate_ii(spec: ChannelSpec) -> float:
     """Largest rate where the distance-e^{-R} ensemble beats random coding."""
-    return max(0.0, -math.log(critical_distance(spec)))
+    return _rate_ii(critical_distance(spec))
+
+
+def _rate_ii(d_crit):
+    return max(0.0, -math.log(d_crit))
 
 
 def typical_distance_ii(R, spec: ChannelSpec) -> float:
@@ -190,16 +205,43 @@ def modlambda_exponent(R, spec: ChannelSpec) -> ExponentValue:
     Equals the sphere-packing exponent at and above the critical rate;
     improves on random coding below rate_ii.
     """
-    if not 0.0 <= R <= spec.capacity_nats * CAPACITY_SLACK:
+    return ExponentValue(*_modlambda(R, _ChannelConstants(spec)))
+
+
+def _modlambda(R, k, e_sp=None):
+    """E_II at R and its regime; `e_sp`, E_sp at R if the caller has it, is
+    taken where f_bnd needs it."""
+    if not 0.0 <= R <= k.c * CAPACITY_SLACK:
         raise ValueError("rate must be in [0, C]")
-    val = f_bnd(typical_distance_ii(R, spec), theta_of_rate(R), R, spec)
-    if R < rate_ii(spec):  # empty below SNR 8/3, where rate_ii = 0
+    val = _f_bnd(_typical_chord(R, math.exp(-R), k), theta_of_rate(R), R, k, e_sp)
+    if R < _rate_ii(k.d_crit):  # empty below SNR 8/3, where rate_ii = 0
         regime = EXPURGATED
-    elif R <= critical_rate(spec):
+    elif R <= k.r_crit:
         regime = RANDOM_CODING
     else:
         regime = SPHERE_PACKING
-    return ExponentValue(max(val, 0.0), regime)
+    return max(val, 0.0), regime
+
+
+def exponent_table(rates, spec: ChannelSpec):
+    """(E_sp, E_r, E_x, E_awgn, E_II) at each rate, one tuple a rate.
+
+    Each value is bit-equal to the `.value` of its per-point function, which
+    wraps the same kernel.  The table computes each SNR-only constant once and
+    E_sp once a rate, and takes E_r, E_awgn and E_II's E_sp from it.
+    """
+    k = _ChannelConstants(spec)
+    return [_table_row(R, k) for R in rates]
+
+
+def _table_row(R, k):
+    e_sp = _sphere_packing(R, k)
+    e_r = _random_coding(R, k, e_sp)
+    e_x = _expurgated(R, k.snr)
+    e_awgn = {ZERO: 0.0, EXPURGATED: e_x, SPHERE_PACKING: e_sp, RANDOM_CODING: e_r}[
+        _awgn_curve(R, k)
+    ]
+    return e_sp, e_r, e_x, e_awgn, _modlambda(R, k, e_sp)[0]
 
 
 def lattice_union_min(r, scaling: ScalingSpec, spec: ChannelSpec, R):

@@ -13,10 +13,11 @@ import math
 from dataclasses import dataclass
 
 from .awgn import (
+    _ChannelConstants,
+    _sphere_packing,
     beta_star,
     critical_rate,
     rate_of_theta,
-    sphere_packing_exponent,
     theta_of_rate,
     typical_chord,
 )
@@ -112,13 +113,20 @@ def f_bnd(d: float, theta: float, R: float, spec: ChannelSpec) -> float:
         E_sp(R(theta)) - ln(sin theta) - R.
     Case 2: SNR d^2/8 - ln(d sqrt(1 - d^2/4)) - R.
     """
+    return _f_bnd(d, theta, R, _ChannelConstants(spec))
+
+
+def _f_bnd(d, theta, R, k, e_sp=None):
+    """`f_bnd`; `e_sp`, E_sp at R if the caller has it, is taken where R(theta) = R."""
     if d <= _EPS or d >= 2.0 - _EPS:
         return math.inf
     r_theta = rate_of_theta(theta)
-    if r_theta > critical_rate_of_theta_d(theta_d_of_chord(d), spec):
-        return sphere_packing_exponent(r_theta, spec).value - math.log(math.sin(theta)) - R
+    if r_theta > critical_rate_of_theta_d(theta_d_of_chord(d), k.spec):
+        if e_sp is None or r_theta != R:
+            e_sp = _sphere_packing(r_theta, k)
+        return e_sp + r_theta - R  # -ln(sin theta) is r_theta, and x - y is x + (-y)
     return (
-        spec.snr * d * d / 8.0
+        k.snr * d * d / 8.0
         - math.log(d * math.sqrt(1.0 - d * d / 4.0))
         - R
     )

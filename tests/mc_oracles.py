@@ -50,8 +50,15 @@ def tail_check_norm(n, spec: ChannelSpec, r_list, trials, seed):
 
 
 def tail_check_joint(n, spec: ChannelSpec, x, y, trials, seed):
-    """Empirical P(|z_1| >= x sqrt(n), ||z_2..n|| <= y sqrt(n)) vs its exponent's bound."""
+    """Empirical P(|z_1| >= x sqrt(n), ||z_2..n|| <= y sqrt(n)) vs its exponent's bound.
+
+    exp(-n E) bounds this event only where y^2 - x^2 >= 1/SNR; elsewhere E is
+    the exponent of the event with ||z|| (`regions.joint_tail_exponent`), so
+    this raises ValueError there.
+    """
     snr = spec.snr
+    if y * y - x * x < 1.0 / snr:
+        raise ValueError("exp(-n E) bounds the ||z_2..n|| event only where y^2 - x^2 >= 1/SNR")
 
     def hits(rng, size):
         z1, rest2 = _axis_and_rest(rng, size, n, snr)

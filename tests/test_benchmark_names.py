@@ -23,6 +23,7 @@ from expbounds import awgn, cli, lattices, modlam, regions, simulator
         (awgn, "rate_x"),
         (regions, "k_zeta"),
         (modlam, "maximizers_lattice"),
+        (modlam, "exponent_table"),
         (lattices, "load_basis"),
         (lattices, "lattice_figures"),
     ],

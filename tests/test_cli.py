@@ -462,16 +462,16 @@ def test_validate_full_passes(capsys):
 def test_exponents_failure_keeps_existing_out_file(tmp_path, capsys, monkeypatch):
     out = tmp_path / "curves.csv"
     out.write_bytes(b"old bytes\n")
-    real_row = cli._exponent_row
+    real_row = modlam._table_row
     calls = []
 
-    def failing_row(r, spec):
+    def failing_row(r, constants):
         calls.append(r)
         if len(calls) == 3:
             raise ValueError("injected failure at rate %r" % r)
-        return real_row(r, spec)
+        return real_row(r, constants)
 
-    monkeypatch.setattr(cli, "_exponent_row", failing_row)
+    monkeypatch.setattr(modlam, "_table_row", failing_row)
     code, stdout, err = _run(
         capsys, "exponents", "--snr-db", "10", "--grid", "0.1:1.0:5", "--out", str(out)
     )
@@ -553,6 +553,26 @@ def test_arithmetic_failure_exits_3_without_traceback(capsys, argv):
     assert code == 3
     assert stdout == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "snr, grid, code, message",
+    [
+        # d_crit divides by SNR^2, which underflows to 0.
+        ("1e-300", "1e-302:5e-301:50", 3, "float division by zero"),
+        ("1e-300", "0:5e-301:3", 3, "float division by zero"),
+        # beta'_G - SNR/2 cancels to 0 below R_crit; d_crit rounds to 0 at R = 0.
+        ("1e300", "6.907755278982137:345.38776394910684:50", 2,
+         "log argument beta - SNR/(1+rho) must be positive"),
+        ("1e300", "0:345.38776394910684:3", 2, "math domain error"),
+        # A negative rate fails in the first curve, E_sp, before any constant.
+        ("1e300", "-1:345.38776394910684:3", 2, "rho_g diverges as R -> 0; require R > 0"),
+        ("1e-300", "-1e-301:5e-301:3", 2, "rho_g diverges as R -> 0; require R > 0"),
+    ],
+)
+def test_exponents_at_extreme_snr_keeps_its_error(capsys, snr, grid, code, message):
+    got, stdout, err = _run(capsys, "exponents", "--snr", snr, "--grid-nats", "--grid=" + grid)
+    assert (got, stdout, err) == (code, "", "error: %s\n" % message)
 
 
 @pytest.mark.parametrize("trials", ["0", "1"])

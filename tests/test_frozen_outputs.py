@@ -3,15 +3,19 @@
 A fixed config must give byte-identical output on every run and across
 refactors of the block driver, the ensemble table or the binomial records.
 Only a change meant to move the random streams (new substreams, say) may
-update these values, and it must say so.
+update these values, and it must say so.  A closed-form request keeps its
+bytes across refactors of the kernels behind it; only a changed formula may
+update its pin.
 """
 
 import hashlib
 import math
+import os
 
 import mc_oracles as mc
 import numpy as np
 
+from expbounds import cli
 from expbounds import simulator as sim
 from expbounds.channel import ChannelSpec
 from expbounds.lattices import Lattice, d4, e8, integer_lattice
@@ -128,3 +132,34 @@ def test_empirical_spectrum_frozen():
         ),
     }
     assert got == FROZEN_SPECTRUM_SHA256
+
+
+# SHA-256 of closed-form CLI outputs: `exponents` on the benchmark's grid of
+# 50 rates ending at C, and one `geometry` report between r_x and R_crit
+# (the k_zeta bisection runs there).
+FROZEN_CLI_SHA256 = {
+    "exponents -40 dB": "f0c102fc91fa6ec9f8dbf8482da081aae338e6210deba1dc6c7ca231f9021fc8",
+    "exponents 10 dB": "879a25b407f5c12debb7f96ea1148559f5c22e3f584ce7adfd574e59afcbb026",
+    "exponents 50 dB": "4580971da33c45de735f8f0022b3de9ad33db610a881635a59d219ece8f6a02e",
+    "geometry 10 dB rate 0.7": "68af39d850b93cac742623e3bd403933f54cab95486bcc74c4b526168cfb25a0",
+}
+
+
+def _cli_sha256(tmp_path, argv):
+    out = os.path.join(tmp_path, "out")
+    assert cli.main(argv + ["--out", out]) == 0
+    with open(out, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_closed_form_outputs_frozen(tmp_path):
+    got = {}
+    for snr_db in (-40, 10, 50):
+        c = 0.5 * math.log1p(10.0 ** (snr_db / 10.0))
+        argv = ["exponents", "--snr-db", repr(float(snr_db)), "--grid-nats",
+                "--grid", "%r:%r:50" % (c / 50, c)]
+        got["exponents %d dB" % snr_db] = _cli_sha256(tmp_path, argv)
+    got["geometry 10 dB rate 0.7"] = _cli_sha256(
+        tmp_path, ["geometry", "--snr-db", "10", "--rate-nats", "0.7"]
+    )
+    assert got == FROZEN_CLI_SHA256

@@ -268,3 +268,29 @@ def test_r_lambda_alpha_positive_and_finite():
     for r in (0.3, 0.7, 1.0):
         val = regions.typical_event(r, math.exp(-r), SNR10).radius
         assert 0.0 < val < 2.0
+
+
+_PER_POINT = (
+    awgn.sphere_packing_exponent,
+    awgn.random_coding_exponent,
+    awgn.expurgated_exponent,
+    awgn.awgn_exponent,
+    modlam.modlambda_exponent,
+)
+
+
+@pytest.mark.parametrize("snr", [1e-4, 0.01, 1.0, 8.0 / 3.0, 10.0, 1e3, 1e5])
+def test_exponent_table_is_bit_equal_to_the_per_point_functions(snr):
+    # Each junction (r_x, R_crit, rate_ii, C) with its neighbouring floats,
+    # on a grid from 0 to C: every table value is its function's, bit for bit.
+    spec = ChannelSpec(snr)
+    crit = awgn.critical_rates(spec)
+    rates = [crit.c * k / 40 for k in range(41)]
+    for at in (crit.r_x, crit.r_crit, modlam.rate_ii(spec), crit.c):
+        rates += [math.nextafter(at, 0.0), at, math.nextafter(at, math.inf)]
+    rates.sort()
+    table = modlam.exponent_table(rates, spec)
+    assert len(table) == len(rates)
+    for r, row in zip(rates, table):
+        want = [f(r, spec).value.hex() for f in _PER_POINT]
+        assert [v.hex() for v in row] == want, r

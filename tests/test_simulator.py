@@ -672,6 +672,16 @@ def test_tail_check_joint_bound_holds():
     assert rpt["empirical"] <= rpt["bound"] + 3.0 * rpt["stderr"]
 
 
+def test_tail_check_joint_refuses_a_slice_its_bound_misses():
+    # y^2 - x^2 = 0.25 < 1/SNR: the exact probability of the ||z_2..n|| event
+    # exceeds exp(-n E) about 28-fold, so the oracle has no bound to check.
+    n, snr, x, y = 16, 1e-4, 0.0, 0.5
+    exact = special.gammainc((n - 1) / 2, y * y * n * snr / 2)  # |z_1| >= 0 is sure
+    assert exact > 20.0 * math.exp(-n * regions.joint_tail_exponent(x, y, snr))
+    with pytest.raises(ValueError, match="1/SNR"):
+        mc.tail_check_joint(n, ChannelSpec(snr), x, y, 1000, 11)
+
+
 def test_oracles_agree_with_exact_laws():
     # Within 4 standard errors of scipy.stats (not `validate full`'s scipy.special):
     # chi^2_16, normal z_1 and, with a spherical dither, noncentral chi^2_16.
