@@ -212,6 +212,24 @@ def test_geometry_at_a_tiny_rate(capsys):
     assert abs(rpt["E_sp"] - 5.0) < 1e-7
 
 
+@pytest.mark.parametrize(
+    "snr, code, message",
+    [
+        (1e-300, 3, "float division by zero"),
+        (1e-154, 2, "math domain error"),
+        (1e-20, 2, "expected 0 < r_x < r_crit < c"),
+        (1e300, 2, "expected 0 < r_x < r_crit < c"),
+        (1e-8, 2, "d_crit out of range (0, sqrt(2))"),
+        (1e20, 2, "d_crit out of range (0, sqrt(2))"),
+    ],
+)
+def test_geometry_domain_check_failures(capsys, snr, code, message):
+    # Where r_x, R_crit or d_crit leaves its range, at half capacity.
+    r = 0.5 * ChannelSpec(snr).capacity_nats
+    got, out, err = _run(capsys, "geometry", "--snr", repr(snr), "--rate-nats", repr(r))
+    assert (got, out, err) == (code, "", "error: %s\n" % message)
+
+
 def test_geometry_requires_rate(capsys):
     code, _, err = _run(capsys, "geometry", "--snr-db", "10")
     assert code == 2

@@ -8,9 +8,12 @@ bytes across refactors of the kernels behind it; only a changed formula may
 update its pin.
 """
 
+import contextlib
 import hashlib
+import io
 import math
 import os
+import random
 
 import mc_oracles as mc
 import numpy as np
@@ -163,3 +166,46 @@ def test_closed_form_outputs_frozen(tmp_path):
         tmp_path, ["geometry", "--snr-db", "10", "--rate-nats", "0.7"]
     )
     assert got == FROZEN_CLI_SHA256
+
+
+def _sweep_requests():
+    """About 600 seeded `exponents` and `geometry` requests, half of them at
+    SNRs log-uniform over the whole positive float range (5e-324 to 1.7e308),
+    half over 1e-4 to 1e5, at rates 0, C, 1e-9 C and uniform in [0, C]."""
+    rng = random.Random(23)
+    requests = []
+    for i in range(600):
+        lo, hi = (5e-324, 1.7e308) if i % 2 else (1e-4, 1e5)
+        snr = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        c = 0.5 * math.log1p(snr)
+        rates = [0.0, c, 1e-9 * c, rng.uniform(0.0, c)]
+        if rng.random() < 0.5:
+            requests.append(["geometry", "--snr", repr(snr), "--rate-nats", repr(rng.choice(rates))])
+        else:
+            a, b = sorted(rng.sample(rates, 2))
+            grid = "%r:%r:%d" % (a, b, rng.randint(2, 6))
+            requests.append(["exponents", "--snr", repr(snr), "--grid-nats", "--grid", grid])
+    return requests
+
+
+def _sweep_outcomes():
+    """(argv, exit code, stdout, stderr) of each sweep request."""
+    outcomes = []
+    for argv in _sweep_requests():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        outcomes.append((argv, code, out.getvalue(), err.getvalue()))
+    return outcomes
+
+
+# SHA-256 over every sweep outcome, failures included: a refactor of the
+# closed forms keeps each request's exit code, stdout and stderr.
+FROZEN_SWEEP_SHA256 = "af359f4d4d050ac252b584ac18777f80f346cd6e5ebc1faa0c8a42b03a88dd16"
+
+
+def test_closed_form_sweep_frozen():
+    h = hashlib.sha256()
+    for outcome in _sweep_outcomes():
+        h.update(repr(outcome).encode())
+    assert h.hexdigest() == FROZEN_SWEEP_SHA256
