@@ -9,7 +9,6 @@ import importlib
 
 from .channel import (
     ChannelSpec,
-    CriticalRates,
     ExponentValue,
     bits_to_nats,
     db_to_linear,
@@ -21,7 +20,6 @@ from .awgn import (
     capacity,
     critical_distance,
     critical_rate,
-    critical_rates,
     expurgated_exponent,
     min_distance,
     random_coding_exponent,
@@ -30,7 +28,6 @@ from .awgn import (
     sphere_packing_exponent,
     theta_of_rate,
     typical_chord,
-    typical_distance,
 )
 from .regions import (
     TypicalEvent,
@@ -47,7 +44,6 @@ from .modlam import (
     lattice_union_min,
     modlambda_exponent,
     rate_ii,
-    typical_distance_ii,
 )
 
 __version__ = "0.1.0"

@@ -3,10 +3,10 @@
 Conventions: rates in nats, distances normalized by sqrt(n*P).  The cone
 half-angle associated with a rate is theta(R) = arcsin(e^{-R}).
 
-The exponents that `modlam.exponent_table` tabulates are private kernels
-here that read their SNR-only constants from a `_ChannelConstants`; each
-public per-point function wraps one, so each formula and selection rule
-exists once, whether one rate or a table is asked for.
+Each closed form is one function of (R, spec).  The SNR-only constants it
+reads (C, R_crit, r_x, d_crit and E_r's offset) are `ChannelSpec` attributes,
+computed once per channel by the functions here, so one rate and a whole
+`modlam.exponent_table` run the same code.
 """
 
 import math
@@ -14,7 +14,6 @@ import math
 from .channel import (
     CAPACITY_SLACK,
     ChannelSpec,
-    CriticalRates,
     ExponentValue,
     EXPURGATED,
     RANDOM_CODING,
@@ -40,71 +39,20 @@ def rate_of_theta(theta: float) -> float:
     return -math.log(math.sin(theta))
 
 
-class _once:
-    """`functools.cached_property` without the lock it takes on every first
-    read before Python 3.12: a per-point call reads each constant of a new
-    `_ChannelConstants` once, and the lock cost more than most of them."""
-
-    def __init__(self, fn):
-        self.fn, self.name = fn, fn.__name__
-
-    def __get__(self, obj, owner=None):
-        value = obj.__dict__[self.name] = self.fn(obj)  # an attribute from now on
-        return value
-
-
-class _ChannelConstants:
-    """C, R_crit, r_x, d_crit and E_r's offset below R_crit for one channel.
-
-    All but C are computed when first read, then kept, so a per-point call
-    computes only those it needs.  d_crit and the offset raise at some
-    extreme SNRs; they raise at the first rate that needs them, and a table
-    fails where its per-point functions fail.
-    """
-
-    def __init__(self, spec: ChannelSpec):
-        self.spec = spec
-        self.snr = spec.snr
-        self.c = spec.capacity_nats
-
-    @_once
-    def r_crit(self):
-        return critical_rate(self.spec)
-
-    @_once
-    def r_x(self):
-        return rate_x(self.spec)
-
-    @_once
-    def d_crit(self):
-        return critical_distance(self.spec)
-
-    @_once
-    def e_r_offset(self):
-        return _eg_offset(beta_g_prime(self.spec), 1.0, self.snr)
-
-
-def _eg_offset(beta, rho, snr):
-    """2 E(beta, rho) + 2 rho R, the part of `gallager_eg` free of R.
-
-    Python adds left to right, so this is the sum the full formula forms
-    before it subtracts 2 rho R, bit for bit.
-    """
-    if beta <= 0.0 or rho < 0.0:
-        raise ValueError("require beta > 0 and rho >= 0")
-    inner = beta - snr / (1.0 + rho)
-    if inner <= 0.0:
-        raise ValueError("log argument beta - SNR/(1+rho) must be positive")
-    return (1.0 - beta) * (1.0 + rho) + snr + rho * math.log(beta) + math.log(inner)
-
-
 def gallager_eg(beta: float, rho: float, R: float, spec: ChannelSpec) -> float:
     """Two-parameter exponent function underlying the sphere-packing bound.
 
     E(beta, rho) = 1/2 [ (1-beta)(1+rho) + SNR + rho ln(beta)
                          + ln(beta - SNR/(1+rho)) - 2 rho R ].
     """
-    return 0.5 * (_eg_offset(beta, rho, spec.snr) - 2.0 * rho * R)
+    if beta <= 0.0 or rho < 0.0:
+        raise ValueError("require beta > 0 and rho >= 0")
+    snr = spec.snr
+    inner = beta - snr / (1.0 + rho)
+    if inner <= 0.0:
+        raise ValueError("log argument beta - SNR/(1+rho) must be positive")
+    offset = (1.0 - beta) * (1.0 + rho) + snr + rho * math.log(beta) + math.log(inner)
+    return 0.5 * (offset - 2.0 * rho * R)
 
 
 def rho_g(R: float, spec: ChannelSpec) -> float:
@@ -118,14 +66,10 @@ def rho_g(R: float, spec: ChannelSpec) -> float:
     rate.  Near capacity the formula cancels to a tiny negative value, which is
     clamped to 0 up to C * CAPACITY_SLACK; rates clearly above C raise.
     """
-    return _rho_g(R, _ChannelConstants(spec))
-
-
-def _rho_g(R, k):
-    snr = k.snr
+    snr = spec.snr
     if R <= 0.0:
         raise ValueError("rho_g diverges as R -> 0; require R > 0")
-    if R > k.c * CAPACITY_SLACK:
+    if R > spec.capacity_nats * CAPACITY_SLACK:
         raise ValueError("rho_g is defined up to capacity; R > C")
     beta_g = math.exp(2.0 * R)
     em1 = math.expm1(2.0 * R)
@@ -138,22 +82,16 @@ def _rho_g(R, k):
     return max(rho, 0.0)
 
 
-def sphere_packing_exponent(R: float, spec: ChannelSpec) -> ExponentValue:
+def sphere_packing_exponent(R: float, spec: ChannelSpec) -> float:
     """Sphere-packing exponent E_sp(R); tight upper bound above the critical rate.
 
-    At R = 0, where rho_G diverges, it is its limit SNR/2.
+    At R = 0, where rho_G diverges, it is its limit SNR/2; 0 from C on.
     """
-    k = _ChannelConstants(spec)
-    return ExponentValue(_sphere_packing(R, k), ZERO if R > k.c else SPHERE_PACKING)
-
-
-def _sphere_packing(R, k):
-    if R >= k.c:
+    if R >= spec.capacity_nats:
         return 0.0
     if R == 0.0:
-        return k.snr / 2.0
-    beta_g = math.exp(2.0 * R)
-    return max(gallager_eg(beta_g, _rho_g(R, k), R, k.spec), 0.0)
+        return spec.snr / 2.0
+    return max(gallager_eg(math.exp(2.0 * R), rho_g(R, spec), R, spec), 0.0)
 
 
 def beta_g_prime(spec: ChannelSpec) -> float:
@@ -193,64 +131,48 @@ def rate_x(spec: ChannelSpec) -> float:
     return 0.5 * math.log1p(a / (2.0 * (1.0 + math.sqrt(1.0 + a))))
 
 
-def critical_rates(spec: ChannelSpec) -> CriticalRates:
-    """All critical quantities for one channel."""
-    return CriticalRates(
-        c=spec.capacity_nats,
-        r_crit=critical_rate(spec),
-        r_x=rate_x(spec),
-        d_crit=critical_distance(spec),
-    )
+def random_coding_exponent(R: float, spec: ChannelSpec, e_sp=None) -> float:
+    """Random-coding exponent: affine with slope -1 below R_crit, E_sp above.
 
-
-def random_coding_exponent(R: float, spec: ChannelSpec) -> ExponentValue:
-    """Random-coding exponent: affine with slope -1 below R_crit, E_sp above."""
-    return ExponentValue(_random_coding(R, _ChannelConstants(spec)), RANDOM_CODING)
-
-
-def _random_coding(R, k, e_sp=None):
-    """E_r at R; `e_sp`, E_sp at R if the caller has it, is taken above R_crit."""
-    if R < 0.0 or R > k.c * CAPACITY_SLACK:
+    `e_sp`, E_sp at R if the caller has it, is taken above R_crit.
+    """
+    if R < 0.0 or R > spec.capacity_nats * CAPACITY_SLACK:
         raise ValueError("rate must be in [0, C]")
-    if R > k.r_crit:
-        val = _sphere_packing(R, k) if e_sp is None else e_sp
+    if R > spec.r_crit:
+        val = sphere_packing_exponent(R, spec) if e_sp is None else e_sp
     else:
-        val = 0.5 * (k.e_r_offset - 2.0 * R)  # gallager_eg(beta'_G, 1, R)
+        val = 0.5 * (spec.e_r_offset - 2.0 * R)  # gallager_eg(beta'_G, 1, R)
     return max(val, 0.0)
 
 
-def expurgated_exponent(R: float, spec: ChannelSpec) -> ExponentValue:
+def expurgated_exponent(R: float, spec: ChannelSpec) -> float:
     """Expurgated (minimum-distance) exponent (SNR/4)(1 - sqrt(1 - e^{-2R}))."""
-    return ExponentValue(_expurgated(R, spec.snr), EXPURGATED)
-
-
-def _expurgated(R, snr):
     if R < 0.0:
         raise ValueError("rate must be non-negative")
-    return snr / 4.0 * (1.0 - math.sqrt(max(0.0, -math.expm1(-2.0 * R))))
+    return spec.snr / 4.0 * (1.0 - math.sqrt(max(0.0, -math.expm1(-2.0 * R))))
 
 
 def awgn_exponent(R: float, spec: ChannelSpec) -> ExponentValue:
     """Best lower bound on the AWGN exponent: expurgated below r_x, else random coding."""
-    k = _ChannelConstants(spec)
-    curve = _awgn_curve(R, k)
+    curve = _awgn_curve(R, spec)
     if curve == EXPURGATED:
-        return ExponentValue(_expurgated(R, k.snr), EXPURGATED)
+        return ExponentValue(expurgated_exponent(R, spec), EXPURGATED)
     if curve == SPHERE_PACKING:
-        return ExponentValue(_sphere_packing(R, k), SPHERE_PACKING)
+        return ExponentValue(sphere_packing_exponent(R, spec), SPHERE_PACKING)
     if curve == RANDOM_CODING:
-        return ExponentValue(_random_coding(R, k), RANDOM_CODING)
-    return ExponentValue(0.0, ZERO if R > k.c else RANDOM_CODING)  # E_r meets 0 at C
+        return ExponentValue(random_coding_exponent(R, spec), RANDOM_CODING)
+    # E_r meets 0 at C.
+    return ExponentValue(0.0, ZERO if R > spec.capacity_nats else RANDOM_CODING)
 
 
-def _awgn_curve(R, k):
+def _awgn_curve(R, spec):
     """The curve `awgn_exponent` takes at R: ZERO at and above C, E_x up to
     r_x, E_sp above R_crit and E_r between."""
-    if R >= k.c:
+    if R >= spec.capacity_nats:
         return ZERO
-    if R <= k.r_x:
+    if R <= spec.r_x:
         return EXPURGATED
-    if R > k.r_crit:
+    if R > spec.r_crit:
         return SPHERE_PACKING
     return RANDOM_CODING
 
@@ -282,7 +204,7 @@ def beta_star(theta: float, spec: ChannelSpec) -> float:
     return c * c / 2.0 + (c / 2.0) * math.sqrt(c * c + 4.0 / spec.snr) - 1.0
 
 
-def leave_cone_exponent(theta: float, spec: ChannelSpec) -> ExponentValue:
+def leave_cone_exponent(theta: float, spec: ChannelSpec) -> float:
     """Exponent of the event that the received vector leaves the cone.
 
     The minimum of E_v(beta^2 SNR) + E_h(r(beta)^2 SNR) over beta > -1 with
@@ -297,10 +219,10 @@ def leave_cone_exponent(theta: float, spec: ChannelSpec) -> ExponentValue:
     snr = spec.snr
     tan_t = math.tan(theta)
     if tan_t * tan_t * snr <= 1.0:
-        return ExponentValue(0.0, SPHERE_PACKING)
+        return 0.0
     beta = beta_star(theta, spec)
     e_h, _ = tail_exponents(((1.0 + beta) * tan_t) ** 2 * snr)
-    return ExponentValue(max(beta * beta * snr / 2.0 + e_h, 0.0), SPHERE_PACKING)
+    return max(beta * beta * snr / 2.0 + e_h, 0.0)
 
 
 def typical_chord(R: float, floor: float, spec: ChannelSpec) -> float:
@@ -310,17 +232,8 @@ def typical_chord(R: float, floor: float, spec: ChannelSpec) -> float:
     e^{-R} for the mod-lattice coset ensemble.  Above R_crit the chord is
     sqrt(2) e^{-R}; at and below it, max(floor, d_crit).
     """
-    return _typical_chord(R, floor, _ChannelConstants(spec))
-
-
-def _typical_chord(R, floor, k):
-    if R < 0.0 or R > k.c * CAPACITY_SLACK:
+    if R < 0.0 or R > spec.capacity_nats * CAPACITY_SLACK:
         raise ValueError("rate must be in [0, C]")
-    if R > k.r_crit:
+    if R > spec.r_crit:
         return math.sqrt(2.0) * math.exp(-R)
-    return max(floor, k.d_crit)
-
-
-def typical_distance(R: float, spec: ChannelSpec) -> float:
-    """Typical error-event chord of the spherical code (floor d_min(R))."""
-    return typical_chord(R, min_distance(R), spec)
+    return max(floor, spec.d_crit)

@@ -5,6 +5,7 @@ converts bits and dB.  Distances are chord lengths normalized by sqrt(n*P),
 so they live in [0, 2] and the data model never carries n or P.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +34,15 @@ def nats_to_bits(rate_nats):
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """An AWGN channel at a given SNR (linear power ratio P/sigma^2)."""
+    """An AWGN channel at a given SNR (linear power ratio P/sigma^2).
+
+    Its SNR-only constants (C, R_crit, r_x, d_crit and E_r's offset below
+    R_crit) are computed on first read and kept; each closed form reads them
+    here, so each is computed once per channel.  Their formulas are the
+    `awgn` functions (which import this module, hence the local imports).
+    A constant whose formula raises at this SNR is not kept: it raises at
+    every read.  Equality, hash and repr see `snr` alone.
+    """
 
     snr: float
 
@@ -41,9 +50,34 @@ class ChannelSpec:
         if not 0.0 < self.snr < math.inf:
             raise ValueError("snr must be positive and finite, got %r" % (self.snr,))
 
-    @property
+    @functools.cached_property
     def capacity_nats(self):
         return 0.5 * math.log1p(self.snr)
+
+    @functools.cached_property
+    def r_crit(self):
+        from .awgn import critical_rate
+
+        return critical_rate(self)
+
+    @functools.cached_property
+    def r_x(self):
+        from .awgn import rate_x
+
+        return rate_x(self)
+
+    @functools.cached_property
+    def d_crit(self):
+        from .awgn import critical_distance
+
+        return critical_distance(self)
+
+    @functools.cached_property
+    def e_r_offset(self):
+        """2 E(beta'_G, 1, 0): E_r is (e_r_offset - 2R)/2 at and below R_crit."""
+        from .awgn import beta_g_prime, gallager_eg
+
+        return 2.0 * gallager_eg(beta_g_prime(self), 1.0, 0.0, self)
 
 
 # Exponent regime tags.
@@ -66,18 +100,3 @@ class ExponentValue:
         if self.value < 0.0:
             raise ValueError("exponent must be non-negative, got %r" % (self.value,))
 
-
-@dataclass(frozen=True)
-class CriticalRates:
-    """Capacity, critical/crossing rates, critical distance for one channel."""
-
-    c: float
-    r_crit: float
-    r_x: float
-    d_crit: float
-
-    def __post_init__(self):
-        if not (0.0 < self.r_x < self.r_crit < self.c):
-            raise ValueError("expected 0 < r_x < r_crit < c")
-        if not (0.0 < self.d_crit < math.sqrt(2.0)):
-            raise ValueError("d_crit out of range (0, sqrt(2))")

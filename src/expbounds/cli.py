@@ -149,7 +149,12 @@ def cmd_exponents(args):
 def cmd_geometry(args):
     spec = _channel(args)
     r = _rate_nats(args, spec)
-    crit = awgn.critical_rates(spec)
+    # d_crit can raise, so all three are read before either range check.
+    r_crit, r_x, d_crit = spec.r_crit, spec.r_x, spec.d_crit
+    if not 0.0 < r_x < r_crit < spec.capacity_nats:
+        raise ValueError("expected 0 < r_x < r_crit < c")
+    if not 0.0 < d_crit < math.sqrt(2.0):
+        raise ValueError("d_crit out of range (0, sqrt(2))")
     e_awgn = awgn.awgn_exponent(r, spec)
     e_lam = modlam.modlambda_exponent(r, spec)
     theta, d_min, floor_lam = awgn.theta_of_rate(r), awgn.min_distance(r), math.exp(-r)
@@ -167,12 +172,12 @@ def cmd_geometry(args):
         "rate_bits": nats_to_bits(r),
         "rate_over_C": r / spec.capacity_nats,
         "capacity_nats": spec.capacity_nats,
-        "critical_rate_nats": crit.r_crit,
-        "rate_x_nats": crit.r_x,
+        "critical_rate_nats": r_crit,
+        "rate_x_nats": r_x,
         "rate_ii_nats": modlam.rate_ii(spec),
-        "E_sp": awgn.sphere_packing_exponent(r, spec).value,
-        "E_r": awgn.random_coding_exponent(r, spec).value,
-        "E_x": awgn.expurgated_exponent(r, spec).value,
+        "E_sp": awgn.sphere_packing_exponent(r, spec),
+        "E_r": awgn.random_coding_exponent(r, spec),
+        "E_x": awgn.expurgated_exponent(r, spec),
         "E_awgn": {"value": e_awgn.value, "regime": e_awgn.regime},
         "E_modlambda": {"value": e_lam.value, "regime": e_lam.regime},
         "theta": theta,
@@ -185,7 +190,7 @@ def cmd_geometry(args):
         "k_alpha_star": scaling.k_alpha,
         "d_typ": event_sp.d,
         "d_typ_ii": event_lam.d,
-        "d_crit": crit.d_crit,
+        "d_crit": d_crit,
         "d_min": d_min,
         "beta_star": awgn.beta_star(theta, spec),
         "l_star": l_star,
@@ -293,15 +298,14 @@ def cmd_simulate(args):
 def _fast_checks():
     """Closed-form identity suite; each entry returns a max absolute error."""
     spec = ChannelSpec(10.0)
-    crit = awgn.critical_rates(spec)
     checks = []
 
     def leave_cone_error():
         worst = 0.0
-        for r in _linspace(crit.r_crit + 0.01, spec.capacity_nats - 0.01, 8):
+        for r in _linspace(spec.r_crit + 0.01, spec.capacity_nats - 0.01, 8):
             theta = awgn.theta_of_rate(r)
-            got = awgn.leave_cone_exponent(theta, spec).value
-            want = awgn.sphere_packing_exponent(r, spec).value
+            got = awgn.leave_cone_exponent(theta, spec)
+            want = awgn.sphere_packing_exponent(r, spec)
             worst = max(worst, abs(got - want))
         return worst
 
@@ -310,7 +314,7 @@ def _fast_checks():
         ("rho at capacity is 0", lambda: abs(awgn.rho_g(spec.capacity_nats, spec)), 1e-9)
     )
     checks.append(
-        ("rho at critical rate is 1", lambda: abs(awgn.rho_g(crit.r_crit, spec) - 1.0), 1e-9)
+        ("rho at critical rate is 1", lambda: abs(awgn.rho_g(spec.r_crit, spec) - 1.0), 1e-9)
     )
     checks.append(
         (
@@ -328,8 +332,8 @@ def _fast_checks():
         eps = 1e-9
         worst = 0.0
         for floor, junctions in (
-            (awgn.min_distance, (crit.r_x, crit.r_crit)),
-            (lambda r: math.exp(-r), (modlam.rate_ii(spec), crit.r_crit)),
+            (awgn.min_distance, (spec.r_x, spec.r_crit)),
+            (lambda r: math.exp(-r), (modlam.rate_ii(spec), spec.r_crit)),
         ):
             for at in junctions:
                 lo, hi = (regions.typical_event(r, floor(r), spec) for r in (at - eps, at + eps))
@@ -340,7 +344,7 @@ def _fast_checks():
 
     def ordering_error():
         for r in _linspace(0.02, spec.capacity_nats - 1e-6, 25):
-            e_r = awgn.random_coding_exponent(r, spec).value
+            e_r = awgn.random_coding_exponent(r, spec)
             e_ii = modlam.modlambda_exponent(r, spec).value
             e_a = awgn.awgn_exponent(r, spec).value
             if not (e_r - 1e-9 <= e_ii <= e_a + 1e-9):

@@ -13,13 +13,10 @@ import math
 from dataclasses import dataclass
 
 from .awgn import (
-    _ChannelConstants,
     _awgn_curve,
-    _expurgated,
-    _random_coding,
-    _sphere_packing,
-    _typical_chord,
-    critical_distance,
+    expurgated_exponent,
+    random_coding_exponent,
+    sphere_packing_exponent,
     theta_of_rate,
     typical_chord,
 )
@@ -33,7 +30,7 @@ from .channel import (
     ZERO,
 )
 from .numerics import _EPS, bisect_root
-from .regions import _f_bnd, ebd, event_alpha
+from .regions import ebd, event_alpha, f_bnd
 
 
 @dataclass(frozen=True)
@@ -187,16 +184,7 @@ def k_alpha_star(d_omega, R, spec: ChannelSpec) -> ScalingSpec:
 
 def rate_ii(spec: ChannelSpec) -> float:
     """Largest rate where the distance-e^{-R} ensemble beats random coding."""
-    return _rate_ii(critical_distance(spec))
-
-
-def _rate_ii(d_crit):
-    return max(0.0, -math.log(d_crit))
-
-
-def typical_distance_ii(R, spec: ChannelSpec) -> float:
-    """Typical error-event chord of the coset ensemble (floor e^{-R})."""
-    return typical_chord(R, math.exp(-R), spec)
+    return max(0.0, -math.log(spec.d_crit))
 
 
 def modlambda_exponent(R, spec: ChannelSpec) -> ExponentValue:
@@ -205,18 +193,18 @@ def modlambda_exponent(R, spec: ChannelSpec) -> ExponentValue:
     Equals the sphere-packing exponent at and above the critical rate;
     improves on random coding below rate_ii.
     """
-    return ExponentValue(*_modlambda(R, _ChannelConstants(spec)))
+    return ExponentValue(*_modlambda(R, spec))
 
 
-def _modlambda(R, k, e_sp=None):
+def _modlambda(R, spec, e_sp=None):
     """E_II at R and its regime; `e_sp`, E_sp at R if the caller has it, is
     taken where f_bnd needs it."""
-    if not 0.0 <= R <= k.c * CAPACITY_SLACK:
+    if not 0.0 <= R <= spec.capacity_nats * CAPACITY_SLACK:
         raise ValueError("rate must be in [0, C]")
-    val = _f_bnd(_typical_chord(R, math.exp(-R), k), theta_of_rate(R), R, k, e_sp)
-    if R < _rate_ii(k.d_crit):  # empty below SNR 8/3, where rate_ii = 0
+    val = f_bnd(typical_chord(R, math.exp(-R), spec), theta_of_rate(R), R, spec, e_sp)
+    if R < rate_ii(spec):  # empty below SNR 8/3, where rate_ii = 0
         regime = EXPURGATED
-    elif R <= k.r_crit:
+    elif R <= spec.r_crit:
         regime = RANDOM_CODING
     else:
         regime = SPHERE_PACKING
@@ -226,22 +214,21 @@ def _modlambda(R, k, e_sp=None):
 def exponent_table(rates, spec: ChannelSpec):
     """(E_sp, E_r, E_x, E_awgn, E_II) at each rate, one tuple a rate.
 
-    Each value is bit-equal to the `.value` of its per-point function, which
-    wraps the same kernel.  The table computes each SNR-only constant once and
-    E_sp once a rate, and takes E_r, E_awgn and E_II's E_sp from it.
+    Each value is bit-equal to its per-point function's (`.value` for E_awgn
+    and E_II).  The table computes E_sp once a rate and takes E_r, E_awgn and
+    E_II's E_sp from it.
     """
-    k = _ChannelConstants(spec)
-    return [_table_row(R, k) for R in rates]
+    return [_table_row(R, spec) for R in rates]
 
 
-def _table_row(R, k):
-    e_sp = _sphere_packing(R, k)
-    e_r = _random_coding(R, k, e_sp)
-    e_x = _expurgated(R, k.snr)
+def _table_row(R, spec):
+    e_sp = sphere_packing_exponent(R, spec)
+    e_r = random_coding_exponent(R, spec, e_sp)
+    e_x = expurgated_exponent(R, spec)
     e_awgn = {ZERO: 0.0, EXPURGATED: e_x, SPHERE_PACKING: e_sp, RANDOM_CODING: e_r}[
-        _awgn_curve(R, k)
+        _awgn_curve(R, spec)
     ]
-    return e_sp, e_r, e_x, e_awgn, _modlambda(R, k, e_sp)[0]
+    return e_sp, e_r, e_x, e_awgn, _modlambda(R, spec, e_sp)[0]
 
 
 def lattice_union_min(r, scaling: ScalingSpec, spec: ChannelSpec, R):

@@ -13,11 +13,9 @@ import math
 from dataclasses import dataclass
 
 from .awgn import (
-    _ChannelConstants,
-    _sphere_packing,
     beta_star,
-    critical_rate,
     rate_of_theta,
+    sphere_packing_exponent,
     theta_of_rate,
     typical_chord,
 )
@@ -106,27 +104,23 @@ def beta_star_cone(theta: float, theta_d: float, spec: ChannelSpec) -> float:
     return math.cos(theta_d / 2.0) ** 2
 
 
-def f_bnd(d: float, theta: float, R: float, spec: ChannelSpec) -> float:
+def f_bnd(d: float, theta: float, R: float, spec: ChannelSpec, e_sp=None) -> float:
     """Union-bound exponent with the optimal beta substituted.
 
     Case 1 (R(theta) above the chord's critical threshold):
         E_sp(R(theta)) - ln(sin theta) - R.
     Case 2: SNR d^2/8 - ln(d sqrt(1 - d^2/4)) - R.
+    `e_sp`, E_sp at R if the caller has it, is taken where R(theta) = R.
     """
-    return _f_bnd(d, theta, R, _ChannelConstants(spec))
-
-
-def _f_bnd(d, theta, R, k, e_sp=None):
-    """`f_bnd`; `e_sp`, E_sp at R if the caller has it, is taken where R(theta) = R."""
     if d <= _EPS or d >= 2.0 - _EPS:
         return math.inf
     r_theta = rate_of_theta(theta)
-    if r_theta > critical_rate_of_theta_d(theta_d_of_chord(d), k.spec):
+    if r_theta > critical_rate_of_theta_d(theta_d_of_chord(d), spec):
         if e_sp is None or r_theta != R:
-            e_sp = _sphere_packing(r_theta, k)
+            e_sp = sphere_packing_exponent(r_theta, spec)
         return e_sp + r_theta - R  # -ln(sin theta) is r_theta, and x - y is x + (-y)
     return (
-        k.snr * d * d / 8.0
+        spec.snr * d * d / 8.0
         - math.log(d * math.sqrt(1.0 - d * d / 4.0))
         - R
     )
@@ -200,7 +194,7 @@ def event_alpha(d: float, R: float, spec: ChannelSpec) -> float:
     alpha*_s(theta(R)) at and above R_crit; below it 1/(1 + K) with
     K = 1/((1 - d^2/4) SNR).  Continuous at R_crit, where d = d_crit.
     """
-    if R >= critical_rate(spec):
+    if R >= spec.r_crit:
         return tangent_sphere_scaling(theta_of_rate(R), spec)
     k_alpha = 1.0 / ((1.0 - d * d / 4.0) * spec.snr)
     return 1.0 / (1.0 + k_alpha)
@@ -236,12 +230,12 @@ def typical_event(R: float, floor: float, spec: ChannelSpec) -> TypicalEvent:
     if not 0.0 < R <= spec.capacity_nats:
         raise ValueError("rate must be in (0, C]")
     d = typical_chord(R, floor, spec)
-    k = k_zeta(d, R, spec) if R < critical_rate(spec) else None
+    k = k_zeta(d, R, spec) if R < spec.r_crit else None
     theta = theta_of_rate(R) if k is None else theta_zeta(k, spec)
     return TypicalEvent(d, theta, event_alpha(d, R, spec), k)
 
 
 def alpha_awgn_r(R: float, spec: ChannelSpec) -> float:
     """Scaling achieving the random-coding exponent: alpha*_s at max(R, R_crit)."""
-    return tangent_sphere_scaling(theta_of_rate(max(R, critical_rate(spec))), spec)
+    return tangent_sphere_scaling(theta_of_rate(max(R, spec.r_crit)), spec)
 

@@ -100,5 +100,5 @@ def effective_noise_ball(n, spec: ChannelSpec, R, dither, trials, seed, lattice=
         "empirical": res.pe,
         "ci95": res.ci95,
         "empirical_exponent": res.empirical_exponent,
-        "target_exponent": sphere_packing_exponent(R, spec).value,
+        "target_exponent": sphere_packing_exponent(R, spec),
     }

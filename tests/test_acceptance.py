@@ -55,8 +55,8 @@ def test_criterion_01_region_tail_identity():
         r_c, c = awgn.critical_rate(spec), spec.capacity_nats
         for i in range(1, 21):
             r = r_c + (c - r_c) * i / 21.0
-            got = awgn.leave_cone_exponent(awgn.theta_of_rate(r), spec).value
-            want = awgn.sphere_packing_exponent(r, spec).value
+            got = awgn.leave_cone_exponent(awgn.theta_of_rate(r), spec)
+            want = awgn.sphere_packing_exponent(r, spec)
             worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 1.0
@@ -113,8 +113,12 @@ def test_criterion_04_continuity_suite():
     eps = 1e-9
     failures = []
     r_x, r_c = awgn.rate_x(spec), awgn.critical_rate(spec)
+
+    def chord(r):
+        return awgn.typical_chord(r, awgn.min_distance(r), spec)
+
     for at, tag in ((r_x, "R_x"), (r_c, "R_crit")):
-        jump = abs(awgn.typical_distance(at - eps, spec) - awgn.typical_distance(at + eps, spec))
+        jump = abs(chord(at - eps) - chord(at + eps))
         if jump > 1e-8:
             failures.append("d_typ jump %.2e at %s" % (jump, tag))
     k_lo = modlam.k_alpha_star(math.exp(-(r_c - eps)), r_c - eps, spec).k_alpha
@@ -138,7 +142,9 @@ def test_criterion_04_continuity_suite():
         failures.append("branch threshold of d_crit is not R_crit")
 
     def along_curve(r):
-        return regions.f_bnd(awgn.typical_distance(r, spec), awgn.theta_of_rate(r), r, spec)
+        return regions.f_bnd(
+            awgn.typical_chord(r, awgn.min_distance(r), spec), awgn.theta_of_rate(r), r, spec
+        )
 
     jump = abs(along_curve(r_c - eps) - along_curve(r_c + eps))
     if jump > 1e-8:
@@ -155,7 +161,7 @@ def test_criterion_05_tightness_and_equivalence():
     for i in range(1, 7):
         r = r_c + (c - r_c) * i / 7.0
         theta = awgn.theta_of_rate(r)
-        e_sp = awgn.sphere_packing_exponent(r, spec).value
+        e_sp = awgn.sphere_packing_exponent(r, spec)
         _, _, double_min = regions.cone_union_min(theta, r, spec)
         if abs(double_min - e_sp) > 1e-6:
             failures.append("cone min off %.2e at R=%.3f" % (abs(double_min - e_sp), r))
@@ -183,7 +189,7 @@ def test_criterion_06_ordering_chain():
         strict = False
         for i in range(1, 51):
             r = c * i / 51.0
-            e_r = awgn.random_coding_exponent(r, spec).value
+            e_r = awgn.random_coding_exponent(r, spec)
             e_ii = modlam.modlambda_exponent(r, spec).value
             e_a = awgn.awgn_exponent(r, spec).value
             if e_r > e_ii + 1e-9 or e_ii > e_a + 1e-9:
@@ -191,7 +197,7 @@ def test_criterion_06_ordering_chain():
             if r < r_x and e_ii < e_a - 1e-9:
                 strict = True
             if r >= r_c:
-                e_sp = awgn.sphere_packing_exponent(r, spec).value
+                e_sp = awgn.sphere_packing_exponent(r, spec)
                 if abs(e_ii - e_sp) > 1e-6:
                     failures.append("E_II != E_sp at snr=%g R=%.4f" % (snr, r))
         if not strict:
@@ -251,7 +257,7 @@ def test_criterion_08_monte_carlo_suite():
     # lambda = k^2 n SNR, k = (1-alpha)/alpha, so the exit probability is
     # P_n = P(chi'^2_n(lambda) > n SNR sin^2(theta) / alpha^2).
     r_target = bisect_root(
-        lambda r: awgn.sphere_packing_exponent(r, spec).value - 0.05, 0.9, 1.19
+        lambda r: awgn.sphere_packing_exponent(r, spec) - 0.05, 0.9, 1.19
     )
     rpt = mc.effective_noise_ball(64, spec, r_target, "spherical", trials, seed=23)
     # (b1) the 1M-trial CI holds the exact P_64 (scipy ncx2 and a 40-digit
@@ -265,7 +271,7 @@ def test_criterion_08_monte_carlo_suite():
     theta = awgn.theta_of_rate(r_target)
     alpha = regions.tangent_sphere_scaling(theta, spec)
     k = (1.0 - alpha) / alpha
-    e_sp = awgn.sphere_packing_exponent(r_target, spec).value
+    e_sp = awgn.sphere_packing_exponent(r_target, spec)
     exact = []
     for n in (64, 256, 1024, 4096):
         x = n * spec.snr * (math.sin(theta) / alpha) ** 2

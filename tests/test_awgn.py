@@ -13,7 +13,6 @@ from expbounds.channel import (
     EXPURGATED,
     RANDOM_CODING,
     SPHERE_PACKING,
-    ZERO,
 )
 from expbounds import awgn
 from expbounds.numerics import bisect_root, golden_min
@@ -71,8 +70,8 @@ def test_rate_x():
 
 def test_rate_x_is_branch_junction():
     r_x = awgn.rate_x(SNR10)
-    e_x = awgn.expurgated_exponent(r_x, SNR10).value
-    e_r = awgn.random_coding_exponent(r_x, SNR10).value
+    e_x = awgn.expurgated_exponent(r_x, SNR10)
+    e_r = awgn.random_coding_exponent(r_x, SNR10)
     assert abs(e_x - EX_RX) < 1e-9
     assert abs(e_x - e_r) < 1e-9
     assert abs(awgn.min_distance(r_x) - awgn.critical_distance(SNR10)) < 1e-9
@@ -108,7 +107,7 @@ SMALL_RATE_MPMATH = {
 def test_small_rate_cancellations_match_mpmath(rate):
     rho, e_x = SMALL_RATE_MPMATH[rate]
     assert abs(awgn.rho_g(rate, SNR10) - rho) <= 1e-14 * rho
-    assert abs(awgn.expurgated_exponent(rate, SNR10).value - e_x) <= 1e-15 * e_x
+    assert abs(awgn.expurgated_exponent(rate, SNR10) - e_x) <= 1e-15 * e_x
     assert abs(awgn.min_distance(rate) ** 2 - 8.0 * e_x / 10.0) <= 1e-15
 
 
@@ -124,29 +123,28 @@ def test_rate_x_is_min_distance_crossing(snr):
 
 
 def test_sphere_packing_values():
-    assert abs(awgn.sphere_packing_exponent(1.0, SNR10).value - ESP10_1) < 1e-10
-    assert abs(awgn.sphere_packing_exponent(0.7, SNR10).value - ESP10_07) < 1e-10
-    assert abs(awgn.sphere_packing_exponent(0.3, SNR1).value - ESP1_03) < 1e-10
+    assert abs(awgn.sphere_packing_exponent(1.0, SNR10) - ESP10_1) < 1e-10
+    assert abs(awgn.sphere_packing_exponent(0.7, SNR10) - ESP10_07) < 1e-10
+    assert abs(awgn.sphere_packing_exponent(0.3, SNR1) - ESP1_03) < 1e-10
     assert (
-        abs(awgn.sphere_packing_exponent(RCRIT10, SNR10).value - ESP_RCRIT) < 1e-10
+        abs(awgn.sphere_packing_exponent(RCRIT10, SNR10) - ESP_RCRIT) < 1e-10
     )
 
 
 def test_sphere_packing_zero_at_capacity():
-    ev = awgn.sphere_packing_exponent(awgn.capacity(SNR10), SNR10)
-    assert ev.value == pytest.approx(0.0, abs=1e-10)
-    assert awgn.sphere_packing_exponent(2.0, SNR10).regime == ZERO
+    assert awgn.sphere_packing_exponent(awgn.capacity(SNR10), SNR10) == 0.0
+    assert awgn.sphere_packing_exponent(2.0, SNR10) == 0.0
 
 
 def test_random_coding_values():
-    assert abs(awgn.random_coding_exponent(0.0, SNR10).value - ER0) < 1e-10
-    assert abs(awgn.random_coding_exponent(0.3, SNR10).value - ER03) < 1e-10
+    assert abs(awgn.random_coding_exponent(0.0, SNR10) - ER0) < 1e-10
+    assert abs(awgn.random_coding_exponent(0.3, SNR10) - ER03) < 1e-10
 
 
 def test_random_coding_affine_below_critical():
     # Slope is exactly -1 below the critical rate.
-    e_a = awgn.random_coding_exponent(0.2, SNR10).value
-    e_b = awgn.random_coding_exponent(0.5, SNR10).value
+    e_a = awgn.random_coding_exponent(0.2, SNR10)
+    e_b = awgn.random_coding_exponent(0.5, SNR10)
     assert abs((e_a - e_b) - 0.3) < 1e-10
 
 
@@ -154,15 +152,15 @@ def test_random_coding_merges_with_sphere_packing():
     for r in (0.86, 1.0, 1.1):
         assert (
             abs(
-                awgn.random_coding_exponent(r, SNR10).value
-                - awgn.sphere_packing_exponent(r, SNR10).value
+                awgn.random_coding_exponent(r, SNR10)
+                - awgn.sphere_packing_exponent(r, SNR10)
             )
             < 1e-12
         )
 
 
 def test_expurgated_value():
-    assert abs(awgn.expurgated_exponent(0.3, SNR10).value - EX03) < 1e-10
+    assert abs(awgn.expurgated_exponent(0.3, SNR10) - EX03) < 1e-10
 
 
 def test_min_distance():
@@ -194,7 +192,7 @@ def test_rho_g_finite_at_subnormal_rates(snr, rate):
     rho = awgn.rho_g(rate, spec)
     want = math.sqrt(snr / 2.0) / math.sqrt(rate)
     assert abs(rho - want) <= 1e-12 * want
-    assert awgn.sphere_packing_exponent(rate, spec).value == 0.5 * snr
+    assert awgn.sphere_packing_exponent(rate, spec) == 0.5 * snr
 
 
 def test_awgn_exponent_dispatch():
@@ -215,9 +213,9 @@ def test_awgn_exponent_piecewise_dispatch():
     r_x = awgn.rate_x(SNR10)
     for r in (0.1, 0.4, 0.6, 0.9, 1.1):
         if r <= r_x:
-            expected = awgn.expurgated_exponent(r, SNR10).value
+            expected = awgn.expurgated_exponent(r, SNR10)
         else:
-            expected = awgn.random_coding_exponent(r, SNR10).value
+            expected = awgn.random_coding_exponent(r, SNR10)
         assert abs(awgn.awgn_exponent(r, SNR10).value - expected) < 1e-12
 
 
@@ -237,22 +235,23 @@ def test_tail_exponents_closed_form():
     assert e_h == 0.0  # no radial tail inside the typical shell
 
 
-def test_typical_distance_branches():
+def test_typical_chord_branches_at_the_spherical_floor():
     r_x = awgn.rate_x(SNR10)
     r_c = awgn.critical_rate(SNR10)
     d_c = awgn.critical_distance(SNR10)
-    assert abs(awgn.typical_distance(0.3, SNR10) - awgn.min_distance(0.3)) < 1e-12
-    assert abs(awgn.typical_distance(0.5 * (r_x + r_c), SNR10) - d_c) < 1e-12
-    assert (
-        abs(awgn.typical_distance(1.0, SNR10) - math.sqrt(2.0) * math.exp(-1.0))
-        < 1e-12
-    )
+
+    def chord(r):
+        return awgn.typical_chord(r, awgn.min_distance(r), SNR10)
+
+    assert abs(chord(0.3) - awgn.min_distance(0.3)) < 1e-12
+    assert abs(chord(0.5 * (r_x + r_c)) - d_c) < 1e-12
+    assert abs(chord(1.0) - math.sqrt(2.0) * math.exp(-1.0)) < 1e-12
 
 
 def test_leave_cone_matches_sphere_packing():
     for r in (0.9, 1.0, 1.15):
-        got = awgn.leave_cone_exponent(awgn.theta_of_rate(r), SNR10).value
-        want = awgn.sphere_packing_exponent(r, SNR10).value
+        got = awgn.leave_cone_exponent(awgn.theta_of_rate(r), SNR10)
+        want = awgn.sphere_packing_exponent(r, SNR10)
         assert abs(got - want) < 1e-9
 
 
@@ -270,7 +269,7 @@ def test_leave_cone_closed_form_matches_golden_search(snr):
             return b * b * snr / 2.0 + e_h
 
         _, want = golden_min(objective, -1.0 + 1e-12, 1.0, tol=1e-10)
-        got = awgn.leave_cone_exponent(theta, spec).value
+        got = awgn.leave_cone_exponent(theta, spec)
         assert abs(got - max(want, 0.0)) <= 1e-14 * want + 1e-16, (k, got, want)
 
 
@@ -288,9 +287,31 @@ def test_beta_star_is_leave_cone_minimizer():
         assert objective(beta + eps) >= base - 1e-12
 
 
-def test_critical_rates_ordering():
-    crit = awgn.critical_rates(SNR10)
-    assert 0.0 < crit.r_x < crit.r_crit < crit.c
+def test_channel_constants_ordering():
+    spec = ChannelSpec(10.0)
+    assert 0.0 < spec.r_x < spec.r_crit < spec.capacity_nats
+    assert spec.r_x == awgn.rate_x(spec)
+    assert spec.r_crit == awgn.critical_rate(spec)
+    assert spec.d_crit == awgn.critical_distance(spec)
+
+
+def test_channel_constants_are_kept_and_ignored_by_equality():
+    spec, fresh = ChannelSpec(10.0), ChannelSpec(10.0)
+    constants = (spec.capacity_nats, spec.r_crit, spec.r_x, spec.d_crit, spec.e_r_offset)
+    assert spec.r_crit is spec.r_crit  # computed once, then an attribute
+    assert spec == fresh and hash(spec) == hash(fresh)
+    assert repr(spec) == repr(fresh) == "ChannelSpec(snr=10.0)"
+    assert constants == (fresh.capacity_nats, fresh.r_crit, fresh.r_x, fresh.d_crit,
+                         fresh.e_r_offset)
+
+
+def test_a_channel_constant_that_raises_is_not_kept():
+    # At SNR 1e-18 the argument of d_crit's outer root cancels to below 0.
+    spec = ChannelSpec(1e-18)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="math domain error"):
+            spec.d_crit
+    assert "d_crit" not in vars(spec)
 
 
 def test_rejects_negative_rate():

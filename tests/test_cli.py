@@ -49,7 +49,7 @@ def test_exponents_csv_schema(tmp_path, capsys):
     assert rates == sorted(rates)
     # Round trip at 1e-15 relative: re-derive one column from the library.
     for row in rows[::7]:
-        want = awgn.sphere_packing_exponent(float(row["rate_nats"]), spec).value
+        want = awgn.sphere_packing_exponent(float(row["rate_nats"]), spec)
         got = float(row["E_sp"])
         assert got == want or abs(got - want) <= 1e-15 * max(1.0, abs(want))
     # Monotone non-increasing exponent columns.
@@ -160,7 +160,35 @@ def test_geometry_runs_each_k_zeta_bisection_once(capsys, monkeypatch):
     assert rpt["theta_awgn"] == regions.typical_event(r, awgn.min_distance(r), spec).theta
     assert rpt["theta_lambda"] == regions.typical_event(r, math.exp(-r), spec).theta
     assert rpt["r_lambda_alpha"] == regions.typical_event(r, math.exp(-r), spec).radius
-    assert rpt["k_zeta"] == regions.k_zeta(awgn.typical_distance(r, spec), r, spec)
+    assert rpt["k_zeta"] == regions.k_zeta(awgn.typical_chord(r, awgn.min_distance(r), spec), r, spec)
+
+
+def _count_calls(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["geometry", "--snr", "10", "--rate-nats", "0.5"],
+        ["exponents", "--snr", "10", "--grid-nats", "--grid", "0.02:1.1:50"],
+    ],
+    ids=["geometry", "exponents"],
+)
+def test_request_computes_each_channel_constant_once(capsys, monkeypatch, argv):
+    calls = _count_calls(monkeypatch, awgn, ("critical_rate", "rate_x", "critical_distance"))
+    code, _, err = _run(capsys, *argv)
+    assert code == 0, err
+    assert calls == {"critical_rate": 1, "rate_x": 1, "critical_distance": 1}
 
 
 # The north-star SNR range, -40 to 50 dB in half-dB steps.

@@ -83,7 +83,7 @@ def test_triple_min_equals_sphere_packing():
         scaling = modlam.k_alpha_star(math.exp(-r), r, SNR10)
         radius = math.sin(awgn.theta_of_rate(r)) / scaling.alpha
         _, _, _, val = modlam.lattice_union_min(radius, scaling, SNR10, r)
-        assert abs(val - awgn.sphere_packing_exponent(r, SNR10).value) < 1e-8
+        assert abs(val - awgn.sphere_packing_exponent(r, SNR10)) < 1e-8
 
 
 def test_expurgated_l_star_solves_constraint():
@@ -195,27 +195,28 @@ def test_rate_ii():
     assert abs(modlam.rate_ii(SNR10) + math.log(awgn.critical_distance(SNR10))) < 1e-15
 
 
-def test_typical_distance_ii_branches():
+def _coset_chord(r):
+    return awgn.typical_chord(r, math.exp(-r), SNR10)
+
+
+def test_typical_chord_branches_at_the_coset_floor():
     d_c = awgn.critical_distance(SNR10)
-    assert abs(modlam.typical_distance_ii(0.3, SNR10) - math.exp(-0.3)) < 1e-15
-    assert abs(modlam.typical_distance_ii(0.7, SNR10) - d_c) < 1e-15
-    assert (
-        abs(modlam.typical_distance_ii(1.0, SNR10) - math.sqrt(2.0) * math.exp(-1.0))
-        < 1e-15
-    )
+    assert abs(_coset_chord(0.3) - math.exp(-0.3)) < 1e-15
+    assert abs(_coset_chord(0.7) - d_c) < 1e-15
+    assert abs(_coset_chord(1.0) - math.sqrt(2.0) * math.exp(-1.0)) < 1e-15
 
 
 def test_modlambda_exponent_value_and_regimes():
     low = modlam.modlambda_exponent(0.3, SNR10)
     assert low.regime == EXPURGATED
     assert abs(low.value - EII_03) < 1e-10
-    assert abs(modlam.typical_distance_ii(0.3, SNR10) - math.exp(-0.3)) < 1e-15
+    assert abs(_coset_chord(0.3) - math.exp(-0.3)) < 1e-15
     mid = modlam.modlambda_exponent(0.7, SNR10)
     assert mid.regime == RANDOM_CODING
-    assert abs(mid.value - awgn.random_coding_exponent(0.7, SNR10).value) < 1e-8
+    assert abs(mid.value - awgn.random_coding_exponent(0.7, SNR10)) < 1e-8
     high = modlam.modlambda_exponent(1.0, SNR10)
     assert high.regime == SPHERE_PACKING
-    assert abs(high.value - awgn.sphere_packing_exponent(1.0, SNR10).value) < 1e-10
+    assert abs(high.value - awgn.sphere_packing_exponent(1.0, SNR10)) < 1e-10
 
 
 @pytest.mark.parametrize("snr", [1.0, 2.6, 2.7, 10.0])
@@ -224,7 +225,7 @@ def test_modlambda_regime_at_zero_rate(snr):
     # empty there, and E_II(0) is E_r(0).  Above it R = 0 is expurgated.
     spec = ChannelSpec(snr)
     at_zero = modlam.modlambda_exponent(0.0, spec)
-    e_r = awgn.random_coding_exponent(0.0, spec).value
+    e_r = awgn.random_coding_exponent(0.0, spec)
     if snr < 8.0 / 3.0:
         assert modlam.rate_ii(spec) == 0.0
         assert at_zero.regime == RANDOM_CODING
@@ -241,7 +242,7 @@ def test_exponent_ordering_chain():
         c = spec.capacity_nats
         for i in range(1, 50):
             r = c * i / 50.0
-            e_r = awgn.random_coding_exponent(r, spec).value
+            e_r = awgn.random_coding_exponent(r, spec)
             e_ii = modlam.modlambda_exponent(r, spec).value
             e_a = awgn.awgn_exponent(r, spec).value
             assert e_r <= e_ii + 1e-9
@@ -250,7 +251,7 @@ def test_exponent_ordering_chain():
 
 def test_strict_improvement_below_rate_x():
     r = 0.3  # below the expurgated junction
-    e_r = awgn.random_coding_exponent(r, SNR10).value
+    e_r = awgn.random_coding_exponent(r, SNR10)
     e_ii = modlam.modlambda_exponent(r, SNR10).value
     e_a = awgn.awgn_exponent(r, SNR10).value
     assert e_ii > e_r + 1e-3
@@ -274,8 +275,8 @@ _PER_POINT = (
     awgn.sphere_packing_exponent,
     awgn.random_coding_exponent,
     awgn.expurgated_exponent,
-    awgn.awgn_exponent,
-    modlam.modlambda_exponent,
+    lambda r, spec: awgn.awgn_exponent(r, spec).value,
+    lambda r, spec: modlam.modlambda_exponent(r, spec).value,
 )
 
 
@@ -284,13 +285,13 @@ def test_exponent_table_is_bit_equal_to_the_per_point_functions(snr):
     # Each junction (r_x, R_crit, rate_ii, C) with its neighbouring floats,
     # on a grid from 0 to C: every table value is its function's, bit for bit.
     spec = ChannelSpec(snr)
-    crit = awgn.critical_rates(spec)
-    rates = [crit.c * k / 40 for k in range(41)]
-    for at in (crit.r_x, crit.r_crit, modlam.rate_ii(spec), crit.c):
+    c = spec.capacity_nats
+    rates = [c * k / 40 for k in range(41)]
+    for at in (spec.r_x, spec.r_crit, modlam.rate_ii(spec), c):
         rates += [math.nextafter(at, 0.0), at, math.nextafter(at, math.inf)]
     rates.sort()
     table = modlam.exponent_table(rates, spec)
     assert len(table) == len(rates)
     for r, row in zip(rates, table):
-        want = [f(r, spec).value.hex() for f in _PER_POINT]
+        want = [f(r, spec).hex() for f in _PER_POINT]
         assert [v.hex() for v in row] == want, r

@@ -33,10 +33,10 @@ TINY = 5e-324
 def _exponents(r, spec):
     """(E_r, E_II, E_awgn, E_sp) at rate r."""
     return (
-        awgn.random_coding_exponent(r, spec).value,
+        awgn.random_coding_exponent(r, spec),
         modlam.modlambda_exponent(r, spec).value,
         awgn.awgn_exponent(r, spec).value,
-        awgn.sphere_packing_exponent(r, spec).value,
+        awgn.sphere_packing_exponent(r, spec),
     )
 
 

@@ -71,7 +71,7 @@ def test_cone_union_min_equals_sphere_packing():
     for r in (0.9, 1.0, 1.1):
         theta = awgn.theta_of_rate(r)
         d, beta, val = regions.cone_union_min(theta, r, SNR10)
-        assert abs(val - awgn.sphere_packing_exponent(r, SNR10).value) < 1e-8
+        assert abs(val - awgn.sphere_packing_exponent(r, SNR10)) < 1e-8
         # Minimizers match their closed forms.
         assert abs(d - math.sqrt(2.0) * math.sin(theta)) < 1e-5
         assert abs(beta - awgn.beta_star(theta, SNR10)) < 1e-5
@@ -86,7 +86,7 @@ def test_f_bnd_at_critical_chord_gives_random_coding():
     for r in (0.55, 0.7, 0.85):
         theta = regions.typical_event(r, awgn.min_distance(r), SNR10).theta
         got = regions.f_bnd(d_c, theta, r, SNR10)
-        want = awgn.random_coding_exponent(r, SNR10).value
+        want = awgn.random_coding_exponent(r, SNR10)
         assert abs(got - want) < 1e-8
 
 
@@ -95,13 +95,13 @@ def test_f_bnd_at_min_distance_gives_expurgated():
         d = awgn.min_distance(r)
         theta = regions.typical_event(r, awgn.min_distance(r), SNR10).theta
         got = regions.f_bnd(d, theta, r, SNR10)
-        want = awgn.expurgated_exponent(r, SNR10).value
+        want = awgn.expurgated_exponent(r, SNR10)
         assert abs(got - want) < 1e-8
 
 
 def test_typical_geometry_reproduces_best_curve():
     for r in (0.1, 0.3, 0.5574, 0.7, 0.857, 1.0, 1.15):
-        d = awgn.typical_distance(r, SNR10)
+        d = awgn.typical_chord(r, awgn.min_distance(r), SNR10)
         theta = regions.typical_event(r, awgn.min_distance(r), SNR10).theta
         got = regions.f_bnd(d, theta, r, SNR10)
         want = awgn.awgn_exponent(r, SNR10).value
@@ -116,7 +116,7 @@ def test_sphere_param_equals_sphere_packing():
         k = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 / (snr * math.cos(theta) ** 2)))
         assert abs(regions.theta_zeta(k, SNR10) - theta) < 1e-12
         got = (-1.0 + k * snr - k * math.log(1.0 + 1.0 / k - 1.0 / (k * k * snr))) / (2.0 * k)
-        want = awgn.sphere_packing_exponent(r, SNR10).value
+        want = awgn.sphere_packing_exponent(r, SNR10)
         assert abs(got - want) < 1e-10
 
 
@@ -134,7 +134,7 @@ def test_k_zeta_at_low_snr():
     # the bisection tolerance.
     spec = ChannelSpec(1e-4)
     r = 0.25 * spec.capacity_nats
-    d = awgn.typical_distance(r, spec)
+    d = awgn.typical_chord(r, awgn.min_distance(r), spec)
     k = regions.k_zeta(d, r, spec)
     assert 1.0 / spec.snr < k < math.inf
     assert abs(regions.z_of_k(k, d, r, spec)) < 1e-9
