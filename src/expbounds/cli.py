@@ -6,8 +6,9 @@ config file), validate (self-check suite).
 
 Exit status: 0 ok; 1 a `validate` check failed; 2 usage error or invalid
 input (`ValueError`); 3 numerical failure (`RuntimeError`: a root bracket not
-found, the expurgation attempt cap; `ArithmeticError`: a division by zero or
-an overflow at extreme inputs).  Exits 2 and 3 print one `error:` line.
+found, the expurgation attempt cap; `ArithmeticError`: a division by zero, an
+overflow or a non-finite exponent at extreme inputs).  Exits 2 and 3 print
+one `error:` line.
 --out is written whole to a temporary file, then renamed onto the target.
 
 Rates are accepted in bits (engineering convention) or nats; outputs always
@@ -141,6 +142,9 @@ def cmd_exponents(args):
     rates = _linspace(lo, hi, points)
     for r, row in zip(rates, modlam.exponent_table(rates, spec)):
         picked = [row[i] for i in columns]
+        if not all(map(math.isfinite, picked)):
+            bad = next(i for i, v in enumerate(picked) if not math.isfinite(v))
+            raise ArithmeticError("%s is %r at rate %r nats" % (curves[bad], picked[bad], r))
         lines.append(fmt % (r, r / c, *picked, *[v / snr for v in picked]))
     _write_out(args, "\n".join(lines) + "\n")
     return 0

@@ -82,6 +82,17 @@ def test_exponents_rejects_grid_beyond_capacity(capsys):
     assert "capacity" in err
 
 
+def test_exponents_fails_closed_on_a_non_finite_exponent(tmp_path, capsys):
+    # d_crit cancels to 9.0e15 at this SNR, so E_II at R = 0 is inf.
+    out = tmp_path / "curves.csv"
+    code, stdout, err = _run(
+        capsys, "exponents", "--snr", "7.148482997985123e-48", "--grid-nats",
+        "--grid", "0:3.5742414989925616e-48:2", "--out", str(out),
+    )
+    assert (code, stdout, err) == (3, "", "error: E_modlambda is inf at rate 0.0 nats\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exponents_curve_subset(capsys):
     code, out, _ = _run(
         capsys,

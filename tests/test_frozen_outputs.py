@@ -200,8 +200,10 @@ def _sweep_outcomes():
 
 
 # SHA-256 over every sweep outcome, failures included: a refactor of the
-# closed forms keeps each request's exit code, stdout and stderr.
-FROZEN_SWEEP_SHA256 = "af359f4d4d050ac252b584ac18777f80f346cd6e5ebc1faa0c8a42b03a88dd16"
+# closed forms keeps each request's exit code, stdout and stderr.  One
+# request, `exponents` at SNR 2.7e-127 from R = 0, printed E_II = inf with
+# exit 0 until `exponents` failed closed on non-finite values; it exits 3.
+FROZEN_SWEEP_SHA256 = "ade7978afc04e6c1415520027ffac4f8c4c8f9297c8935589f89e48e5f0b2e14"
 
 
 def test_closed_form_sweep_frozen():
