@@ -235,7 +235,7 @@ def test_tail_exponents_closed_form():
     assert e_h == 0.0  # no radial tail inside the typical shell
 
 
-def test_typical_chord_branches_at_the_spherical_floor():
+def test_typical_distance_branches():
     r_x = awgn.rate_x(SNR10)
     r_c = awgn.critical_rate(SNR10)
     d_c = awgn.critical_distance(SNR10)
@@ -287,7 +287,7 @@ def test_beta_star_is_leave_cone_minimizer():
         assert objective(beta + eps) >= base - 1e-12
 
 
-def test_channel_constants_ordering():
+def test_critical_rates_ordering():
     spec = ChannelSpec(10.0)
     assert 0.0 < spec.r_x < spec.r_crit < spec.capacity_nats
     assert spec.r_x == awgn.rate_x(spec)
@@ -297,12 +297,10 @@ def test_channel_constants_ordering():
 
 def test_channel_constants_are_kept_and_ignored_by_equality():
     spec, fresh = ChannelSpec(10.0), ChannelSpec(10.0)
-    constants = (spec.capacity_nats, spec.r_crit, spec.r_x, spec.d_crit, spec.e_r_offset)
-    assert spec.r_crit is spec.r_crit  # computed once, then an attribute
+    for name in ("capacity_nats", "r_crit", "r_x", "d_crit", "e_r_offset"):
+        assert getattr(spec, name) is getattr(spec, name)  # computed once, then kept
     assert spec == fresh and hash(spec) == hash(fresh)
     assert repr(spec) == repr(fresh) == "ChannelSpec(snr=10.0)"
-    assert constants == (fresh.capacity_nats, fresh.r_crit, fresh.r_x, fresh.d_crit,
-                         fresh.e_r_offset)
 
 
 def test_a_channel_constant_that_raises_is_not_kept():

@@ -199,7 +199,7 @@ def _coset_chord(r):
     return awgn.typical_chord(r, math.exp(-r), SNR10)
 
 
-def test_typical_chord_branches_at_the_coset_floor():
+def test_typical_distance_ii_branches():
     d_c = awgn.critical_distance(SNR10)
     assert abs(_coset_chord(0.3) - math.exp(-0.3)) < 1e-15
     assert abs(_coset_chord(0.7) - d_c) < 1e-15
