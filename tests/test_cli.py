@@ -522,11 +522,11 @@ def test_exponents_failure_keeps_existing_out_file(tmp_path, capsys, monkeypatch
     real_row = modlam._table_row
     calls = []
 
-    def failing_row(r, constants):
+    def failing_row(r, spec):
         calls.append(r)
         if len(calls) == 3:
             raise ValueError("injected failure at rate %r" % r)
-        return real_row(r, constants)
+        return real_row(r, spec)
 
     monkeypatch.setattr(modlam, "_table_row", failing_row)
     code, stdout, err = _run(
