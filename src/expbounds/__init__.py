@@ -40,7 +40,6 @@ from .regions import (
 )
 from .modlam import (
     ScalingSpec,
-    k_alpha_star,
     lattice_union_min,
     modlambda_exponent,
     rate_ii,

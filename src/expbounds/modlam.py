@@ -30,7 +30,7 @@ from .channel import (
     ZERO,
 )
 from .numerics import _EPS, bisect_root
-from .regions import ebd, event_alpha, f_bnd
+from .regions import ebd, f_bnd
 
 
 @dataclass(frozen=True)
@@ -175,48 +175,40 @@ def maximizers_lattice(r, scaling: ScalingSpec, spec: ChannelSpec, min_distance=
     return _expurgated_l_star(min_distance, scaling, spec), d_floor, EXPURGATED
 
 
-def k_alpha_star(d_omega, R, spec: ChannelSpec) -> ScalingSpec:
-    """Exponent-optimal scaling for a distance-d_omega ensemble at R."""
-    if not 0.0 < d_omega <= math.exp(-R) + 1e-9:
-        raise ValueError("require 0 < d_omega <= e^{-R}")
-    return ScalingSpec(event_alpha(typical_chord(R, d_omega, spec), R, spec))
-
-
 def rate_ii(spec: ChannelSpec) -> float:
     """Largest rate where the distance-e^{-R} ensemble beats random coding."""
     return max(0.0, -math.log(spec.d_crit))
 
 
 def modlambda_exponent(R, spec: ChannelSpec) -> ExponentValue:
-    """Exponent of the distance-e^{-R} coset ensemble.
+    """Exponent E_II of the distance-e^{-R} coset ensemble.
 
-    Equals the sphere-packing exponent at and above the critical rate;
-    improves on random coding below rate_ii.
+    Below rate_ii it improves on random coding: the union bound `f_bnd` of
+    the typical event at the chord e^{-R}.  From rate_ii up it is the
+    random-coding exponent, which is E_sp above R_crit.
     """
     return ExponentValue(*_modlambda(R, spec))
 
 
-def _modlambda(R, spec, e_sp=None):
-    """E_II at R and its regime; `e_sp`, E_sp at R if the caller has it, is
-    taken where f_bnd needs it."""
+def _modlambda(R, spec, e_r=None):
+    """E_II at R and its regime; the regime picks the value.  `e_r`, E_r at
+    R if the caller has it, is taken from rate_ii up."""
     if not 0.0 <= R <= spec.capacity_nats * CAPACITY_SLACK:
         raise ValueError("rate must be in [0, C]")
-    val = f_bnd(typical_chord(R, math.exp(-R), spec), theta_of_rate(R), R, spec, e_sp)
     if R < rate_ii(spec):  # empty below SNR 8/3, where rate_ii = 0
-        regime = EXPURGATED
-    elif R <= spec.r_crit:
-        regime = RANDOM_CODING
-    else:
-        regime = SPHERE_PACKING
-    return max(val, 0.0), regime
+        d = typical_chord(R, math.exp(-R), spec)
+        return max(f_bnd(d, theta_of_rate(R), R, spec), 0.0), EXPURGATED
+    if e_r is None:
+        e_r = random_coding_exponent(R, spec)
+    return e_r, RANDOM_CODING if R <= spec.r_crit else SPHERE_PACKING
 
 
 def exponent_table(rates, spec: ChannelSpec):
     """(E_sp, E_r, E_x, E_awgn, E_II) at each rate, one tuple a rate.
 
     Each value is bit-equal to its per-point function's (`.value` for E_awgn
-    and E_II).  The table computes E_sp once a rate and takes E_r, E_awgn and
-    E_II's E_sp from it.
+    and E_II).  The table computes E_sp once a rate, takes E_r from it, and
+    E_awgn and E_II from those.
     """
     return [_table_row(R, spec) for R in rates]
 
@@ -228,7 +220,7 @@ def _table_row(R, spec):
     e_awgn = {ZERO: 0.0, EXPURGATED: e_x, SPHERE_PACKING: e_sp, RANDOM_CODING: e_r}[
         _awgn_curve(R, spec)
     ]
-    return e_sp, e_r, e_x, e_awgn, _modlambda(R, spec, e_sp)[0]
+    return e_sp, e_r, e_x, e_awgn, _modlambda(R, spec, e_r)[0]
 
 
 def lattice_union_min(r, scaling: ScalingSpec, spec: ChannelSpec, R):

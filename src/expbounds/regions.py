@@ -104,21 +104,21 @@ def beta_star_cone(theta: float, theta_d: float, spec: ChannelSpec) -> float:
     return math.cos(theta_d / 2.0) ** 2
 
 
-def f_bnd(d: float, theta: float, R: float, spec: ChannelSpec, e_sp=None) -> float:
+def f_bnd(d: float, theta: float, R: float, spec: ChannelSpec) -> float:
     """Union-bound exponent with the optimal beta substituted.
 
     Case 1 (R(theta) above the chord's critical threshold):
         E_sp(R(theta)) - ln(sin theta) - R.
     Case 2: SNR d^2/8 - ln(d sqrt(1 - d^2/4)) - R.
-    `e_sp`, E_sp at R if the caller has it, is taken where R(theta) = R.
+    Below rate_ii, E_II is this bound at the coset ensemble's typical event;
+    from rate_ii up E_II is E_r, and the tests check it against this bound.
     """
     if d <= _EPS or d >= 2.0 - _EPS:
         return math.inf
     r_theta = rate_of_theta(theta)
     if r_theta > critical_rate_of_theta_d(theta_d_of_chord(d), spec):
-        if e_sp is None or r_theta != R:
-            e_sp = sphere_packing_exponent(r_theta, spec)
-        return e_sp + r_theta - R  # -ln(sin theta) is r_theta, and x - y is x + (-y)
+        # -ln(sin theta) is r_theta, and x - y is x + (-y)
+        return sphere_packing_exponent(r_theta, spec) + r_theta - R
     return (
         spec.snr * d * d / 8.0
         - math.log(d * math.sqrt(1.0 - d * d / 4.0))

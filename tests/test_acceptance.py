@@ -121,15 +121,14 @@ def test_criterion_04_continuity_suite():
         jump = abs(chord(at - eps) - chord(at + eps))
         if jump > 1e-8:
             failures.append("d_typ jump %.2e at %s" % (jump, tag))
-    k_lo = modlam.k_alpha_star(math.exp(-(r_c - eps)), r_c - eps, spec).k_alpha
-    k_hi = modlam.k_alpha_star(math.exp(-(r_c + eps)), r_c + eps, spec).k_alpha
+    a_lo = regions.typical_event(r_c - eps, math.exp(-(r_c - eps)), spec).alpha
+    a_hi = regions.typical_event(r_c + eps, math.exp(-(r_c + eps)), spec).alpha
+    k_lo, k_hi = (modlam.ScalingSpec(a).k_alpha for a in (a_lo, a_hi))
     if abs(k_lo - k_hi) > 1e-8:
         failures.append("K_alpha* jump %.2e" % abs(k_lo - k_hi))
     for k in (k_lo, k_hi):
         if abs(k - 0.109902) > 1e-6:
             failures.append("K_alpha* branch %.7f != 0.109902" % k)
-    a_lo = regions.typical_event(r_c - eps, math.exp(-(r_c - eps)), spec).alpha
-    a_hi = regions.typical_event(r_c + eps, math.exp(-(r_c + eps)), spec).alpha
     if abs(a_lo - a_hi) > 1e-8:
         failures.append("alpha_lambda jump %.2e" % abs(a_lo - a_hi))
     # f_bnd branch junction: along the typical curve (d_typ(R), theta(R)) the
@@ -165,7 +164,7 @@ def test_criterion_05_tightness_and_equivalence():
         _, _, double_min = regions.cone_union_min(theta, r, spec)
         if abs(double_min - e_sp) > 1e-6:
             failures.append("cone min off %.2e at R=%.3f" % (abs(double_min - e_sp), r))
-        scaling = modlam.k_alpha_star(math.exp(-r), r, spec)
+        scaling = modlam.ScalingSpec(regions.typical_event(r, math.exp(-r), spec).alpha)
         radius = math.sin(theta) / scaling.alpha
         l_opt, _, _, triple_min = modlam.lattice_union_min(radius, scaling, spec, r)
         if abs(triple_min - double_min) > 1e-6:

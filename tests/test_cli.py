@@ -82,15 +82,34 @@ def test_exponents_rejects_grid_beyond_capacity(capsys):
     assert "capacity" in err
 
 
-def test_exponents_fails_closed_on_a_non_finite_exponent(tmp_path, capsys):
-    # d_crit cancels to 9.0e15 at this SNR, so E_II at R = 0 is inf.
+def test_exponents_fails_closed_on_a_non_finite_exponent(tmp_path, capsys, monkeypatch):
+    real_row = modlam._table_row
+
+    def inf_row(r, spec):
+        return real_row(r, spec)[:4] + (math.inf,)
+
+    monkeypatch.setattr(modlam, "_table_row", inf_row)
     out = tmp_path / "curves.csv"
     code, stdout, err = _run(
-        capsys, "exponents", "--snr", "7.148482997985123e-48", "--grid-nats",
-        "--grid", "0:3.5742414989925616e-48:2", "--out", str(out),
+        capsys, "exponents", "--snr-db", "10", "--grid-nats", "--grid", "0:1:2", "--out", str(out)
     )
     assert (code, stdout, err) == (3, "", "error: E_modlambda is inf at rate 0.0 nats\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_exponents_at_a_tiny_snr_read_e_r_for_e_modlambda(capsys):
+    # Below SNR 8/3 rate_ii is 0, so E_II(0) is E_r(0): finite even where
+    # d_crit cancels (to 9.0e15 at this SNR).
+    code, out, err = _run(
+        capsys, "exponents", "--snr", "7.148482997985123e-48", "--grid-nats",
+        "--grid", "0:3.5742414989925616e-48:2",
+    )
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 2
+    for row in rows:
+        assert row["E_modlambda"] == row["E_r"]
+        assert math.isfinite(float(row["E_modlambda"]))
 
 
 def test_exponents_curve_subset(capsys):

@@ -141,9 +141,9 @@ def test_empirical_spectrum_frozen():
 # 50 rates ending at C, and one `geometry` report between r_x and R_crit
 # (the k_zeta bisection runs there).
 FROZEN_CLI_SHA256 = {
-    "exponents -40 dB": "f0c102fc91fa6ec9f8dbf8482da081aae338e6210deba1dc6c7ca231f9021fc8",
-    "exponents 10 dB": "879a25b407f5c12debb7f96ea1148559f5c22e3f584ce7adfd574e59afcbb026",
-    "exponents 50 dB": "4580971da33c45de735f8f0022b3de9ad33db610a881635a59d219ece8f6a02e",
+    "exponents -40 dB": "68e9e630f39581ef5f4330920c1ef01e9b97fe47108e770c553f42f402d7b26a",
+    "exponents 10 dB": "72dfa0a977ae7263379ccf1fffc1014ddb89922f5e146ecaeb82442f9fcc78bb",
+    "exponents 50 dB": "42053b490f7ac49afa7239e65939dcc9ecf9af1a2a809640201e266d1ab2a0b5",
     "geometry 10 dB rate 0.7": "68af39d850b93cac742623e3bd403933f54cab95486bcc74c4b526168cfb25a0",
 }
 
@@ -200,10 +200,12 @@ def _sweep_outcomes():
 
 
 # SHA-256 over every sweep outcome, failures included: a refactor of the
-# closed forms keeps each request's exit code, stdout and stderr.  One
-# request, `exponents` at SNR 2.7e-127 from R = 0, printed E_II = inf with
-# exit 0 until `exponents` failed closed on non-finite values; it exits 3.
-FROZEN_SWEEP_SHA256 = "ade7978afc04e6c1415520027ffac4f8c4c8f9297c8935589f89e48e5f0b2e14"
+# closed forms keeps each request's exit code, stdout and stderr.  E_II from
+# rate_ii up is E_r's float, not f_bnd's round trip through theta(R); that
+# moved E_modlambda (and nothing else) in 154 requests, and took `exponents`
+# at SNR 2.7e-127 from R = 0 from exit 3 (E_II = inf, read through a
+# cancelled d_crit) to exit 0 (E_II(0) = E_r(0), as rate_ii is 0 there).
+FROZEN_SWEEP_SHA256 = "ef90c489a5f4255d772bbe59cfa553272ad41a4fdb8979d73d1c3bc844dd6842"
 
 
 def test_closed_form_sweep_frozen():

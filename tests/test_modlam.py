@@ -29,6 +29,11 @@ def test_mmse_alpha():
     assert abs(modlam.mmse_alpha(SNR10).alpha - 10.0 / 11.0) < 1e-15
 
 
+def _event_scaling(d_omega, r, spec):
+    """Tangent-sphere scaling of the typical event with chord floor d_omega."""
+    return modlam.ScalingSpec(regions.event_alpha(awgn.typical_chord(r, d_omega, spec), r, spec))
+
+
 def _matched_geometry(r_rate):
     """Scaled-lattice parameters that mirror the cone geometry at rate r_rate."""
     theta = awgn.theta_of_rate(r_rate)
@@ -80,7 +85,7 @@ def test_maximizers_unconstrained():
 
 def test_triple_min_equals_sphere_packing():
     for r in (0.95, 1.1):
-        scaling = modlam.k_alpha_star(math.exp(-r), r, SNR10)
+        scaling = _event_scaling(math.exp(-r), r, SNR10)
         radius = math.sin(awgn.theta_of_rate(r)) / scaling.alpha
         _, _, _, val = modlam.lattice_union_min(radius, scaling, SNR10, r)
         assert abs(val - awgn.sphere_packing_exponent(r, SNR10)) < 1e-8
@@ -91,7 +96,7 @@ def test_expurgated_l_star_solves_constraint():
     # K_alpha = 4 / ((4 - d^2) SNR); the floor distance then dominates.
     for r in (0.2, 0.4):
         d_omega = math.exp(-r)
-        scaling = modlam.k_alpha_star(d_omega, r, SNR10)
+        scaling = _event_scaling(d_omega, r, SNR10)
         k_a = scaling.k_alpha
         # Radius small enough that the distance floor binds.
         radius = 0.9 * d_omega * (1.0 + k_a) / math.sqrt(2.0)
@@ -144,7 +149,7 @@ def _floor_binding_points(geometry_radius):
         for frac in np.linspace(0.02, 1.0, 50):
             r = float(frac) * spec.capacity_nats
             d_omega = math.exp(-r)
-            scaling = modlam.k_alpha_star(d_omega, r, spec)
+            scaling = _event_scaling(d_omega, r, spec)
             floor_radius = d_omega * (1.0 + scaling.k_alpha) / math.sqrt(2.0)
             if geometry_radius:
                 radius = regions.typical_event(r, math.exp(-r), spec).radius
@@ -182,11 +187,11 @@ def test_expurgated_l_star_is_the_admissible_cubic_root():
 
 def test_k_alpha_star_branches():
     r_c = awgn.critical_rate(SNR10)
-    above = modlam.k_alpha_star(math.exp(-(r_c + 1e-9)), r_c + 1e-9, SNR10)
-    below = modlam.k_alpha_star(math.exp(-(r_c - 1e-9)), r_c - 1e-9, SNR10)
+    above = _event_scaling(math.exp(-(r_c + 1e-9)), r_c + 1e-9, SNR10)
+    below = _event_scaling(math.exp(-(r_c - 1e-9)), r_c - 1e-9, SNR10)
     assert abs(above.k_alpha - KA_RCRIT) < 1e-7
     assert abs(below.k_alpha - KA_RCRIT) < 1e-7
-    low = modlam.k_alpha_star(math.exp(-0.2), 0.2, SNR10)
+    low = _event_scaling(math.exp(-0.2), 0.2, SNR10)
     assert abs(low.k_alpha - KA_02) < 1e-12
 
 
@@ -236,17 +241,41 @@ def test_modlambda_regime_at_zero_rate(snr):
         assert at_zero.value > e_r
 
 
+# The north star's SNR range on a half-dB grid, -40 to 50 dB.
+HALF_DB_SNRS = [10.0 ** (k / 20.0) for k in range(-80, 101)]
+
+
+def _rates_to_c(spec):
+    """A 50-step grid from 0 to C, with r_x, R_crit, rate_ii and C and their
+    neighbouring floats."""
+    c = spec.capacity_nats
+    rates = [c * k / 50 for k in range(51)]
+    for at in (spec.r_x, spec.r_crit, modlam.rate_ii(spec), c):
+        rates += [math.nextafter(at, 0.0), at, math.nextafter(at, math.inf)]
+    return sorted(rates)
+
+
 def test_exponent_ordering_chain():
-    for snr in (1.0, 10.0):
+    # From rate_ii up E_II is E_r's float, so E_II <= E_awgn holds there with
+    # no tolerance above r_x; up to r_x E_awgn is E_x, which can sit an ulp
+    # under E_r near their tangent point.  The coset ensemble's typical event
+    # reproduces E_II on every row.
+    for snr in HALF_DB_SNRS:
         spec = ChannelSpec(snr)
-        c = spec.capacity_nats
-        for i in range(1, 50):
-            r = c * i / 50.0
+        r_ii = modlam.rate_ii(spec)
+        for r in _rates_to_c(spec):
             e_r = awgn.random_coding_exponent(r, spec)
             e_ii = modlam.modlambda_exponent(r, spec).value
             e_a = awgn.awgn_exponent(r, spec).value
-            assert e_r <= e_ii + 1e-9
-            assert e_ii <= e_a + 1e-9
+            if r >= r_ii:
+                assert e_ii == e_r, (snr, r)
+            else:
+                assert e_r <= e_ii + 1e-9, (snr, r)
+            assert e_ii <= e_a + (0.0 if r >= r_ii and r > spec.r_x else 1e-9), (snr, r)
+            d = awgn.typical_chord(r, math.exp(-r), spec)
+            geometry = regions.f_bnd(d, awgn.theta_of_rate(r), r, spec)
+            assert abs(geometry - e_ii) <= 1e-14 * max(1.0, e_ii), (snr, r)
+        assert modlam.modlambda_exponent(spec.capacity_nats, spec).value == 0.0, snr
 
 
 def test_strict_improvement_below_rate_x():
@@ -282,16 +311,14 @@ _PER_POINT = (
 
 @pytest.mark.parametrize("snr", [1e-4, 0.01, 1.0, 8.0 / 3.0, 10.0, 1e3, 1e5])
 def test_exponent_table_is_bit_equal_to_the_per_point_functions(snr):
-    # Each junction (r_x, R_crit, rate_ii, C) with its neighbouring floats,
-    # on a grid from 0 to C: every table value is its function's, bit for bit.
+    # Every table value is its function's, bit for bit, and E_II is E_r's
+    # float from rate_ii up.
     spec = ChannelSpec(snr)
-    c = spec.capacity_nats
-    rates = [c * k / 40 for k in range(41)]
-    for at in (spec.r_x, spec.r_crit, modlam.rate_ii(spec), c):
-        rates += [math.nextafter(at, 0.0), at, math.nextafter(at, math.inf)]
-    rates.sort()
+    rates = _rates_to_c(spec)
     table = modlam.exponent_table(rates, spec)
     assert len(table) == len(rates)
     for r, row in zip(rates, table):
         want = [f(r, spec).hex() for f in _PER_POINT]
         assert [v.hex() for v in row] == want, r
+        if r >= modlam.rate_ii(spec):
+            assert row[4].hex() == row[1].hex(), r
