@@ -59,6 +59,18 @@ def _configs():
         "permuted d4": _config(
             4, 5, 1500, 6, lattice=_permuted_d4(), decoder=sim.DEC_CLOSEST_COSET, **coset
         ),
+        # The last block's 777 * 3 dither uniforms end 3 words into a Philox step.
+        "z3 closest-coset partial": _config(
+            3, 5, sim.BLOCK + 777, 8, lattice=integer_lattice(3),
+            decoder=sim.DEC_CLOSEST_COSET, **coset
+        ),
+        # At SNR 4 nearly every E8 query is certified in its first coset.
+        "e8 closest-coset two blocks": _config(
+            8, 11, 2 * sim.BLOCK, 9, lattice=e8(), decoder=sim.DEC_CLOSEST_COSET, **coset
+        ),
+        "e8 extended two blocks": _config(
+            8, 11, 2 * sim.BLOCK, 10, lattice=e8(), decoder=sim.DEC_EUCLIDEAN_EXTENDED, **coset
+        ),
     }
 
 
@@ -72,6 +84,9 @@ FROZEN_ERRORS = {
     "e8 extended alpha=0.8": 59,
     "d4 extended": 420,
     "permuted d4": 216,
+    "z3 closest-coset partial": 1170,
+    "e8 closest-coset two blocks": 416,
+    "e8 extended two blocks": 403,
 }
 
 # Hit counts of the tail-check and effective-noise-ball oracles (`mc_oracles`).

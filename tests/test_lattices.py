@@ -316,17 +316,66 @@ def _overflow_points(rng, count, n):
     return sign * mag
 
 
+def _e8_certificate_blocks(rng, cols):
+    """Blocks of `cols` queries near E8 points, for `_decode_e8`'s certificate:
+    a query within squared distance 0.49 of its D8 point skips D8 + 1/2.
+
+    The first five blocks hold 0, 1, cols // 2, cols // 2 + 1 and cols
+    queries that are not certified, about the sparse rule's edge at half a
+    block.  In the next two, a quarter of the queries have some coordinates
+    of 2^51 and more, where t - 1/2 and D8 + 1/2 are not exact and the dense
+    rule must decode the block, or one just below 2^51, where the sparse
+    rule still does.  The last block's queries are about 0.49 from D8.
+    """
+
+    def near_d8(rows, spread):
+        k = rng.integers(-4, 5, size=(rows, 8)).astype(float)
+        k[:, 0] += k.sum(axis=1) % 2  # a point of D8
+        return k + rng.uniform(-spread, spread, size=(rows, 8))
+
+    def block(uncertified, far=None):
+        pts = near_d8(cols, 0.2)
+        rows = rng.permutation(cols)
+        pts[rows[:uncertified]] += 0.5  # near D8 + 1/2, at least 0.72 from D8
+        assert (((pts - _decode_dn_rows(pts)) ** 2).sum(axis=1) >= 0.49).sum() == uncertified
+        if far is not None:
+            few = rows[cols - max(1, cols // 4) :]
+            pts[few] = near_d8(few.size, 0.45) + far(few.size)
+        return pts
+
+    def big(rows):
+        return 2.0 ** 51 * rng.integers(-8, 9, size=(rows, 8)) * (rng.random((rows, 8)) < 0.5)
+
+    def edge(rows):
+        return np.array([2.0 ** 51 - 8.0] + [0.0] * 7)
+
+    radius = near_d8(cols, 0.0) + math.sqrt(0.49 / 8) * rng.choice([-1.0, 1.0], size=(cols, 8)) * (
+        1.0 + 1e-15 * rng.integers(-4, 5, size=(cols, 1)))
+    counts = (0, 1, cols // 2, cols // 2 + 1, cols)
+    return [block(u) for u in counts] + [block(1, big), block(1, edge), radius]
+
+
 @pytest.mark.parametrize("make", [lambda: integer_lattice(4), d4, e8], ids=["Z4", "D4", "E8"])
 @pytest.mark.parametrize("scale", [1.0, 2.5, 1.0 / 3.0])
 @pytest.mark.parametrize("chunk", [CVP_ROWS, 7])
 def test_fast_decoders_bit_identical_to_row_major_oracles(monkeypatch, make, scale, chunk):
     # Empty, single and block-edge batches; random points and points on
     # step * Z^n (ties between closest points, and signed zeros) or on the
-    # E8 coset bisector, and rounding edges: every bit of `nearest`,
-    # `reduce` and `sample_voronoi` is the oracle's.
+    # E8 coset bisector; rounding edges; and blocks about E8's certificate,
+    # alone and together: every bit of `nearest`, `reduce`,
+    # `residual_norms2` and `sample_voronoi` is the oracle's.
     monkeypatch.setattr("expbounds.lattices.CVP_ROWS", chunk)
     lat = make().rescaled(scale)
     rng = np.random.default_rng(14)
+
+    def check(pts):
+        want = _row_major_nearest(lat, pts)
+        _assert_same_bits(lat.nearest(pts), want)
+        _assert_same_bits(lat.reduce(pts), pts - want)
+        norms2, outside = lat.residual_norms2(pts)
+        _assert_same_bits(norms2, ((pts - want) ** 2).sum(axis=1))
+        _assert_same_bits(outside, (want != 0.0).any(axis=1))
+
     for count in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
         for pts in (
             scale * rng.uniform(-3.0, 3.0, size=(count, lat.n)),
@@ -336,9 +385,7 @@ def test_fast_decoders_bit_identical_to_row_major_oracles(monkeypatch, make, sca
             scale * _coset_bisector(rng.uniform(-3.0, 3.0, size=(count, 8)))[:, : lat.n],
             *(scale * p for p in _edge_points(rng, count, lat.n)),
         ):
-            want = _row_major_nearest(lat, pts)
-            _assert_same_bits(lat.nearest(pts), want)
-            _assert_same_bits(lat.reduce(pts), pts - want)
+            check(pts)
         # Near 1e308 every float is an even integer, so each point is its own
         # closest point; a parity sum that overflows must leave it alone (the
         # oracle's flip of one step vanishes there too), never give nan, nor warn.
@@ -346,13 +393,19 @@ def test_fast_decoders_bit_identical_to_row_major_oracles(monkeypatch, make, sca
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = lat.nearest(pts)
+            norms2, outside = lat.residual_norms2(pts)
         with np.errstate(over="ignore", invalid="ignore"):
             _assert_same_bits(got, _row_major_nearest(lat, pts))
         assert np.isfinite(got).all()
         assert np.array_equal(got / scale % 2.0, np.zeros_like(got))
+        _assert_same_bits(norms2, np.zeros(count))
+        _assert_same_bits(outside, (got != 0.0).any(axis=1))
         u = np.random.default_rng(count).random((count, lat.n)) @ lat.basis
         got = lat.sample_voronoi(count, np.random.default_rng(count))
         _assert_same_bits(got, u - _row_major_nearest(lat, u))
+    blocks = _e8_certificate_blocks(rng, chunk)
+    for pts in blocks + [np.concatenate(blocks)]:
+        check(scale * pts[:, : lat.n])
 
 
 def _whole_lattice_figures(lat, samples, seed):
@@ -426,11 +479,15 @@ def test_figures_peak_within_budget_estimate(make, samples):
     assert peak <= estimate, (peak, estimate)
 
 
-@pytest.mark.parametrize("make, method", [(e8, "nearest"), (d4, "reduce")], ids=["E8-nearest", "D4-reduce"])
+@pytest.mark.parametrize(
+    "make, method",
+    [(e8, "nearest"), (d4, "reduce"), (e8, "residual_norms2")],
+    ids=["E8-nearest", "D4-reduce", "E8-residual_norms2"],
+)
 @pytest.mark.parametrize("count", [CVP_ROWS + 1, 16 * CVP_ROWS])
 def test_fast_path_memory_is_bounded(make, method, count):
     # Each block's temporaries are a few (CVP_ROWS, n) arrays, so beyond the
-    # output the peak does not grow with the batch.
+    # output, (N, n) or two (N,) arrays, the peak does not grow with the batch.
     lat = make()
     pts = np.random.default_rng(15).normal(size=(count, lat.n))
     tracemalloc.start()

@@ -285,6 +285,26 @@ def test_block_split_invariance():
         assert sum(parts) == sim.simulate(cfg).errors, ensemble
 
 
+def test_skipped_uniforms_leave_the_block_stream_where_drawing_does():
+    # At alpha = 1 a coset block skips the count * n uniforms of the unread
+    # dither rather than drawing them: every later draw of the block must
+    # be the same, whatever count * n % 4 (Philox's words a counter step).
+    residues = set()
+    for count, n in [(c, k) for c in range(40) for k in range(1, 17)] + [(sim.BLOCK, 8), (777, 3)]:
+        drawn, skipped = sim.block_rng(9, 3), sim.block_rng(9, 3)
+        drawn.random((count, n))
+        sim._skip_uniforms(skipped, count * n)
+        a, b = drawn.bit_generator.state, skipped.bit_generator.state
+        assert np.array_equal(a["state"]["counter"], b["state"]["counter"])
+        pos = a["buffer_pos"]
+        assert b["buffer_pos"] == pos
+        assert np.array_equal(a["buffer"][pos:], b["buffer"][pos:])
+        assert np.array_equal(drawn.random(5), skipped.random(5))
+        assert np.array_equal(drawn.normal(size=7), skipped.normal(size=7))
+        residues.add(count * n % 4)
+    assert residues == {0, 1, 2, 3}
+
+
 def test_zero_noise_zero_errors():
     cfg = _spherical_config(
         ensemble=sim.SPHERICAL_EXPURGATED, d_min=0.2, noise_var=0.0, trials=1000
@@ -546,21 +566,28 @@ def test_lattice_coset_mmse_scaling_beats_unit_alpha(snr):
 
 
 def _count_decoded_points(monkeypatch):
-    # Closest-point queries, and the Voronoi samples whose norms alone are
-    # drawn (the rivals), each decoded once.
+    # Closest-point queries, those whose residual norms alone are read (the
+    # sent coset's), and the Voronoi samples whose norms alone are drawn
+    # (the rivals), each decoded once.
     points = []
     real_nearest = Lattice.nearest
+    real_residual_norms2 = Lattice.residual_norms2
     real_norms2 = Lattice.voronoi_norms2
 
     def counting_nearest(self, pts, **kwargs):
         points.append(len(pts))
         return real_nearest(self, pts, **kwargs)
 
+    def counting_residual_norms2(self, pts):
+        points.append(len(pts))
+        return real_residual_norms2(self, pts)
+
     def counting_norms2(self, count, rng):
         points.append(count)
         return real_norms2(self, count, rng)
 
     monkeypatch.setattr(Lattice, "nearest", counting_nearest)
+    monkeypatch.setattr(Lattice, "residual_norms2", counting_residual_norms2)
     monkeypatch.setattr(Lattice, "voronoi_norms2", counting_norms2)
     return points
 
