@@ -537,8 +537,10 @@ def _mc_second_moment(basis_bytes, n):
 def normalized_lattice(lattice):
     """Rescale a lattice so its Voronoi second moment is the unit power.
 
-    Built-in lattices use their exact second moment; any other basis uses a
-    200k-sample Monte Carlo estimate, computed once per basis.
+    Lattices with a fast decoder (the built-ins, and basis files that
+    `load_basis` recognises as one) use their exact second moment; any
+    other basis uses a 200k-sample Monte Carlo estimate, computed once per
+    basis.
     """
     shell = voronoi_shell(lattice)
     if shell is None:

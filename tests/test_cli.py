@@ -327,8 +327,8 @@ def test_lattice_file_output_independent_of_path(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "text",
-    ["0\n", "2\nnan 0\n0 1\n", "2\n1 0\n0 inf\n", "3\n1 2 0\n1 2 0\n0 0 1\n"],
-    ids=["dimension-0", "nan", "inf", "equal-rows"],
+    ["0\n", "-2\n1 0\n0 1\n", "2\nnan 0\n0 1\n", "2\n1 0\n0 inf\n", "3\n1 2 0\n1 2 0\n0 0 1\n"],
+    ids=["dimension-0", "dimension-negative", "nan", "inf", "equal-rows"],
 )
 def test_lattice_rejects_degenerate_basis_file(tmp_path, capsys, recwarn, text):
     path = tmp_path / "bad.lat"

@@ -1,6 +1,7 @@
 """Lattice layer: exact nearest-point decoding, sampling, figures of merit."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import tracemalloc
@@ -30,7 +31,8 @@ from expbounds.simulator import BLOCK
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 # The benchmark's D4 basis in a non-standard form: the standard rows times a
-# unimodular matrix, so no fast rule recognises it.
+# unimodular matrix.  A `Lattice` built on it directly decodes by enumeration;
+# `load_basis` would recognise it as D4 and give it D4's fast rule.
 D4_UNIMODULAR = np.array([[1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 1, 0], [1, 0, 1, 1]])
 
 
@@ -644,6 +646,85 @@ def test_load_basis_roundtrip():
     assert abs(lat.volume - 1.0) < 1e-12
     generic = load_basis(DATA + "/z4.lat")
     assert generic.decoder == "Zn"
+
+
+def _write_basis(path, basis):
+    """A basis file holding `basis` bit for bit (repr round-trips a float)."""
+    rows = "\n".join(" ".join(repr(float(v)) for v in row) for row in basis)
+    path.write_text("%d\n%s\n" % (len(basis), rows))
+    return str(path)
+
+
+def _content_name(basis):
+    return "basis:" + hashlib.sha256(basis.astype("<f8").tobytes()).hexdigest()[:12]
+
+
+def _signed_copy(lat, seed):
+    """lat's basis times a random unimodular matrix with its first row negated,
+    so that it never equals the built-in basis, not even at n = 1."""
+    u = _unimodular(lat.n, np.random.default_rng(seed))
+    u[0] *= -1.0
+    return u @ lat.basis
+
+
+_RECOGNISED = [
+    *[("Z%d-copy" % n, _signed_copy(integer_lattice(n), n), "Zn") for n in (1, 2, 3, 8, 16)],
+    ("D4-copy", _signed_copy(d4(), 4), "D4"),
+    ("E8-copy", _signed_copy(e8(), 8), "E8"),
+    ("benchmark-D4", D4_UNIMODULAR @ d4().basis, "D4"),
+    *[("%s-rows-reversed" % name[:-4], lat.basis[::-1], lat.decoder)
+      for name, lat in ((name, load_basis(os.path.join(DATA, name))) for name in sorted(os.listdir(DATA)))],
+]
+
+
+@pytest.mark.parametrize("basis, decoder", [c[1:] for c in _RECOGNISED],
+                         ids=[c[0] for c in _RECOGNISED])
+def test_load_basis_recognises_bases_of_builtin_point_sets(tmp_path, basis, decoder):
+    # The file keeps its own rows and content name, and takes the fast rule.
+    lat = load_basis(_write_basis(tmp_path / "copy.lat", basis))
+    assert lat.decoder == decoder
+    assert lat.scale == 1.0
+    assert lat.basis.tobytes() == basis.astype(float).tobytes()
+    assert lat.name == _content_name(lat.basis)
+    pts = np.random.default_rng(5).uniform(-3.0, 3.0, size=(200, lat.n))
+    _assert_same_distances(pts, lat.nearest(pts), Lattice("oracle", basis).nearest_enumerated(pts))
+
+
+def _givens(n, angle):
+    g = np.eye(n)
+    g[0, 0] = g[1, 1] = math.cos(angle)
+    g[0, 1], g[1, 0] = -math.sin(angle), math.sin(angle)
+    return g
+
+
+_NOT_RECOGNISED = {
+    "index-2-sublattice": np.diag([2.0, 1.0, 1.0, 1.0]) @ D4_UNIMODULAR @ d4().basis,
+    "1.5-D4": 1.5 * d4().basis,
+    "rotated-D4": d4().basis @ _givens(4, 0.3),
+    "D4-one-ulp-off": d4().basis + np.diag([np.spacing(1.0), 0.0, 0.0, 0.0]),
+    "random": np.random.default_rng(21).normal(size=(4, 4)),
+}
+
+
+@pytest.mark.parametrize("basis", list(_NOT_RECOGNISED.values()), ids=list(_NOT_RECOGNISED))
+def test_load_basis_keeps_other_bases_on_enumeration(tmp_path, basis):
+    lat = load_basis(_write_basis(tmp_path / "other.lat", basis))
+    assert lat.decoder == ""
+    assert lat.name == _content_name(basis)
+    assert lat.basis.tobytes() == basis.tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("basis", [D4_UNIMODULAR @ d4().basis, _signed_copy(e8(), 8)],
+                         ids=["benchmark-D4", "E8-copy"])
+def test_recognised_file_figures_match_enumeration(tmp_path, basis, seed):
+    # Two full blocks and a partial one; every field keeps its bits.
+    lat = load_basis(_write_basis(tmp_path / "copy.lat", basis))
+    assert lat.decoder
+    samples = 2 * CVP_ROWS + 123
+    got = lattice_figures(lat, samples=samples, seed=seed)
+    want = lattice_figures(Lattice(lat.name, lat.basis), samples=samples, seed=seed)
+    assert dataclasses.astuple(got) == dataclasses.astuple(want)
 
 
 def test_generic_basis_uses_enumeration():

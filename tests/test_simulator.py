@@ -12,7 +12,7 @@ from scipy import special, stats
 
 from expbounds.channel import ChannelSpec
 from expbounds import awgn, modlam, regions, simulator as sim
-from expbounds.lattices import Lattice, d4, e8, integer_lattice, voronoi_shell
+from expbounds.lattices import Lattice, d4, e8, integer_lattice, load_basis, voronoi_shell
 
 SNR2 = ChannelSpec(2.0)
 SNR10 = ChannelSpec(10.0)
@@ -654,6 +654,27 @@ def test_file_lattice_block_matches_iid_rivals(monkeypatch):
     want = _iid_rival_block(cfg, np.random.default_rng(137), cfg.trials, lattice)
     assert 0 < errors < cfg.trials
     _assert_ci_overlap(sim._result(errors, cfg.trials, cfg.n), want)
+
+
+@pytest.mark.parametrize("decoder", [sim.DEC_CLOSEST_COSET, sim.DEC_EUCLIDEAN_EXTENDED])
+def test_recognised_d4_file_simulates_as_builtin_d4(tmp_path, monkeypatch, decoder):
+    # The file keeps its rows, so its rival samples differ from D4's; at
+    # alpha = 1 only trials past the cap-overlap radius draw them, and with
+    # M = 64 those err whichever basis draws the rivals.
+    path = tmp_path / "d4-copy.lat"
+    rows = np.array([[1, 0, 1, 0], [1, 1, 0, 0], [0, 0, 1, 0], [1, 0, 1, 1]]) @ d4().basis
+    path.write_text("4\n" + "\n".join(" ".join(str(v) for v in row) for row in rows) + "\n")
+    lattice = load_basis(str(path))
+    assert lattice.decoder == "D4" and lattice.name.startswith("basis:")
+
+    def no_monte_carlo(*args):
+        raise AssertionError("_mc_second_moment called for a recognised basis")
+
+    monkeypatch.setattr(sim, "_mc_second_moment", no_monte_carlo)
+    assert sim.normalized_lattice(lattice).scale == sim.normalized_lattice(d4()).scale
+    got = sim.simulate(_coset_config(lattice, 64, decoder, trials=20_000, seed=11))
+    assert got == sim.simulate(_coset_config(d4(), 64, decoder, trials=20_000, seed=11))
+    assert got.errors > 0
 
 
 def test_lattice_zero_noise_unit_alpha():
