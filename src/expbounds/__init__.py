@@ -32,7 +32,6 @@ from .awgn import (
 from .regions import (
     TypicalEvent,
     alpha_awgn_r,
-    cone_union_min,
     f_bnd,
     k_zeta,
     tangent_sphere_scaling,
@@ -40,7 +39,6 @@ from .regions import (
 )
 from .modlam import (
     ScalingSpec,
-    lattice_union_min,
     modlambda_exponent,
     rate_ii,
 )

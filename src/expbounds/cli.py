@@ -7,8 +7,8 @@ config file), validate (self-check suite).
 Exit status: 0 ok; 1 a `validate` check failed; 2 usage error or invalid
 input (`ValueError`); 3 numerical failure (`RuntimeError`: a root bracket not
 found, the expurgation attempt cap; `ArithmeticError`: a division by zero, an
-overflow or a non-finite exponent at extreme inputs).  Exits 2 and 3 print
-one `error:` line.
+overflow, or a non-finite exponent or lattice figure at extreme inputs).  Exits
+2 and 3 print one `error:` line.
 --out is written whole to a temporary file, then renamed onto the target.
 
 Rates are accepted in bits (engineering convention) or nats; outputs always
@@ -226,6 +226,9 @@ def cmd_lattice(args):
         "r_cov_upper": figs.r_cov,
         "deep_hole_probe": figs.deep_hole_probe,
     }
+    bad = next((k for k, v in report.items() if isinstance(v, float) and not math.isfinite(v)), None)
+    if bad is not None:
+        raise ArithmeticError("%s is %r for lattice %r" % (bad, report[bad], lat.name))
     _write_out(args, json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0
 

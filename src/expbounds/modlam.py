@@ -29,8 +29,8 @@ from .channel import (
     SPHERE_PACKING,
     ZERO,
 )
-from .numerics import _EPS, bisect_root
-from .regions import ebd, f_bnd
+from .numerics import bisect_root
+from .regions import f_bnd
 
 
 @dataclass(frozen=True)
@@ -51,80 +51,6 @@ class ScalingSpec:
 def mmse_alpha(spec: ChannelSpec) -> ScalingSpec:
     """Capacity-optimal scaling SNR/(1+SNR) (not exponent-optimal below C)."""
     return ScalingSpec(spec.snr / (1.0 + spec.snr))
-
-
-def lattice_cross_section(beta_l, l, d, r, scaling: ScalingSpec):
-    """Half-space offset and sphere-slice radius in the scaled-lattice geometry.
-
-    x = (l - (beta_l + K_alpha)) / sqrt(4 l^2 / d^2 - 1);
-    y^2 = r^2 - (beta_l + K_alpha)^2.  Returns None outside the region.
-    """
-    k_a = scaling.k_alpha
-    if not 0.0 < d < 2.0 * l:
-        raise ValueError("require 0 < d < 2l")
-    y2 = r * r - (beta_l + k_a) ** 2
-    if y2 < 0.0:
-        return None
-    x = (l - (beta_l + k_a)) / math.sqrt(4.0 * l * l / (d * d) - 1.0)
-    return x, math.sqrt(y2)
-
-
-def union_bound_exponent_lattice(r, k_alpha, l, d, beta, R, spec: ChannelSpec):
-    """Union-bound exponent of one (l, d, beta) error event, scaled-lattice region.
-
-    Ebd(beta, x, y; SNR) - 1/2 ln[(d^2/l^2)(1 - d^2/(4 l^2))]
-    - 1/2 ln[l^2/(1+K_alpha)^2] - R; saturated (inf) at the log singularities
-    and outside the region.
-    """
-    if d <= _EPS or d >= 2.0 * l - _EPS:
-        return math.inf
-    cross = lattice_cross_section(beta, l, d, r, ScalingSpec(1.0 / (1.0 + k_alpha)))
-    if cross is None:
-        return math.inf
-    x, y = cross
-    if y <= x:
-        return math.inf
-    return (
-        ebd(beta, x, y, spec.snr)
-        - 0.5 * math.log((d * d / (l * l)) * (1.0 - d * d / (4.0 * l * l)))
-        - 0.5 * math.log(l * l / (1.0 + k_alpha) ** 2)
-        - R
-    )
-
-
-def rate_of_scaled_radius(r, alpha):
-    """Rate carried by a scaled sphere of radius r: -ln(alpha r)."""
-    return -math.log(alpha * r)
-
-
-def critical_rate_lattice(d, l, scaling: ScalingSpec, spec: ChannelSpec):
-    """Threshold rate separating the two branches of the optimal lattice beta."""
-    k_a = scaling.k_alpha
-    arg = (
-        d * d / 4.0 + k_a * k_a * (1.0 - d * d / (4.0 * l * l)) + 1.0 / spec.snr
-    ) / (1.0 + k_a)
-    return -0.5 * math.log(arg)
-
-
-def beta_circ_star(r, d, l, scaling: ScalingSpec, spec: ChannelSpec):
-    """Optimal radial offset when the slice gap clears the noise variance."""
-    k_a = scaling.k_alpha
-    one = 1.0 - d * d / (4.0 * l * l)
-    root_arg = 1.0 / (4.0 * k_a * k_a * spec.snr ** 2) + (r * r - d * d / 4.0) * one
-    if root_arg < 0.0:
-        raise ValueError("infeasible parameters for the offset equation")
-    return l - k_a - (
-        l * one + 1.0 / (2.0 * k_a * spec.snr) - math.sqrt(root_arg)
-    )
-
-
-def beta_star_lattice(r, d, l, scaling: ScalingSpec, spec: ChannelSpec):
-    """Optimal radial offset of the lattice union bound."""
-    if rate_of_scaled_radius(r, scaling.alpha) > critical_rate_lattice(
-        d, l, scaling, spec
-    ):
-        return beta_circ_star(r, d, l, scaling, spec)
-    return d * d / (4.0 * l * l) * (l - scaling.k_alpha)
 
 
 def l_circ_star(r, k_alpha, spec: ChannelSpec):
@@ -221,41 +147,3 @@ def _table_row(R, spec):
         _awgn_curve(R, spec)
     ]
     return e_sp, e_r, e_x, e_awgn, _modlambda(R, spec, e_r)[0]
-
-
-def lattice_union_min(r, scaling: ScalingSpec, spec: ChannelSpec, R):
-    """Minimize the lattice union exponent over (l, d, beta).
-
-    Uses the closed-form beta and the analytic warm starts, then refines
-    (l, d) by Nelder-Mead; returns (l, d, beta, value).
-    """
-    k_a = scaling.k_alpha
-
-    def at_ld(l, d):
-        try:
-            beta = beta_star_lattice(r, d, l, scaling, spec)
-        except ValueError:
-            return math.inf
-        return union_bound_exponent_lattice(r, k_a, l, d, beta, R, spec)
-
-    from scipy import optimize
-
-    l0 = l_circ_star(r, k_a, spec)
-    d0 = math.sqrt(2.0) * r
-
-    def objective(v):
-        l, d = v
-        if l <= k_a or not 0.0 <= d < 2.0 * l:
-            return math.inf
-        return at_ld(l, d)
-
-    best = optimize.minimize(
-        objective,
-        [l0, d0],
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
-    )
-    l_opt, d_opt = best.x
-    beta_opt = beta_star_lattice(r, d_opt, l_opt, scaling, spec)
-    val = union_bound_exponent_lattice(r, k_a, l_opt, d_opt, beta_opt, R, spec)
-    return l_opt, d_opt, beta_opt, val

@@ -1,13 +1,8 @@
-"""Small numerical toolkit: golden-section minimization and bracketed bisection.
+"""Small numerical toolkit: bracketed bisection.
 
 Bisection supports automatic bracket growth so callers can pass a lower bound
 only.  Failures raise instead of silently clamping.
 """
-
-import math
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
 _MAX_GROW = 2 ** 60
 
@@ -17,31 +12,6 @@ _EPS = 1e-12
 
 class BracketError(RuntimeError):
     """Raised when a root bracket cannot be established."""
-
-
-def golden_min(f, lo, hi, tol=1e-10):
-    """Minimize a unimodal scalar function on [lo, hi] by golden-section search.
-
-    Returns (x, f(x)).
-    """
-    a, b = lo, hi
-    h = b - a
-    c = a + _INVPHI2 * h
-    d = a + _INVPHI * h
-    fc, fd = f(c), f(d)
-    while h > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            h = b - a
-            c = a + _INVPHI2 * h
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            h = b - a
-            d = a + _INVPHI * h
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
 
 
 def bisect_root(f, lo, hi=None, tol=1e-12):

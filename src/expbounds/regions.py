@@ -1,9 +1,9 @@
 """Bounding-region geometry for the AWGN union bound.
 
-Covers the joint tail exponents, the cone union-bound exponent and its
-optimal (beta, d), tangent-sphere scalings, the theta_zeta / K_zeta
-parametrization of the sphere-packing curve, and the typical error event that
-the spherical and coset ensembles share.
+Covers the joint tail exponents, the cone union bound with its optimal
+(beta, d) substituted in closed form (`f_bnd`), tangent-sphere scalings, the
+theta_zeta / K_zeta parametrization of the sphere-packing curve, and the
+typical error event that the spherical and coset ensembles share.
 
 Angles are radians; theta_D(d) = 2 arcsin(d/2) is the angle subtended at the
 origin by a chord of normalized length d.
@@ -13,14 +13,13 @@ import math
 from dataclasses import dataclass
 
 from .awgn import (
-    beta_star,
     rate_of_theta,
     sphere_packing_exponent,
     theta_of_rate,
     typical_chord,
 )
 from .channel import ChannelSpec
-from .numerics import _EPS, bisect_root, golden_min
+from .numerics import _EPS, bisect_root
 
 
 def theta_d_of_chord(d: float) -> float:
@@ -44,48 +43,6 @@ def joint_tail_exponent(x: float, y: float, tau: float) -> float:
     return 0.5 * (tau * y * y - math.log(math.e * tau * gap))
 
 
-def ebd(beta: float, x: float, y: float, tau: float) -> float:
-    """Radial-plus-cross-section tail exponent tau beta^2/2 + joint tail."""
-    return tau * beta * beta / 2.0 + joint_tail_exponent(x, y, tau)
-
-
-def cone_cross_section(beta: float, theta_d: float, theta: float):
-    """Half-space offset and cone radius at radial height (1+beta).
-
-    x_c = (1+beta) tan(theta_d / 2), y_c = (1+beta) tan(theta).
-    """
-    if beta == -1.0:
-        return 0.0, 0.0  # cone apex
-    if beta < -1.0:
-        raise ValueError("beta must be >= -1")
-    if not 0.0 < theta_d / 2.0 <= theta < math.pi / 2.0:
-        raise ValueError("require 0 < theta_d/2 <= theta < pi/2")
-    return (1.0 + beta) * math.tan(theta_d / 2.0), (1.0 + beta) * math.tan(theta)
-
-
-def union_bound_exponent_cone(theta, d, beta, R, spec: ChannelSpec) -> float:
-    """Union-bound exponent for a cone region, one (beta, d) error event.
-
-    Ebd(beta, x_c, y_c; SNR) - 1/2 ln[d^2 (1 - d^2/4)] - R.  The dominating
-    event minimizes this over (beta, d).  Saturated (inf) at d in {0, 2}.
-    """
-    if not 0.0 <= d <= 2.0:
-        raise ValueError("chord must be in [0, 2]")
-    if d <= _EPS or d >= 2.0 - _EPS:
-        return math.inf
-    theta_d = theta_d_of_chord(d)
-    if theta_d / 2.0 > theta:
-        return math.inf  # chord wider than the cone cross-section: empty event
-    x_c, y_c = cone_cross_section(beta, theta_d, theta)
-    if y_c <= x_c:
-        return math.inf
-    return (
-        ebd(beta, x_c, y_c, spec.snr)
-        - 0.5 * math.log(d * d * (1.0 - d * d / 4.0))
-        - R
-    )
-
-
 def critical_rate_of_theta_d(theta_d: float, spec: ChannelSpec) -> float:
     """Rate threshold separating the two branches of the optimal cone beta."""
     snr = spec.snr
@@ -94,14 +51,6 @@ def critical_rate_of_theta_d(theta_d: float, spec: ChannelSpec) -> float:
     if arg <= 0.0:
         raise ValueError("threshold undefined for this chord angle/SNR")
     return -math.log(math.sqrt(arg))
-
-
-def beta_star_cone(theta: float, theta_d: float, spec: ChannelSpec) -> float:
-    """Optimal radial offset of the cone union bound."""
-    r_theta = rate_of_theta(theta)
-    if r_theta > critical_rate_of_theta_d(theta_d, spec):
-        return beta_star(theta, spec)
-    return math.cos(theta_d / 2.0) ** 2
 
 
 def f_bnd(d: float, theta: float, R: float, spec: ChannelSpec) -> float:
@@ -124,28 +73,6 @@ def f_bnd(d: float, theta: float, R: float, spec: ChannelSpec) -> float:
         - math.log(d * math.sqrt(1.0 - d * d / 4.0))
         - R
     )
-
-
-def cone_union_min(theta, R, spec: ChannelSpec):
-    """Minimize the cone union exponent over (beta, d).
-
-    Golden-section search over d with the closed-form beta, then over beta
-    at that d; returns (d, beta, value).
-    """
-
-    def at_d(d):
-        b = beta_star_cone(theta, theta_d_of_chord(d), spec)
-        return union_bound_exponent_cone(theta, d, b, R, spec)
-
-    hi = min(2.0, 2.0 * math.sin(theta)) - 1e-9  # widest chord inside the cone
-    d_opt, _ = golden_min(at_d, 1e-9, hi, tol=1e-11)
-    b_opt, val = golden_min(
-        lambda b: union_bound_exponent_cone(theta, d_opt, b, R, spec),
-        -1.0 + _EPS,
-        1.0,
-        tol=1e-11,
-    )
-    return d_opt, b_opt, val
 
 
 def tangent_sphere_scaling(theta: float, spec: ChannelSpec) -> float:
@@ -238,4 +165,3 @@ def typical_event(R: float, floor: float, spec: ChannelSpec) -> TypicalEvent:
 def alpha_awgn_r(R: float, spec: ChannelSpec) -> float:
     """Scaling achieving the random-coding exponent: alpha*_s at max(R, R_crit)."""
     return tangent_sphere_scaling(theta_of_rate(max(R, spec.r_crit)), spec)
-

@@ -11,6 +11,7 @@ import time
 import mc_oracles as mc
 import numpy as np
 import pytest
+import union_bound_oracles as ub
 from scipy import integrate, stats
 
 from expbounds.channel import ChannelSpec
@@ -161,12 +162,12 @@ def test_criterion_05_tightness_and_equivalence():
         r = r_c + (c - r_c) * i / 7.0
         theta = awgn.theta_of_rate(r)
         e_sp = awgn.sphere_packing_exponent(r, spec)
-        _, _, double_min = regions.cone_union_min(theta, r, spec)
+        _, _, double_min = ub.cone_union_min(theta, r, spec)
         if abs(double_min - e_sp) > 1e-6:
             failures.append("cone min off %.2e at R=%.3f" % (abs(double_min - e_sp), r))
         scaling = modlam.ScalingSpec(regions.typical_event(r, math.exp(-r), spec).alpha)
         radius = math.sin(theta) / scaling.alpha
-        l_opt, _, _, triple_min = modlam.lattice_union_min(radius, scaling, spec, r)
+        l_opt, _, _, triple_min = ub.lattice_union_min(radius, scaling, spec, r)
         if abs(triple_min - double_min) > 1e-6:
             failures.append("triple/double gap %.2e at R=%.3f" % (abs(triple_min - double_min), r))
         l_star = modlam.l_circ_star(radius, scaling.k_alpha, spec)

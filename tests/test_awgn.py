@@ -7,6 +7,7 @@ closed forms and are asserted here at float64-appropriate tolerances.
 import math
 
 import pytest
+from union_bound_oracles import golden_min
 
 from expbounds.channel import (
     ChannelSpec,
@@ -15,7 +16,7 @@ from expbounds.channel import (
     SPHERE_PACKING,
 )
 from expbounds import awgn
-from expbounds.numerics import bisect_root, golden_min
+from expbounds.numerics import bisect_root
 
 SNR10 = ChannelSpec(10.0)
 SNR1 = ChannelSpec(1.0)

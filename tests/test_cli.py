@@ -1,6 +1,8 @@
 """Command-line surface: CSV schema, JSON reports, config validation, exits."""
 
+import ast
 import csv
+import glob
 import io
 import json
 import math
@@ -351,6 +353,22 @@ def test_lattice_from_file_at_a_tiny_scale(tmp_path, capsys):
     assert rpt["nsm"] == pytest.approx(1.0 / 12.0, rel=0.05)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("big, small", [("1e300", "1e-300"), ("1e200", "1e-200")])
+def test_lattice_fails_closed_on_non_finite_figures(tmp_path, capsys, big, small):
+    # Entries near the float range overflow sigma^2, and JSON has no Infinity
+    # or NaN: the command exits 3 and writes nothing, to stdout or --out.
+    path = tmp_path / "huge.lat"
+    path.write_text("2\n%s 0\n0 %s\n" % (big, small))
+    out = tmp_path / "figures.json"
+    for extra in ((), ("--out", str(out))):
+        code, stdout, err = _run(capsys, "lattice", "--lattice", str(path), "--trials", "100", *extra)
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("error: second_moment is inf") and err.count("\n") == 1, err
+    assert [p.name for p in tmp_path.iterdir()] == ["huge.lat"]
+
+
 def test_simulate_deterministic_output(tmp_path, capsys):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({"n": 8, "snr": 2.0, "rate_nats": 0.42, "trials": 4096, "seed": 5}))
@@ -444,9 +462,11 @@ def test_lattice_over_memory_budget_exits_2_in_a_fresh_process(tmp_path):
     assert not out.exists()
 
 
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def _fresh_process(code):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=_SRC),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -460,14 +480,35 @@ _LOADED = (
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # Start-up cost: the closed forms need only `math`, so the CLI and the
-    # package load neither numpy nor any of scipy; `lattices` loads numpy but
-    # no scipy.
+    # Start-up cost: the closed forms need only `math`, so the CLI, the
+    # package and the closed-form modules load neither numpy nor any of scipy;
+    # `lattices` loads numpy but no scipy.
     for name, allowed in (
-        ("expbounds.cli", ""), ("expbounds", ""), ("expbounds.lattices", "numpy")
+        ("expbounds.cli", ""), ("expbounds", ""), ("expbounds.regions", ""),
+        ("expbounds.modlam", ""), ("expbounds.numerics", ""), ("expbounds.lattices", "numpy"),
     ):
         loaded = _fresh_process("import %s\n%s" % (name, _LOADED)).strip()
         assert loaded == allowed, (name, loaded)
+
+
+def test_library_never_imports_scipy_optimize():
+    # An import inside a function body escapes the import-time checks above,
+    # so every import statement of the package, at any depth, is read here.
+    found = []
+    for path in sorted(glob.glob(os.path.join(_SRC, "expbounds", "*.py"))):
+        name = os.path.basename(path)
+        with open(path) as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module is not None:
+                modules = [node.module] + ["%s.%s" % (node.module, alias.name) for alias in node.names]
+            else:
+                continue
+            if any(m == "scipy.optimize" or m.startswith("scipy.optimize.") for m in modules):
+                found.append("%s:%d" % (name, node.lineno))
+    assert not found, found
 
 
 def test_closed_form_requests_load_no_numpy():

