@@ -6,7 +6,9 @@ half-angle associated with a rate is theta(R) = arcsin(e^{-R}).
 Each closed form is one function of (R, spec).  The SNR-only constants it
 reads (C, R_crit, r_x, d_crit and E_r's offset) are `ChannelSpec` attributes,
 computed once per channel by the functions here, so one rate and a whole
-`modlam.exponent_table` run the same code.
+`modlam.exponent_table` run the same code.  E_sp and rho_G come from one
+kernel, the exponent of leaving Shannon's cone of half-angle theta(R), and
+the constants from one root of SNR/2; none of them cancels or overflows.
 """
 
 import math
@@ -39,76 +41,88 @@ def rate_of_theta(theta: float) -> float:
     return -math.log(math.sin(theta))
 
 
-def gallager_eg(beta: float, rho: float, R: float, spec: ChannelSpec) -> float:
-    """Two-parameter exponent function underlying the sphere-packing bound.
-
-    E(beta, rho) = 1/2 [ (1-beta)(1+rho) + SNR + rho ln(beta)
-                         + ln(beta - SNR/(1+rho)) - 2 rho R ].
+def _cone_exit(R: float, spec: ChannelSpec):
+    """(E_sp, rho_G) at 0 < R < C: the received vector leaving the cone of
+    half-angle theta(R), as `leave_cone_exponent` has it, in terms that do
+    not cancel.  With c^2 = -expm1(-2R), s = SNR and k = expm1(2(C - R))/s,
+    beta* = -2k/(2 - c^2 + c sqrt(c^2 + 4/s)) and mu* = e^z with
+    z = 2(asinh(c sqrt(s)/2) - R); E_sp = beta*^2 s/2 + (expm1(z) - z)/2, two
+    terms >= 0, and rho_G = -dE_sp/dR = expm1(z)/c^2.  Up to R_crit k is
+    taken as e^{-2R} - c^2/s, which loses at most a bit there and is exact as
+    R -> 0, where expm1(2C) != SNR in floats.  Near C both are limited by C's
+    own rounding: about 2 ulp(C)/(C - R) relative.
     """
-    if beta <= 0.0 or rho < 0.0:
-        raise ValueError("require beta > 0 and rho >= 0")
-    snr = spec.snr
-    inner = beta - snr / (1.0 + rho)
-    if inner <= 0.0:
-        raise ValueError("log argument beta - SNR/(1+rho) must be positive")
-    offset = (1.0 - beta) * (1.0 + rho) + snr + rho * math.log(beta) + math.log(inner)
-    return 0.5 * (offset - 2.0 * rho * R)
+    s = spec.snr
+    c2 = -math.expm1(-2.0 * R)
+    c = math.sqrt(c2)
+    rs = math.sqrt(s)
+    if R <= spec.r_crit:
+        k = math.exp(-2.0 * R) - c2 / s
+    else:
+        k = math.expm1(2.0 * (spec.capacity_nats - R)) / s
+    # hypot(c, 2/sqrt(s)) is sqrt(c^2 + 4/s), whose 4/s overflows at tiny SNR.
+    beta = -2.0 * k / (2.0 - c2 + c * math.hypot(c, 2.0 / rs))
+    z = 2.0 * (math.asinh(0.5 * c * rs) - R)
+    t = math.expm1(z)
+    if -0.125 < z < 0.125:  # expm1(z) - z cancels: its series to z^11/11! (< 4e-18 left out)
+        h = z * z * (1 / 2 + z * (1 / 6 + z * (1 / 24 + z * (1 / 120 + z * (1 / 720 + z * (
+            1 / 5040 + z * (1 / 40320 + z * (1 / 362880 + z * (1 / 3628800 + z / 39916800)))))))))
+    else:
+        h = t - z
+    return 0.5 * (beta * beta * s + h), t / c2
 
 
 def rho_g(R: float, spec: ChannelSpec) -> float:
-    """Optimal rho for the sphere-packing exponent at rate R.
+    """Optimal rho of the sphere-packing exponent at rate R: -dE_sp/dR.
 
-    rho_G = SNR/(2 beta_G) (1 + sqrt(1 + 4 beta_G / (SNR (beta_G - 1)))) - 1
-    with beta_G = e^{2R}; beta_G - 1 is taken as expm1(2R), which stays
-    exact as R -> 0; below R ~ 1e-300, where 4 beta_G / (SNR (beta_G - 1))
-    would overflow, the root is taken in factors, so rho_G stays finite down
-    to the smallest positive R.  Equals 0 at capacity and 1 at the critical
-    rate.  Near capacity the formula cancels to a tiny negative value, which is
-    clamped to 0 up to C * CAPACITY_SLACK; rates clearly above C raise.
+    From E_sp's kernel: sqrt(SNR/(2R)) down to the smallest positive R, 1 at
+    R_crit, 0 from C on, and within C's rounding a few ulps either side of 0
+    just below it.  Rates R <= 0 and rates clearly above C raise.
     """
-    snr = spec.snr
     if R <= 0.0:
         raise ValueError("rho_g diverges as R -> 0; require R > 0")
     if R > spec.capacity_nats * CAPACITY_SLACK:
         raise ValueError("rho_g is defined up to capacity; R > C")
-    beta_g = math.exp(2.0 * R)
-    em1 = math.expm1(2.0 * R)
-    if snr * em1 > 1e-300:
-        root = math.sqrt(1.0 + 4.0 * beta_g / (snr * em1))
-    else:
-        # The 1 under the root is far below the ratio's last bit here.
-        root = 2.0 * math.sqrt(beta_g / snr) / math.sqrt(em1)
-    rho = snr / (2.0 * beta_g) * (1.0 + root) - 1.0
-    return max(rho, 0.0)
+    return 0.0 if R >= spec.capacity_nats else _cone_exit(R, spec)[1]
 
 
 def sphere_packing_exponent(R: float, spec: ChannelSpec) -> float:
     """Sphere-packing exponent E_sp(R); tight upper bound above the critical rate.
 
+    The exponent of leaving the cone of half-angle theta(R) (`_cone_exit`).
     At R = 0, where rho_G diverges, it is its limit SNR/2; 0 from C on.
     """
+    if R < 0.0:
+        raise ValueError("rate must be non-negative")
     if R >= spec.capacity_nats:
         return 0.0
-    if R == 0.0:
-        return spec.snr / 2.0
-    return max(gallager_eg(math.exp(2.0 * R), rho_g(R, spec), R, spec), 0.0)
+    return spec.snr / 2.0 if R == 0.0 else _cone_exit(R, spec)[0]
+
+
+def _root_excess(spec: ChannelSpec):
+    """(b, m) with b = SNR/2 and m = sqrt(1 + b^2) - 1 taken as
+    b (b / (1 + hypot(1, b))): no cancellation at low SNR, and no b^2, which
+    overflows from SNR ~ 1.3e154.  R_crit, r_x and beta'_G each read it once."""
+    b = 0.5 * spec.snr
+    return b, b * (b / (1.0 + math.hypot(1.0, b)))
 
 
 def beta_g_prime(spec: ChannelSpec) -> float:
-    """The beta value pinning the critical rate: e^{2 R_crit}."""
-    snr = spec.snr
-    return 0.5 * (1.0 + snr / 2.0 + math.sqrt(1.0 + snr * snr / 4.0))
+    """The beta value pinning the critical rate: e^{2 R_crit} = 1 + (b + m)/2."""
+    b, m = _root_excess(spec)
+    return 1.0 + 0.5 * (b + m)
 
 
 def critical_rate(spec: ChannelSpec) -> float:
-    """R_crit = 1/2 ln(1/2 + SNR/4 + 1/2 sqrt(1 + SNR^2/4))."""
-    return 0.5 * math.log(beta_g_prime(spec))
+    """R_crit = 1/2 ln(1/2 + SNR/4 + 1/2 sqrt(1 + SNR^2/4)) = 1/2 log1p((b + m)/2)."""
+    b, m = _root_excess(spec)
+    return 0.5 * math.log1p(0.5 * (b + m))
 
 
 def critical_distance(spec: ChannelSpec) -> float:
-    """Normalized chord of the dominating error event at and below R_crit."""
-    snr = spec.snr
-    return math.sqrt(2.0 + 4.0 / snr - 2.0 * math.sqrt(1.0 + 4.0 / (snr * snr)))
+    """Normalized chord of the dominating error event at and below R_crit:
+    sqrt(2 + 4/SNR - 2 sqrt(1 + 4/SNR^2)) as sqrt(2/beta'_G), which cancels at no SNR."""
+    return math.sqrt(2.0 / beta_g_prime(spec))
 
 
 def min_distance(R: float) -> float:
@@ -123,12 +137,11 @@ def rate_x(spec: ChannelSpec) -> float:
     """Rate where the expurgated and random-coding exponents meet.
 
     E^x - E_r is tangent to zero there, at the crossing d_min(R) = d_crit:
-    R_x = 1/2 ln(1/2 (1 + sqrt(1 + a))) with a = SNR^2/4.  Since
-    1/2 (1 + sqrt(1 + a)) - 1 = a / (2 (1 + sqrt(1 + a))), it is evaluated
-    as 1/2 log1p of that, which does not cancel at low SNR.
+    R_x = 1/2 ln(1/2 (1 + sqrt(1 + b^2))) = 1/2 log1p(m/2), with b and m
+    from `_root_excess`.  About SNR^2/32 at low SNR, it underflows to 0
+    below SNR ~ 1e-161.
     """
-    a = spec.snr * spec.snr / 4.0
-    return 0.5 * math.log1p(a / (2.0 * (1.0 + math.sqrt(1.0 + a))))
+    return 0.5 * math.log1p(0.5 * _root_excess(spec)[1])
 
 
 def random_coding_exponent(R: float, spec: ChannelSpec, e_sp=None) -> float:
@@ -141,7 +154,7 @@ def random_coding_exponent(R: float, spec: ChannelSpec, e_sp=None) -> float:
     if R > spec.r_crit:
         val = sphere_packing_exponent(R, spec) if e_sp is None else e_sp
     else:
-        val = 0.5 * (spec.e_r_offset - 2.0 * R)  # gallager_eg(beta'_G, 1, R)
+        val = 0.5 * (spec.e_r_offset - 2.0 * R)  # E_sp's tangent at R_crit
     return max(val, 0.0)
 
 

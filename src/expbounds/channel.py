@@ -39,9 +39,9 @@ class ChannelSpec:
     Its SNR-only constants (C, R_crit, r_x, d_crit and E_r's offset below
     R_crit) are computed on first read and kept; each closed form reads them
     here, so each is computed once per channel.  Their formulas are the
-    `awgn` functions (which import this module, hence the local imports).
-    A constant whose formula raises at this SNR is not kept: it raises at
-    every read.  Equality, hash and repr see `snr` alone.
+    `awgn` functions (which import this module, hence the local imports);
+    none raises at a positive finite SNR, and a value is kept only once its
+    formula returns.  Equality, hash and repr see `snr` alone.
     """
 
     snr: float
@@ -74,10 +74,11 @@ class ChannelSpec:
 
     @functools.cached_property
     def e_r_offset(self):
-        """2 E(beta'_G, 1, 0): E_r is (e_r_offset - 2R)/2 at and below R_crit."""
-        from .awgn import beta_g_prime, gallager_eg
+        """2 (E_sp(R_crit) + R_crit): E_r is (e_r_offset - 2R)/2 at and below
+        R_crit, E_sp's tangent there (E_sp has slope -rho_G = -1 at R_crit)."""
+        from .awgn import sphere_packing_exponent
 
-        return 2.0 * gallager_eg(beta_g_prime(self), 1.0, 0.0, self)
+        return 2.0 * (sphere_packing_exponent(self.r_crit, self) + self.r_crit)
 
 
 # Exponent regime tags.

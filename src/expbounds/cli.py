@@ -123,6 +123,8 @@ def cmd_exponents(args):
     if not args.grid_nats:
         lo, hi = bits_to_nats(lo), bits_to_nats(hi)
     c = spec.capacity_nats
+    if lo < 0.0:
+        raise ValueError("grid min %.6g nats is below 0" % lo)
     if hi > c * CAPACITY_SLACK:
         raise ValueError("grid max %.6g exceeds capacity %.6g nats" % (hi, c))
     hi = min(hi, c)

@@ -6,9 +6,6 @@ only.  Failures raise instead of silently clamping.
 
 _MAX_GROW = 2 ** 60
 
-# Offset keeping arguments off open-interval edges and log/chord singularities.
-_EPS = 1e-12
-
 
 class BracketError(RuntimeError):
     """Raised when a root bracket cannot be established."""

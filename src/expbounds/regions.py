@@ -19,7 +19,7 @@ from .awgn import (
     typical_chord,
 )
 from .channel import ChannelSpec
-from .numerics import _EPS, bisect_root
+from .numerics import bisect_root
 
 
 def theta_d_of_chord(d: float) -> float:
@@ -44,13 +44,11 @@ def joint_tail_exponent(x: float, y: float, tau: float) -> float:
 
 
 def critical_rate_of_theta_d(theta_d: float, spec: ChannelSpec) -> float:
-    """Rate threshold separating the two branches of the optimal cone beta."""
-    snr = spec.snr
-    c_half = math.cos(theta_d / 2.0)
-    arg = 1.0 - 2.0 * snr * c_half ** 4 / (2.0 + snr * (1.0 + math.cos(theta_d)))
-    if arg <= 0.0:
-        raise ValueError("threshold undefined for this chord angle/SNR")
-    return -math.log(math.sqrt(arg))
+    """Rate threshold separating the two branches of the optimal cone beta:
+    -1/2 ln((1 + SNR c^2 s^2)/(1 + SNR c^2)), c and s the cosine and sine of
+    theta_d/2, as two log1p's, which cancel to no error at any chord or SNR."""
+    snr_c2 = spec.snr * math.cos(theta_d / 2.0) ** 2
+    return 0.5 * (math.log1p(snr_c2) - math.log1p(snr_c2 * math.sin(theta_d / 2.0) ** 2))
 
 
 def f_bnd(d: float, theta: float, R: float, spec: ChannelSpec) -> float:
@@ -62,7 +60,7 @@ def f_bnd(d: float, theta: float, R: float, spec: ChannelSpec) -> float:
     Below rate_ii, E_II is this bound at the coset ensemble's typical event;
     from rate_ii up E_II is E_r, and the tests check it against this bound.
     """
-    if d <= _EPS or d >= 2.0 - _EPS:
+    if d <= 0.0 or d >= 2.0:
         return math.inf
     r_theta = rate_of_theta(theta)
     if r_theta > critical_rate_of_theta_d(theta_d_of_chord(d), spec):

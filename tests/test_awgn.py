@@ -5,8 +5,10 @@ closed forms and are asserted here at float64-appropriate tolerances.
 """
 
 import math
+from decimal import Decimal
 
 import pytest
+from cone_exit_mpmath import CONE_EXIT, CONSTANTS, HIGH_SNR_HALF_CAPACITY
 from union_bound_oracles import golden_min
 
 from expbounds.channel import (
@@ -304,13 +306,70 @@ def test_channel_constants_are_kept_and_ignored_by_equality():
     assert repr(spec) == repr(fresh) == "ChannelSpec(snr=10.0)"
 
 
-def test_a_channel_constant_that_raises_is_not_kept():
-    # At SNR 1e-18 the argument of d_crit's outer root cancels to below 0.
+def test_a_channel_constant_that_raises_is_not_kept(monkeypatch):
+    # No constant's formula raises at a positive finite SNR, so make one.
+    calls = []
+
+    def failing(spec):
+        calls.append(spec)
+        raise ValueError("injected failure")
+
+    monkeypatch.setattr(awgn, "critical_distance", failing)
     spec = ChannelSpec(1e-18)
     for _ in range(2):
-        with pytest.raises(ValueError, match="math domain error"):
+        with pytest.raises(ValueError, match="injected failure"):
             spec.d_crit
-    assert "d_crit" not in vars(spec)
+    assert "d_crit" not in vars(spec) and len(calls) == 2
+    monkeypatch.undo()
+    assert spec.d_crit == awgn.critical_distance(spec)
+    assert "d_crit" in vars(spec)
+
+
+def _rel_error(got, want):
+    """|got - want| / want, exact: `want` is a decimal string."""
+    want = Decimal(want)
+    return float(abs(Decimal(got) - want) / want)
+
+
+def _floor(rate, spec):
+    """The relative error C's own rounding sets at R: 2 ulp(C)/(C - R) + 1e-16."""
+    c = spec.capacity_nats
+    return 2.0 * math.ulp(c) / (c - rate) + 1e-16
+
+
+@pytest.mark.parametrize("snr", sorted({row[0] for row in CONE_EXIT}))
+def test_sphere_packing_and_rho_g_match_mpmath_to_the_floor(snr):
+    # Rates from R/C = 1e-300 to the float below C, through r_x, R_crit and
+    # rate_ii and their neighbouring floats (`cone_exit_mpmath`).
+    spec = ChannelSpec(snr)
+    for _, rate, e_sp, rho in (row for row in CONE_EXIT if row[0] == snr):
+        bound = 8.0 * _floor(rate, spec)
+        assert _rel_error(awgn.sphere_packing_exponent(rate, spec), e_sp) <= bound, rate
+        assert _rel_error(awgn.rho_g(rate, spec), rho) <= bound, rate
+
+
+@pytest.mark.parametrize("snr", sorted(HIGH_SNR_HALF_CAPACITY))
+def test_sphere_packing_is_finite_at_high_snr(snr):
+    # From SNR ~ 6e15 the Gallager form's beta - SNR/(1+rho) rounded to <= 0.
+    spec = ChannelSpec(snr)
+    rate, want = HIGH_SNR_HALF_CAPACITY[snr]
+    assert _rel_error(awgn.sphere_packing_exponent(rate, spec), want) <= 1e-12
+    c = spec.capacity_nats
+    values = [awgn.sphere_packing_exponent(c * k / 64.0, spec) for k in range(1, 64)]
+    assert all(math.isfinite(v) and v > 0.0 for v in values)
+    assert values == sorted(values, reverse=True)
+
+
+@pytest.mark.parametrize("snr", sorted(CONSTANTS))
+def test_channel_constants_match_mpmath(snr):
+    # Every constant wherever its exact value is a normal float, SNR 1e-300
+    # to 1e300: nothing cancels at low SNR, nothing overflows at high SNR.
+    spec = ChannelSpec(snr)
+    got = (spec.capacity_nats, spec.r_crit, spec.r_x, spec.d_crit, spec.e_r_offset)
+    names = ("C", "R_crit", "r_x", "d_crit", "e_r_offset")
+    for name, value, want in zip(names, got, CONSTANTS[snr]):
+        if want is not None:
+            assert _rel_error(value, want) <= 1e-15, name
 
 
 def test_rejects_negative_rate():

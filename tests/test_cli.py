@@ -275,19 +275,27 @@ def test_geometry_at_a_tiny_rate(capsys):
 @pytest.mark.parametrize(
     "snr, code, message",
     [
-        (1e-300, 3, "float division by zero"),
-        (1e-154, 2, "math domain error"),
-        (1e-20, 2, "expected 0 < r_x < r_crit < c"),
-        (1e300, 2, "expected 0 < r_x < r_crit < c"),
-        (1e-8, 2, "d_crit out of range (0, sqrt(2))"),
-        (1e20, 2, "d_crit out of range (0, sqrt(2))"),
+        # r_x, about SNR^2/32, underflows to 0.
+        (1e-300, 2, "expected 0 < r_x < r_crit < c"),
+        # d_crit is sqrt(2) correctly rounded.
+        (1e-154, 2, "d_crit out of range (0, sqrt(2))"),
+        (1e-20, 2, "d_crit out of range (0, sqrt(2))"),
+        # Every constant is in range; k_zeta's log argument and its root
+        # bracket fail at high SNR.
+        (1e300, 2, "math domain error"),
+        (1e20, 3, "root bracket expansion failed"),
+        (1e-8, 0, None),
     ],
 )
-def test_geometry_domain_check_failures(capsys, snr, code, message):
+def test_geometry_domain_checks_at_extreme_snr(capsys, snr, code, message):
     # Where r_x, R_crit or d_crit leaves its range, at half capacity.
     r = 0.5 * ChannelSpec(snr).capacity_nats
     got, out, err = _run(capsys, "geometry", "--snr", repr(snr), "--rate-nats", repr(r))
-    assert (got, out, err) == (code, "", "error: %s\n" % message)
+    if message is None:
+        assert (got, err) == (0, "")
+        assert all(math.isfinite(v) for v in json.loads(out).values() if isinstance(v, float))
+    else:
+        assert (got, out, err) == (code, "", "error: %s\n" % message)
 
 
 def test_geometry_requires_rate(capsys):
@@ -661,8 +669,9 @@ def test_simulate_rejects_out_of_range_fields(tmp_path, capsys, change, field):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("geometry", "--snr", "1e-300", "--rate-nats", "1e-310"),
-        ("exponents", "--snr", "1e-300", "--grid-nats", "--grid", "1e-310:4e-301:2"),
+        # k_zeta's root bracket stops growing before the root.
+        ("geometry", "--snr", "1e20", "--rate-nats", "11.5"),
+        ("geometry", "--snr", "7.458590634907544e+68", "--rate-nats", "7.929257639851397e-08"),
     ],
 )
 def test_arithmetic_failure_exits_3_without_traceback(capsys, argv):
@@ -675,21 +684,39 @@ def test_arithmetic_failure_exits_3_without_traceback(capsys, argv):
 @pytest.mark.parametrize(
     "snr, grid, code, message",
     [
-        # d_crit divides by SNR^2, which underflows to 0.
-        ("1e-300", "1e-302:5e-301:50", 3, "float division by zero"),
-        ("1e-300", "0:5e-301:3", 3, "float division by zero"),
-        # beta'_G - SNR/2 cancels to 0 below R_crit; d_crit rounds to 0 at R = 0.
-        ("1e300", "6.907755278982137:345.38776394910684:50", 2,
-         "log argument beta - SNR/(1+rho) must be positive"),
-        ("1e300", "0:345.38776394910684:3", 2, "math domain error"),
-        # A negative rate fails in the first curve, E_sp, before any constant.
-        ("1e300", "-1:345.38776394910684:3", 2, "rho_g diverges as R -> 0; require R > 0"),
-        ("1e-300", "-1e-301:5e-301:3", 2, "rho_g diverges as R -> 0; require R > 0"),
+        # Finite rows where d_crit once divided by an underflowed SNR^2 and
+        # E_sp's Gallager form cancelled to an error.
+        ("1e-300", "1e-302:5e-301:50", 0, None),
+        ("1e-300", "0:5e-301:3", 0, None),
+        ("1e300", "6.907755278982137:345.38776394910684:50", 0, None),
+        ("1e300", "0:345.38776394910684:3", 0, None),
+        # A negative rate is rejected before any curve runs.
+        ("1e300", "-1:345.38776394910684:3", 2, "grid min -1 nats is below 0"),
+        ("1e-300", "-1e-301:5e-301:3", 2, "grid min -1e-301 nats is below 0"),
     ],
 )
-def test_exponents_at_extreme_snr_keeps_its_error(capsys, snr, grid, code, message):
+def test_exponents_at_extreme_snr_keeps_its_outcome(capsys, snr, grid, code, message):
     got, stdout, err = _run(capsys, "exponents", "--snr", snr, "--grid-nats", "--grid=" + grid)
-    assert (got, stdout, err) == (code, "", "error: %s\n" % message)
+    if message is None:
+        assert (got, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO(stdout)))
+        assert len(rows) == int(grid.rsplit(":", 1)[1])
+        assert all(math.isfinite(float(v)) for row in rows for v in row.values())
+    else:
+        assert (got, stdout, err) == (code, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize(
+    "grid, lo",
+    [("-1:0.5:3", "-0.693147"), ("-0.1:0.5:2", "-0.0693147"), ("-inf:0.5:3", "-inf")],
+)
+def test_exponents_rejects_a_negative_grid_start_before_any_curve(capsys, monkeypatch, grid, lo):
+    def no_table(rates, spec):
+        raise AssertionError("a curve ran")
+
+    monkeypatch.setattr(modlam, "exponent_table", no_table)
+    got, stdout, err = _run(capsys, "exponents", "--snr-db", "10", "--grid=" + grid)
+    assert (got, stdout, err) == (2, "", "error: grid min %s nats is below 0\n" % lo)
 
 
 @pytest.mark.parametrize("trials", ["0", "1"])

@@ -154,12 +154,17 @@ def test_empirical_spectrum_frozen():
 
 # SHA-256 of closed-form CLI outputs: `exponents` on the benchmark's grid of
 # 50 rates ending at C, and one `geometry` report between r_x and R_crit
-# (the k_zeta bisection runs there).
+# (the k_zeta bisection runs there).  E_sp from the cone-exit kernel moved
+# E_sp at most rates, and E_r, E_awgn and E_II where they read it; each
+# moved value moved toward its mpmath value or stayed within
+# 8 (2 ulp(C)/(C - R) + 1e-16) of it.  The cancellation-free d_crit moved
+# geometry's d_crit, d_typ, d_typ_ii and rate_ii by an ulp or two, toward
+# mpmath.
 FROZEN_CLI_SHA256 = {
-    "exponents -40 dB": "68e9e630f39581ef5f4330920c1ef01e9b97fe47108e770c553f42f402d7b26a",
-    "exponents 10 dB": "72dfa0a977ae7263379ccf1fffc1014ddb89922f5e146ecaeb82442f9fcc78bb",
-    "exponents 50 dB": "42053b490f7ac49afa7239e65939dcc9ecf9af1a2a809640201e266d1ab2a0b5",
-    "geometry 10 dB rate 0.7": "68af39d850b93cac742623e3bd403933f54cab95486bcc74c4b526168cfb25a0",
+    "exponents -40 dB": "4be16f20db7cac775c7b44d79d92f0d1346b9124d74d7b1709c8af3e691c9775",
+    "exponents 10 dB": "c5eb3bd1248260120104a77a5a9984a50b3a79254fc20491005d708163f1bfd7",
+    "exponents 50 dB": "4f099b6123add6fc0a1133f798c9e5e87a3a3e504f2132341f86b17de325eafc",
+    "geometry 10 dB rate 0.7": "8ea9c7b117e57e5a7e3a6f89b7d5dbbb9ec987a1790994cd44856a33f3521492",
 }
 
 
@@ -220,7 +225,13 @@ def _sweep_outcomes():
 # moved E_modlambda (and nothing else) in 154 requests, and took `exponents`
 # at SNR 2.7e-127 from R = 0 from exit 3 (E_II = inf, read through a
 # cancelled d_crit) to exit 0 (E_II(0) = E_r(0), as rate_ii is 0 there).
-FROZEN_SWEEP_SHA256 = "ef90c489a5f4255d772bbe59cfa553272ad41a4fdb8979d73d1c3bc844dd6842"
+# E_sp from the cone-exit kernel, the SNR-only constants without
+# cancellation or overflow, and `f_bnd` and the chord threshold without
+# their float guards took the exit codes from {0: 277, 2: 261, 3: 62} to
+# {0: 409, 2: 158, 3: 33}; every E_sp and E_r of a request that moved to
+# exit 0 is within F = 8 (2 ulp(C)/(C - R) + 1e-16) of mpmath in SNR
+# 1e-4...1e5 and within max(F, 1e-12) outside it.
+FROZEN_SWEEP_SHA256 = "b12afa1a35f099c58a9c6574a9701fd22929bef25cb8b8235fe07c0643452ba4"
 
 
 def test_closed_form_sweep_frozen():

@@ -82,6 +82,32 @@ def test_f_bnd_value():
     assert abs(regions.f_bnd(0.5, 0.6, 0.45, SNR10) - FBND_05_06_045) < 1e-12
 
 
+def test_f_bnd_finite_at_any_chord_inside_0_2():
+    # The coset ensemble's chord e^{-R} is below 1e-12 from R ~ 27.6 up;
+    # 80-digit mpmath value of SNR d^2/8 - ln(d sqrt(1 - d^2/4)) - R.
+    spec, r = ChannelSpec(1e30), 29.0
+    want = 1250.933606208922694652005
+    got = regions.f_bnd(1e-13, awgn.theta_of_rate(r), r, spec)
+    assert abs(got - want) <= 1e-15 * want
+    for d in (0.0, 2.0):
+        assert regions.f_bnd(d, awgn.theta_of_rate(r), r, spec) == math.inf
+
+
+# 80-digit mpmath values of -1/2 ln((1 + SNR c^2 s^2)/(1 + SNR c^2)), c and s
+# the cosine and sine of theta_d/2, where 1 - 2 SNR c^4/(2 + SNR (1 + cos
+# theta_d)) once cancelled to 0 and raised.
+CHORD_THRESHOLD_MPMATH = [
+    (1e-9, 1e20, 21.39680266092971575759867),
+    (1e-13, 1e30, 30.62655342947187570360317),
+]
+
+
+@pytest.mark.parametrize("d, snr, want", CHORD_THRESHOLD_MPMATH)
+def test_chord_threshold_does_not_cancel(d, snr, want):
+    got = regions.critical_rate_of_theta_d(regions.theta_d_of_chord(d), ChannelSpec(snr))
+    assert abs(got - want) <= 1e-15 * want
+
+
 def test_f_bnd_at_critical_chord_gives_random_coding():
     d_c = awgn.critical_distance(SNR10)
     for r in (0.55, 0.7, 0.85):

@@ -13,12 +13,15 @@ import math
 from expbounds.awgn import beta_star, rate_of_theta
 from expbounds.channel import ChannelSpec
 from expbounds.modlam import ScalingSpec, l_circ_star
-from expbounds.numerics import _EPS
 from expbounds.regions import (
     critical_rate_of_theta_d,
     joint_tail_exponent,
     theta_d_of_chord,
 )
+
+# Offset keeping the searches' arguments off open-interval edges and the
+# log/chord singularities.
+_EPS = 1e-12
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
