@@ -125,12 +125,19 @@ def critical_distance(spec: ChannelSpec) -> float:
     return math.sqrt(2.0 / beta_g_prime(spec))
 
 
+def _chord_gap(R: float) -> float:
+    """1 - sqrt(1 - e^{-2R}) as e^{-2R} / (1 + sqrt(-expm1(-2R))), which does
+    not cancel at high rate; 1 for R <= 0."""
+    R = max(R, 0.0)
+    return math.exp(-2.0 * R) / (1.0 + math.sqrt(-math.expm1(-2.0 * R)))
+
+
 def min_distance(R: float) -> float:
     """Largest normalized minimum distance of a rate-R spherical ensemble.
 
     d_min(R) = sqrt(2 - 2 sqrt(1 - e^{-2R})); equals sqrt(2) at R=0.
     """
-    return math.sqrt(2.0 - 2.0 * math.sqrt(max(0.0, -math.expm1(-2.0 * R))))
+    return math.sqrt(2.0 * _chord_gap(R))
 
 
 def rate_x(spec: ChannelSpec) -> float:
@@ -162,7 +169,7 @@ def expurgated_exponent(R: float, spec: ChannelSpec) -> float:
     """Expurgated (minimum-distance) exponent (SNR/4)(1 - sqrt(1 - e^{-2R}))."""
     if R < 0.0:
         raise ValueError("rate must be non-negative")
-    return spec.snr / 4.0 * (1.0 - math.sqrt(max(0.0, -math.expm1(-2.0 * R))))
+    return spec.snr / 4.0 * _chord_gap(R)
 
 
 def awgn_exponent(R: float, spec: ChannelSpec) -> ExponentValue:

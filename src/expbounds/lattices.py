@@ -1,41 +1,39 @@
 """Small lattices: exact nearest-point decoding, Voronoi sampling, figures of merit.
 
-Every decoder runs CVP_ROWS rows at a time, through one of two loops: the
-points loop of `Lattice.nearest` and the norms loop of `Lattice._norms2`.
-Each rejects non-finite queries and takes a reduction's residual inside the
-block, so memory beyond the output is a few (CVP_ROWS, n) arrays whatever
-the batch.  Fast exact decoders are provided for Z^n, D4, and E8 (the
-classic rounding rules), run coordinate-major and without masks on each
+Every query runs CVP_ROWS rows at a time through one loop,
+`Lattice._each_block`, and one decoder interface, `Lattice._decoder`: each
+block is checked to be finite and decoded coordinate-major, and the caller
+keeps what it reads of the block and its closest points (the points, the
+residuals or their squared norms), so memory beyond the output is a few
+(CVP_ROWS, n) arrays whatever the batch.  Fast exact decoders are provided
+for Z^n, D4, and E8 (the classic rounding rules), run without masks on each
 transposed block, into a few blocks allocated once per call: on a 2-vCPU
-Xeon D4 costs about 0.04 us a point and E8 0.20 us on uniform queries
-(0.08 and 0.25 us with temporaries allocated per block, 0.23 and 0.71 us
-for the earlier whole-batch, row-major rules).
+Xeon D4 costs about 0.04 us a point and E8 0.20 us on uniform queries.
 
 E8 decodes its second coset, D8 + 1/2, only where the first does not settle
 the query.  Every point of D8 + 1/2 is at squared distance at least 2 from
 D8, so a query within 0.49 of its D8 point is certified (`_E8_CERTIFIED`).
 When at most half a block is not certified and |t| < 2^51, only those
-queries are gathered and decoded; otherwise the whole block is, as before.
+queries are gathered and decoded; otherwise the whole block is.
 At SNR 4 (the simulator's noise, 0.07% not certified) E8 costs 0.12 us a
 point; uniform queries (88% not certified) keep the dense rule's 0.20 us.
 
-Where only squared norms are read, `_norms2` reduces and squares each block
-coordinate-major (`_row_sum`, numpy's order) and keeps only the norms:
+Where only squared norms are read, the residuals are squared and summed
+coordinate-major (`_row_sum`, numpy's order) and only the norms are kept:
 `Lattice.residual_norms2` for given queries (the simulator's sent coset),
 also telling whether each closest point is other than the origin, and
 `Lattice.voronoi_norms2` for Voronoi samples it draws a block at a time
 (`lattice_figures` and the simulator's rivals).  At SNR 4 that costs E8
-0.13 us a point and D4 0.055 us, against 0.29 and 0.085 us for `nearest`
-followed by a row-major sum.
+0.13 us a point and D4 0.055 us.
 
-Any other basis goes through batched exact enumeration
-(`Lattice.nearest_enumerated`): the basis is LLL-reduced once and its QR frame
-cached; every query row gets a nearest-plane start, whose distance is the
-search radius, and Schnorr-Euchner enumeration then runs over all rows of a
-block at once.  This costs about 1 us a point on a D4 basis in a non-standard
-form and 7 us on E8 (against 70 and 180 us for one depth-first search per
-point); 16-dimensional bases cost 0.1 to 0.3 ms a point (a unimodular copy of
-Z^16, random Gaussian bases).
+Any other basis, and `Lattice.nearest_enumerated` on any basis, goes
+through batched exact enumeration: the basis is LLL-reduced once and its QR
+frame cached; every query row gets a nearest-plane start, whose distance is
+the search radius, and Schnorr-Euchner enumeration then runs over all rows
+of a block at once.  This costs about 1 us a point on a D4 basis in a
+non-standard form and 7 us on E8 (against 70 and 180 us for one depth-first
+search per point); 16-dimensional bases cost 0.1 to 0.3 ms a point (a
+unimodular copy of Z^16, random Gaussian bases).
 
 Basis files are plain text: the dimension n followed by n*n
 whitespace-separated entries, row-major (rows generate the lattice).
@@ -211,6 +209,12 @@ def _require_finite(block):
         raise ValueError("closest-point queries must be finite")
 
 
+def _residual_norms2(x, f):
+    """Squared norms of the columns of x - f, coordinate-major blocks, in
+    numpy's order of a row-major `.sum(axis=1)` (`_row_sum`); f is overwritten."""
+    return _row_sum(np.square(np.subtract(x, f, out=f), out=f))
+
+
 def _lll(basis):
     """Unimodular integer U (as floats) such that the rows of U @ basis are LLL-reduced.
 
@@ -355,49 +359,124 @@ class Lattice:
         """The lattice c * Lambda, keeping any fast decoder."""
         return Lattice(self.name, self.basis * c, self.decoder, self.scale * c)
 
-    def nearest(self, points, *, residual=False, out=None):
+    def nearest(self, points):
         """Exact closest lattice points; `points` is (N, n), returns (N, n).
 
-        With `residual`, returns each point minus its closest lattice point
-        instead (see `reduce`); `out`, which may be `points` itself, receives
-        the result.  A fast rule decodes each block coordinate-major, on its
-        transpose; any other basis goes through `nearest_enumerated`.
+        A fast rule decodes each block coordinate-major, on its transpose;
+        any other basis is enumerated, as in `nearest_enumerated`.
         """
-        if self.decoder not in _FAST_DECODERS:
-            return self.nearest_enumerated(points, residual=residual, out=out)
+        return self._closest(points, False)
 
-        def decoder(cols):
-            decode = self._fast_decoder(cols)
-            return lambda block: decode(block)[1].T
+    def nearest_enumerated(self, points):
+        """Exact closest lattice points by enumeration, for any basis (`_decoder`)."""
+        return self._closest(points, True)
 
+    def _closest(self, points, enumerated):
+        pts = self._queries(points)
+        out = np.empty_like(pts)
+
+        def take(rows, x, f):
+            out[rows] = f.T
+
+        self._each_block(len(pts), lambda start, rows: pts[start : start + rows], take, enumerated)
+        return out
+
+    def reduce(self, points):
+        """Reduce points modulo the lattice into the Voronoi region."""
+        pts = self._queries(points)
+        return self._reduce_into(pts, np.empty_like(pts))
+
+    def sample_voronoi(self, count, rng):
+        """Exact uniform samples over the Voronoi region of the origin.
+
+        Uniform over a fundamental parallelepiped, reduced modulo the lattice
+        in place; the reduction is measure-preserving, so the result is
+        exactly uniform over the Voronoi region.
+        """
+        u = rng.random((count, self.n)) @ self.basis
+        return self._reduce_into(u, u)
+
+    def _reduce_into(self, pts, out):
+        # Each row of pts minus its closest point, into out, which may be pts.
+        self._each_block(len(pts), lambda start, rows: pts[start : start + rows],
+                         lambda rows, x, f: np.subtract(x, f, out=out[rows].T))
+        return out
+
+    def residual_norms2(self, points):
+        """Squared norm of each query's residual modulo the lattice, and
+        whether its closest point is not the origin; `points` is (N, n).
+
+        Returns (norms2, outside), both (N,): the bits of
+        `(reduce(points) ** 2).sum(axis=1)` and of
+        `(nearest(points) != 0).any(axis=1)`, without building either
+        (N, n) array.
+        """
+        pts = self._queries(points)
+        norms2, outside = np.empty(len(pts)), np.empty(len(pts), dtype=bool)
+
+        def take(rows, x, f):
+            np.any(f, axis=0, out=outside[rows])
+            norms2[rows] = _residual_norms2(x, f)
+
+        self._each_block(len(pts), lambda start, rows: pts[start : start + rows], take)
+        return norms2, outside
+
+    def voronoi_norms2(self, count, rng):
+        """Squared norms of `sample_voronoi(count, rng)`, bit for bit, without the samples.
+
+        The samples are drawn from the same stream CVP_ROWS at a time, and
+        each block is reduced and squared before the next is drawn.
+        """
+        draw, u = np.empty((2, min(count, CVP_ROWS), self.n))
+        norms2 = np.empty(count)
+
+        def block_at(start, rows):
+            # A product of two rows or more rounds each row as the whole
+            # batch's product in `sample_voronoi` does (BLAS gemm); a one-row
+            # product (gemv) may not, so a lone last row is taken with a second.
+            rng.random(out=draw[:rows])
+            k = max(rows, min(2, len(draw)))
+            return np.matmul(draw[:k], self.basis, out=u[:k])[:rows]
+
+        def take(rows, x, f):
+            norms2[rows] = _residual_norms2(x, f)
+
+        self._each_block(count, block_at, take)
+        return norms2
+
+    def _each_block(self, count, block_at, take, enumerated=False):
+        """Decode `count` queries CVP_ROWS at a time.
+
+        block_at(start, rows) gives queries start .. start + rows - 1, and
+        take(slice, x, f) receives them and their closest points from
+        `_decoder` before the next block is asked for: beyond the caller's
+        output, memory is a few (CVP_ROWS, n) blocks whatever the batch.
+        """
+        decode = self._decoder(min(count, CVP_ROWS), enumerated)
         # Sums overflow near 1e308 with the points still right (`_decode_dn`);
         # one errstate a call, as entering one costs about 2 us.
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._blocks(points, decoder, residual, out)
+            for start in range(0, count, CVP_ROWS):
+                block = block_at(start, min(CVP_ROWS, count - start))
+                _require_finite(block)
+                take(slice(start, start + len(block)), *decode(block))
 
-    def nearest_enumerated(self, points, *, residual=False, out=None):
-        """Exact closest lattice points by enumeration, for any basis.
-
-        Each block goes through `_closest_coords` in the frame of the
-        LLL-reduced basis; the answers map back to integer coordinates in the
-        given basis, and the points are those coordinates times `basis`.
-        `residual` and `out` are as for `nearest`.
-        """
-        unimodular, q, r = _cvp_frame(self.basis.tobytes(), self.n)
-
-        def decoder(cols):
-            return lambda block: (_closest_coords(r, block @ q) @ unimodular) @ self.basis
-
-        return self._blocks(points, decoder, residual, out)
-
-    def _fast_decoder(self, cols):
+    def _decoder(self, cols, enumerated):
         """decode(block) -> (x, f) for blocks of at most `cols` query rows.
 
         x is the block and f its closest lattice points, both coordinate-major
-        (n, rows) views of blocks allocated here, once: every call reuses
-        them, so a view holds only until the next call.  Each is a flat
-        buffer, so that a short last block views it as a contiguous array too.
+        (n, rows).  The fast rule of `decoder`, if any and not `enumerated`,
+        decodes into blocks allocated here, once: every call reuses them, so
+        x and f hold only until the next call.  Each is a flat buffer, so that
+        a short last block views it as a contiguous array too.  Otherwise each
+        block goes through `_closest_coords` in the frame of the LLL-reduced
+        basis; the answers map back to integer coordinates in the given basis,
+        and f is those coordinates times `basis`.
         """
+        if enumerated or self.decoder not in _FAST_DECODERS:
+            unimodular, q, r = _cvp_frame(self.basis.tobytes(), self.n)
+            return lambda block: (
+                block.T, ((_closest_coords(r, block @ q) @ unimodular) @ self.basis).T)
         rule, scratch, _ = _FAST_DECODERS[self.decoder]
         n, scale = self.n, self.scale
         work = [np.empty(n * cols, dtype) for dtype in (float, float) + scratch]
@@ -416,111 +495,6 @@ class Lattice:
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ValueError("closest-point queries must be rows of %d coordinates" % self.n)
         return pts
-
-    def _blocks(self, points, decoder, residual, out):
-        """Run decoder(min(N, CVP_ROWS)) over the rows of `points` CVP_ROWS at a time.
-
-        Every decoder's memory is a few (CVP_ROWS, n) blocks, whatever the
-        batch; a residual is taken inside the block, so no full-size array of
-        lattice points is built.
-        """
-        pts = self._queries(points)
-        if out is None:
-            out = np.empty_like(pts)
-        decode = decoder(min(len(pts), CVP_ROWS))
-        for start in range(0, len(pts), CVP_ROWS):
-            rows = slice(start, start + CVP_ROWS)
-            block = pts[rows]
-            _require_finite(block)
-            if residual:
-                np.subtract(block, decode(block), out=out[rows])
-            else:
-                out[rows] = decode(block)
-        return out
-
-    def reduce(self, points):
-        """Reduce points modulo the lattice into the Voronoi region."""
-        return self.nearest(points, residual=True)
-
-    def sample_voronoi(self, count, rng):
-        """Exact uniform samples over the Voronoi region of the origin.
-
-        Uniform over a fundamental parallelepiped, reduced modulo the lattice
-        in place; the reduction is measure-preserving, so the result is
-        exactly uniform over the Voronoi region.
-        """
-        u = rng.random((count, self.n)) @ self.basis
-        return self.nearest(u, residual=True, out=u)
-
-    def residual_norms2(self, points):
-        """Squared norm of each query's residual modulo the lattice, and
-        whether its closest point is not the origin; `points` is (N, n).
-
-        Returns (norms2, outside), both (N,): the bits of
-        `(reduce(points) ** 2).sum(axis=1)` and of
-        `(nearest(points) != 0).any(axis=1)`, without building either
-        (N, n) array (`_norms2`).
-        """
-        pts = self._queries(points)
-        outside = np.empty(len(pts), dtype=bool)
-        norms2 = self._norms2(len(pts), lambda start, rows: pts[start : start + rows], outside)
-        return norms2, outside
-
-    def voronoi_norms2(self, count, rng):
-        """Squared norms of `sample_voronoi(count, rng)`, bit for bit, without the samples.
-
-        The samples are drawn from the same stream CVP_ROWS at a time, each
-        block straight into `_norms2`.
-        """
-        cols = min(count, CVP_ROWS)
-        draw, u = np.empty((cols, self.n)), np.empty((cols, self.n))
-
-        def block_at(start, rows):
-            return np.matmul(rng.random(out=draw[:rows]), self.basis, out=u[:rows])
-
-        return self._norms2(count, block_at)
-
-    def _norms2(self, count, block_at, outside=None):
-        """Squared residual norms of `count` queries, CVP_ROWS at a time.
-
-        block_at(start, rows) gives queries start .. start + rows - 1; each
-        block is reduced and squared before the next is asked for, so beyond
-        the (count,) results memory is a few (CVP_ROWS, n) blocks.  A fast
-        rule keeps the block coordinate-major from the transpose to the sum
-        (`_row_sum`, numpy's order of `.sum(axis=1)`); any other basis keeps
-        the row-major arithmetic of `nearest_enumerated`.  `outside`, if
-        given, receives whether each closest point is not the origin.
-        """
-        n, cols = self.n, min(count, CVP_ROWS)
-        if self.decoder in _FAST_DECODERS:
-            decode = self._fast_decoder(cols)
-
-            def residual(block, out):
-                _require_finite(block)
-                x, f = decode(block)
-                if out is not None:
-                    np.any(f, axis=0, out=out)
-                return np.subtract(x, f, out=f)
-
-        else:
-            near = np.empty((cols, n))
-
-            def residual(block, out):
-                q = self.nearest_enumerated(block, out=near[: len(block)])
-                if out is not None:
-                    np.any(q, axis=1, out=out)
-                return np.subtract(block, q, out=q).T
-
-        norms2 = np.empty(count)
-        # Parity sums may overflow near 1e308, with the points still right
-        # (`nearest`); one errstate a call.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, count, CVP_ROWS):
-                rows = slice(start, min(start + CVP_ROWS, count))
-                out = None if outside is None else outside[rows]
-                r = residual(block_at(start, rows.stop - start), out)
-                norms2[rows] = _row_sum(np.square(r, out=r))
-        return norms2
 
     def covering_radius_bound(self):
         """Guaranteed upper bound on the covering radius (nearest-plane bound).
@@ -601,8 +575,8 @@ def load_basis(path):
     it gets the fast decoder and shell data of Z^n, D4 or E8 when its rows
     span that lattice's point set at unit scale (`_spans`, exact, no
     tolerance), and enumeration otherwise.  The benchmark's non-standard D4
-    file thus takes 3.6 ms a 20 000-sample `lattice` request, against
-    33 ms through enumeration, with the same bits (2-vCPU Xeon).
+    file thus takes 3.6 ms a 20 000-sample `lattice` request, with the bits
+    that enumeration gives (2-vCPU Xeon).
     """
     with open(path) as fh:
         tokens = fh.read().split()
@@ -713,9 +687,10 @@ class LatticeFigures:
 _DEEP_HOLE_PROBES = 2_000
 # The working set of `lattice_figures` beyond its 8 bytes a sample, in
 # (CVP_ROWS, n) blocks: the draw, the query and the decoder's state.  The
-# traced peaks are about 4.5 blocks for Z^n, 8.2 for D4 and 9.9 for E8;
-# enumeration takes 10-12 at n >= 4 and 18 at n = 1, where its (rows,)
-# bookkeeping is as large as a block (`tests/test_lattices.py`).
+# traced peaks are about 4.5 blocks for Z^8, 8.2 for D4 and 10.0 for E8;
+# enumeration takes 11.7 on a D4 basis in a non-standard form and 18.2 at
+# n = 1, where its (rows,) bookkeeping is as large as a block
+# (`tests/test_lattices.py`).
 _FIGURES_BLOCKS = 20
 
 

@@ -64,12 +64,9 @@ distance t = ||z_eff mod Lambda||^2 and whether z_eff left the Voronoi
 region, without building the closest points.  At alpha = 1, z_eff = z and
 x is never read, so its uniforms are skipped rather than drawn: the block's
 Philox counter is advanced past them (`_skip_uniforms`), which leaves every
-later draw as it was.  Drawing x's uniforms and taking t from `nearest`
-and a row-major sum, an E8 trial at SNR 4, M = 11 cost about 0.75 us;
-skipping and the norms loop take it to 0.80 of that, and E8's certificate
-(`lattices`) to 0.67, about 0.5 us.  A D4 trial (M = 5, extended) takes
-0.6 to 0.8 of its former 0.35 us (2-vCPU Xeon, 20 000 trials, interleaved
-in process).
+later draw as it was.  An E8 trial at SNR 4, M = 11 costs about 0.5 us,
+and a D4 trial (M = 5, extended) 0.2 to 0.3 us (2-vCPU Xeon, 20 000
+trials, in process).
 Closest-coset decoding errs iff some rival has ||U_i||^2 <= t, which has
 probability 1 - (1 - F(t))^(M-1) with F the Voronoi-norm CDF.  For Z^n, D4
 and E8, F is exact below the radius where facet caps overlap

@@ -114,6 +114,23 @@ def test_small_rate_cancellations_match_mpmath(rate):
     assert abs(awgn.min_distance(rate) ** 2 - 8.0 * e_x / 10.0) <= 1e-15
 
 
+# At high rate 1 - sqrt(1 - e^(-2R)) cancels.  SNR: (R, E_x, d_min), R the
+# float of R_x at that SNR and the values 25 digits of 60-digit mpmath.
+HIGH_RATE_MPMATH = {
+    1e3: (2.761730458264458, 0.4995000004999987952447855, 0.06321392254875495670737121),
+    1e4: (3.9121230054274796, 0.4999500000004997979779253, 0.0199989999750087463812635),
+    6.1e4: (4.8161837844603985, 0.4999918032786910617532383, 0.008097696926408118141050248),
+    1e5: (5.0633255519251685, 0.4999950000000002011424913, 0.006324523697481100915556254),
+}
+
+
+@pytest.mark.parametrize("snr", sorted(HIGH_RATE_MPMATH))
+def test_high_rate_expurgated_and_min_distance_match_mpmath(snr):
+    rate, e_x, d_min = HIGH_RATE_MPMATH[snr]
+    assert abs(awgn.expurgated_exponent(rate, ChannelSpec(snr)) - e_x) <= 1e-15 * e_x
+    assert abs(awgn.min_distance(rate) - d_min) <= 1e-15 * d_min
+
+
 @pytest.mark.parametrize("snr", [0.1, 1.0, 10.0, 1e3, 1e5])
 def test_rate_x_is_min_distance_crossing(snr):
     # The closed form is the root of the monotone crossing d_min(R) = d_crit.
@@ -164,10 +181,13 @@ def test_random_coding_merges_with_sphere_packing():
 
 def test_expurgated_value():
     assert abs(awgn.expurgated_exponent(0.3, SNR10) - EX03) < 1e-10
+    assert awgn.expurgated_exponent(0.0, SNR10) == 2.5
 
 
 def test_min_distance():
     assert abs(awgn.min_distance(0.3) - DMIN03) < 1e-12
+    # sqrt(2) exactly at R = 0, and below it.
+    assert awgn.min_distance(0.0) == awgn.min_distance(-0.5) == math.sqrt(2.0)
 
 
 def test_rho_g_value_and_endpoints():

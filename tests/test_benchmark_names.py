@@ -9,6 +9,7 @@ from dropping a metric without notice.
 import dataclasses
 import inspect
 
+import numpy as np
 import pytest
 
 from expbounds import awgn, cli, lattices, modlam, regions, simulator
@@ -40,6 +41,20 @@ def test_simulator_block_is_an_int():
 @pytest.mark.parametrize("name", ["nearest", "nearest_enumerated", "reduce", "sample_voronoi"])
 def test_traced_lattice_method_is_defined_on_the_class(name):
     assert inspect.isfunction(vars(lattices.Lattice)[name])
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [lattices.e8(), lattices.Lattice("x", [[2.0]])],
+    ids=["fast-rule", "enumeration"],
+)
+def test_traced_lattice_methods_return_one_row_per_query(lattice):
+    # The tracer counts points and samples as `len(result)`.
+    rng = np.random.default_rng(0)
+    pts = rng.normal(size=(5, lattice.n))
+    assert len(lattice.nearest(pts)) == 5
+    assert len(lattice.nearest_enumerated(pts)) == 5
+    assert len(lattice.sample_voronoi(7, rng)) == 7
 
 
 def test_lattice_has_a_decoder_field():

@@ -159,11 +159,14 @@ def test_empirical_spectrum_frozen():
 # moved value moved toward its mpmath value or stayed within
 # 8 (2 ulp(C)/(C - R) + 1e-16) of it.  The cancellation-free d_crit moved
 # geometry's d_crit, d_typ, d_typ_ii and rate_ii by an ulp or two, toward
-# mpmath.
+# mpmath.  E_x as (SNR/4) e^{-2R} / (1 + sqrt(1 - e^{-2R})), without the
+# cancellation of 1 - sqrt(1 - e^{-2R}), moved E_x and E_awgn up to r_x in
+# the three `exponents` outputs: each moved value is within 3.2e-16 of
+# mpmath, where the old one was off by up to 1.2e-12.
 FROZEN_CLI_SHA256 = {
-    "exponents -40 dB": "4be16f20db7cac775c7b44d79d92f0d1346b9124d74d7b1709c8af3e691c9775",
-    "exponents 10 dB": "c5eb3bd1248260120104a77a5a9984a50b3a79254fc20491005d708163f1bfd7",
-    "exponents 50 dB": "4f099b6123add6fc0a1133f798c9e5e87a3a3e504f2132341f86b17de325eafc",
+    "exponents -40 dB": "4c459134fc37db5b53976e8edbbffea441600052d2c9c19b84ed1b3b3884f5e0",
+    "exponents 10 dB": "ae6dc14339c977dec8e84b3c4398d1f6d3c256446b68fe60643ff65b6bd79e33",
+    "exponents 50 dB": "8e1f8cae1be7a71c4611fbbd6a956b942e4eb37ad5e22dd15fd62597d80d4a97",
     "geometry 10 dB rate 0.7": "8ea9c7b117e57e5a7e3a6f89b7d5dbbb9ec987a1790994cd44856a33f3521492",
 }
 
@@ -230,8 +233,13 @@ def _sweep_outcomes():
 # their float guards took the exit codes from {0: 277, 2: 261, 3: 62} to
 # {0: 409, 2: 158, 3: 33}; every E_sp and E_r of a request that moved to
 # exit 0 is within F = 8 (2 ulp(C)/(C - R) + 1e-16) of mpmath in SNR
-# 1e-4...1e5 and within max(F, 1e-12) outside it.
-FROZEN_SWEEP_SHA256 = "b12afa1a35f099c58a9c6574a9701fd22929bef25cb8b8235fe07c0643452ba4"
+# 1e-4...1e5 and within max(F, 1e-12) outside it.  E_x and d_min without
+# the cancellation of 1 - sqrt(1 - e^{-2R}) moved 272 requests and no exit
+# code or stderr: E_x, E_awgn, d_min and d_typ are within 3.2e-16 of mpmath
+# (E_x read 0 for e^{-2R} below an ulp of 1, from SNR 6.9e18), and the
+# alpha_awgn, theta_awgn and k_zeta of 6 `geometry` requests at R < 1e-10
+# moved with d_typ.
+FROZEN_SWEEP_SHA256 = "830d8b95c4bf7d7385fd7825c6e8827b50d5b94ad4784cbf1ab4ef3123969bd0"
 
 
 def test_closed_form_sweep_frozen():

@@ -19,6 +19,7 @@ from expbounds.lattices import (
     _DEEP_HOLE_PROBES,
     _FIGURES_BLOCKS,
     _closest_coords,
+    _cvp_frame,
     _row_sum,
     d4,
     e8,
@@ -408,6 +409,53 @@ def test_fast_decoders_bit_identical_to_row_major_oracles(monkeypatch, make, sca
     blocks = _e8_certificate_blocks(rng, chunk)
     for pts in blocks + [np.concatenate(blocks)]:
         check(scale * pts[:, : lat.n])
+
+
+def _row_major_enumerated(lat, points, chunk):
+    """Enumeration's closest points, row-major, `chunk` rows at a time: the
+    frame's coordinates mapped back to the given basis, then times it."""
+    unimodular, q, r = _cvp_frame(lat.basis.tobytes(), lat.n)
+    out = np.empty_like(points)
+    for start in range(0, len(points), chunk):
+        block = points[start : start + chunk]
+        out[start : start + chunk] = (_closest_coords(r, block @ q) @ unimodular) @ lat.basis
+    return out
+
+
+_ENUMERATED_BASES = [
+    D4_UNIMODULAR @ d4().basis,
+    np.random.default_rng(16).normal(size=(5, 5)),
+    np.array([[1.7]]),
+]
+
+
+@pytest.mark.parametrize("basis", _ENUMERATED_BASES, ids=["d4-file", "random-5d", "1d"])
+@pytest.mark.parametrize("chunk", [CVP_ROWS, 7])
+def test_enumeration_bit_identical_to_row_major_oracle(monkeypatch, basis, chunk):
+    # Bases without a fast rule: every bit of `nearest`, `reduce`,
+    # `residual_norms2`, `sample_voronoi` and `voronoi_norms2` is that of
+    # enumeration's row-major answers, and `nearest_enumerated` is them.
+    monkeypatch.setattr("expbounds.lattices.CVP_ROWS", chunk)
+    lat = Lattice("enumerated", basis)
+    rng = np.random.default_rng(17)
+    for count in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7):
+        for pts in (
+            rng.uniform(-3.0, 3.0, size=(count, lat.n)),
+            0.5 * rng.integers(-8, 9, size=(count, lat.n)),
+            -0.5 * rng.integers(-8, 9, size=(count, lat.n)),
+        ):
+            want = _row_major_enumerated(lat, pts, chunk)
+            _assert_same_bits(lat.nearest_enumerated(pts), want)
+            _assert_same_bits(lat.nearest(pts), want)
+            _assert_same_bits(lat.reduce(pts), pts - want)
+            norms2, outside = lat.residual_norms2(pts)
+            _assert_same_bits(norms2, ((pts - want) ** 2).sum(axis=1))
+            _assert_same_bits(outside, (want != 0.0).any(axis=1))
+        u = np.random.default_rng(count).random((count, lat.n)) @ lat.basis
+        got = lat.sample_voronoi(count, np.random.default_rng(count))
+        _assert_same_bits(got, u - _row_major_enumerated(lat, u, chunk))
+        norms2 = lat.voronoi_norms2(count, np.random.default_rng(count))
+        _assert_same_bits(norms2, (got ** 2).sum(axis=1))
 
 
 def _whole_lattice_figures(lat, samples, seed):

@@ -566,17 +566,17 @@ def test_lattice_coset_mmse_scaling_beats_unit_alpha(snr):
 
 
 def _count_decoded_points(monkeypatch):
-    # Closest-point queries, those whose residual norms alone are read (the
-    # sent coset's), and the Voronoi samples whose norms alone are drawn
-    # (the rivals), each decoded once.
+    # Voronoi samples (the dither below alpha = 1), queries whose residual
+    # norms alone are read (the sent coset's), and Voronoi samples whose
+    # norms alone are drawn (the rivals), each decoded once.
     points = []
-    real_nearest = Lattice.nearest
+    real_sample_voronoi = Lattice.sample_voronoi
     real_residual_norms2 = Lattice.residual_norms2
     real_norms2 = Lattice.voronoi_norms2
 
-    def counting_nearest(self, pts, **kwargs):
-        points.append(len(pts))
-        return real_nearest(self, pts, **kwargs)
+    def counting_sample_voronoi(self, count, rng):
+        points.append(count)
+        return real_sample_voronoi(self, count, rng)
 
     def counting_residual_norms2(self, pts):
         points.append(len(pts))
@@ -586,7 +586,7 @@ def _count_decoded_points(monkeypatch):
         points.append(count)
         return real_norms2(self, count, rng)
 
-    monkeypatch.setattr(Lattice, "nearest", counting_nearest)
+    monkeypatch.setattr(Lattice, "sample_voronoi", counting_sample_voronoi)
     monkeypatch.setattr(Lattice, "residual_norms2", counting_residual_norms2)
     monkeypatch.setattr(Lattice, "voronoi_norms2", counting_norms2)
     return points
