@@ -8,15 +8,17 @@ residuals or their squared norms), so memory beyond the output is a few
 (CVP_ROWS, n) arrays whatever the batch.  Fast exact decoders are provided
 for Z^n, D4, and E8 (the classic rounding rules), run without masks on each
 transposed block, into a few blocks allocated once per call: on a 2-vCPU
-Xeon D4 costs about 0.04 us a point and E8 0.20 us on uniform queries.
+Xeon D4 costs about 0.04 us a point and E8 0.14 us on uniform queries.
 
-E8 decodes its second coset, D8 + 1/2, only where the first does not settle
-the query.  Every point of D8 + 1/2 is at squared distance at least 2 from
-D8, so a query within 0.49 of its D8 point is certified (`_E8_CERTIFIED`).
-When at most half a block is not certified and |t| < 2^51, only those
-queries are gathered and decoded; otherwise the whole block is.
-At SNR 4 (the simulator's noise, 0.07% not certified) E8 costs 0.12 us a
-point; uniform queries (88% not certified) keep the dense rule's 0.20 us.
+E8 picks its coset from one rounding of each query (`_decode_e8`): the
+squared distances to its D8 and D8 + 1/2 points have closed forms in
+a = |t - round(t)|, and only the closer coset's point is built, with one
+parity step.  A query within 0.49 of its D8 point is certified
+(`_E8_CERTIFIED`).  The two-coset rule itself (`_two_coset_rule`) runs only
+on queries within a margin of a tie or of a rounding edge, gathered, and on
+blocks with |t| >= 2^49 (`_E8_EXACT`); 200 000 uniform samples and a
+20 000-trial SNR-4 run hold none.  At SNR 4 (the simulator's noise) E8
+costs 0.10 us a point.
 
 Where only squared norms are read, the residuals are squared and summed
 coordinate-major (`_row_sum`, numpy's order) and only the norms are kept:
@@ -24,7 +26,7 @@ coordinate-major (`_row_sum`, numpy's order) and only the norms are kept:
 also telling whether each closest point is other than the origin, and
 `Lattice.voronoi_norms2` for Voronoi samples it draws a block at a time
 (`lattice_figures` and the simulator's rivals).  At SNR 4 that costs E8
-0.13 us a point and D4 0.055 us.
+0.10 us a point and D4 0.03 us.
 
 Any other basis, and `Lattice.nearest_enumerated` on any basis, goes
 through batched exact enumeration: the basis is LLL-reduced once and its QR
@@ -109,6 +111,40 @@ def _row_sum(a):
     return s
 
 
+def _round_dn(t, f, err, mag):
+    # Each coordinate rounded into f, its error t - f into err, |err| into mag.
+    _round_half_away(t, f)
+    np.subtract(t, f, out=err)
+    np.abs(err, out=mag)
+
+
+def _odd(sums):
+    # The sums are integers, odd where half of one is not.  A sum that
+    # overflows counts as even, so the point stays finite: every float that
+    # large is an even integer.
+    half = sums * 0.5
+    return np.floor(half) < half
+
+
+def _columns(blocks, k):
+    # Contiguous (n, k) views of the first n * k entries of (n, cols) blocks.
+    return [a.reshape(-1)[: len(a) * k].reshape(len(a), k) for a in blocks]
+
+
+def _step_worst(f, at, err, mag, top, first, todo):
+    """The parity fix of D_n: for each column i in todo, move the first
+    coordinate of mag[:, i] at its top (the one np.argmax picks) one step
+    toward t, the way err[:, i] points, in column at[i] of f.  The int8
+    `first` is a scratch block of mag's shape."""
+    n = len(mag)
+    # The largest weight n - k among the coordinates k at the top.
+    at_top = np.equal(mag, top, out=first.view(bool))
+    np.multiply(at_top, np.arange(n, 0, -1, dtype=np.int8)[:, None], out=first)
+    row = n - first.max(axis=0)[todo].astype(np.intp)
+    step = np.where(err.reshape(-1)[row * err.shape[1] + todo] >= 0.0, 1.0, -1.0)
+    f.reshape(-1)[row * f.shape[1] + at] += step
+
+
 def _decode_dn(t, f, err, mag, first):
     """Nearest point of D_n = {k in Z^n : sum(k) even} for each column of t, into f.
 
@@ -116,79 +152,107 @@ def _decode_dn(t, f, err, mag, first):
     rounded worst one step the other way (Conway & Sloane, SPLAG ch. 20).
     `err`, `mag` and the int8 `first` are scratch blocks of t's shape.
     """
-    n, cols = t.shape
-    _round_half_away(t, f)
-    np.subtract(t, f, out=err)
-    np.abs(err, out=mag)
-    # The first coordinate at the largest error, the one np.argmax picks:
-    # the largest weight n - k among the coordinates k at the top.
-    top = np.equal(mag, mag.max(axis=0), out=first.view(bool))
-    np.multiply(top, np.arange(n, 0, -1, dtype=np.int8)[:, None], out=first)
-    flat = (n - first.max(axis=0).astype(np.intp)) * cols + np.arange(cols)
-    step = np.where(err.reshape(-1)[flat] >= 0.0, 1.0, -1.0)
-    # The sums are integers, odd where half of one is not.  A sum that
-    # overflows counts as even, so the point stays finite: every float that
-    # large is an even integer.
-    half = _row_sum(f) * 0.5
-    step *= np.floor(half) < half
-    # Even columns get a step of +-0, which leaves f alone: f = floor(t + 0.5)
-    # is never -0.
-    f.reshape(-1)[flat] += step
+    _round_dn(t, f, err, mag)
+    todo = np.flatnonzero(_odd(_row_sum(f)))
+    if todo.size:
+        _step_worst(f, todo, err, mag, mag.max(axis=0), first, todo)
     return f
 
 
-# Every point of D8 + 1/2 is at squared distance at least 2 from every point
-# of D8 (SPLAG ch. 4, 20), so where ||t - y0||^2 < 1/2 no point of D8 + 1/2
-# is as close to t as y0: it is at least (sqrt 2 - sqrt 1/2)^2 = 1/2 away.
-# 0.49 leaves room for the rounding of both sums.  The dense rule compares
-# the sums of the points it computes, which are the exact cosets only while
-# t - 1/2 and D8 + 1/2 are representable: past 2^52 they are not, its y1 is
-# then no point of D8 + 1/2 and can win, so a block with |t| >= 2^51 is
-# decoded densely.
+# E8 = D8 union (D8 + 1/2); its closest point is the closer of the two
+# cosets' (Conway & Sloane, SPLAG ch. 20).  With a = |t - round(t)| a
+# coordinate, both squared distances follow from the one rounding of t:
+#   d0 = sum a^2 + odd0 (1 - 2 max a),
+#   d1 = sum a^2 + (n/4 - sum a) + odd1 2 min a,
+# where odd0 and odd1 are the parities of sum round(t) and sum floor(t),
+# integer sums that are exact in any order while |t| < 2^49 (`_E8_EXACT`):
+# D8 + 1/2's point is floor(t) + 1/2 with, where odd1, its coordinate
+# nearest an integer moved one step.  Every point of D8 + 1/2 is at squared
+# distance at least 2 from every point of D8 (SPLAG ch. 4), so where
+# d0 < 1/2 no point of D8 + 1/2 is as close to t: it is at least
+# (sqrt 2 - sqrt 1/2)^2 = 1/2 away.  0.49 leaves room for the rounding of
+# the sums (`_E8_CERTIFIED`).
 _E8_CERTIFIED = 0.49
-_E8_EXACT = 2.0 ** 51
+_E8_EXACT = 2.0 ** 49
 
 
-def _second_coset_closer(t, d0, y1, t1, err, mag, first):
-    """Decode each column of t in D8 + 1/2, into y1, and return where y1 is
-    closer than d0, the squared distance to the column's point of D8."""
-    _decode_dn(np.subtract(t, 0.5, out=t1), y1, err, mag, first)
-    y1 += 0.5
-    return d0 > _row_sum(np.square(np.subtract(t, y1, out=err), out=err))
+def _decode_e8(t, y, y1, t1, err, mag, first):
+    """Nearest point of E8 for each column of t, into y, with every bit of
+    the two-coset rule (`_two_coset_rule`), from one rounding of t.
 
-
-def _decode_e8(t, y0, y1, t1, err, mag, first):
-    """Nearest point of E8 = D8 union (D8 + 1/2), via the two-coset rule, into y0.
-
-    A column whose D8 point y0 is within squared distance 0.49 is certified
-    (`_E8_CERTIFIED`): D8 + 1/2 is decoded only on the others, gathered,
-    when they are at most half the block and |t| < 2^51 (sparse); otherwise
-    on the whole block (dense).  Either way every bit is the dense rule's.
+    A column keeps its D8 point where d0 < 0.49 or where d1 exceeds d0 by
+    more than a margin, and takes D8 + 1/2's where d1 is below d0 by more
+    than it.  Only the columns within the margin of a tie, or with a
+    coordinate within it of an integer, or all within it of a half, go
+    through the rule itself, gathered; so does a block with |t| >= 2^49.
     """
     n, cols = t.shape
-    _decode_dn(t, y0, err, mag, first)
-    d0 = _row_sum(np.square(np.subtract(t, y0, out=err), out=err))
-    unsure = d0 >= _E8_CERTIFIED
-    if 2 * np.count_nonzero(unsure) <= cols and np.abs(t, out=mag).max() < _E8_EXACT:
-        todo = np.flatnonzero(unsure)
-        if todo.size:
-            # Contiguous (n, todo.size) views of the scratch blocks.
-            k = n * todo.size
-            w = [a.reshape(-1)[:k].reshape(n, -1) for a in (y1, t1, err, mag, first)]
-            closer = _second_coset_closer(t[:, todo], d0[todo], *w)
-            # Below 2^51, y0 + (y1 - y0) is y1 exactly, as in the dense rule.
-            y0[:, todo[closer]] = w[0][:, closer]
-        return y0
-    closer = _second_coset_closer(t, d0, y1, t1, err, mag, first)
-    # Take y1 where it is closer, without a branch per element (a masked copy
-    # mispredicts when the queries split evenly between the cosets): y1 - y0
-    # is exact, so y0 + 1 * (y1 - y0) is y1, and y0 + 0 * (y1 - y0) is y0,
-    # whose zeros are never -0.
-    if closer.any():
-        y1 -= y0
-        y1 *= closer
-        y0 += y1
-    return y0
+    big = max(t.max(), -t.min())
+    if big >= _E8_EXACT:
+        _decode_dn(t, y, err, mag, first)
+        return _two_coset_rule(t, y, np.arange(cols), y1, t1, err, mag, first)
+    ones = np.ones(n)
+    _round_dn(t, y, err, mag)
+    top = mag.max(axis=0)
+    odd0 = _odd(ones @ y)
+    lift0 = odd0 * (1.0 - 2.0 * top)  # d0 - sum a^2
+    unsure = ones @ np.square(mag, out=y1) + lift0 >= _E8_CERTIFIED
+    second = near = np.zeros(cols, dtype=bool)
+    if unsure.any():
+        bot = mag.min(axis=0)
+        odd1 = _odd(ones @ np.floor(t, out=y1))
+        gain = lift0 - (0.25 * n - ones @ mag) - odd1 * (2.0 * bot)  # d0 - d1
+        # The closed forms and the rule's sums round by less than 2^-45.
+        # The rule rounds t - 1/2 by at most (|t| + 1/2) 2^-53 a coordinate,
+        # which can move its d1 by four times that through the coordinate
+        # its parity step picks, and floor(t - 1/2 + 1/2) off floor(t) only
+        # where a is no larger.
+        margin = 2.0 ** -40 + big * 2.0 ** -50
+        edge = np.abs(bot - 0.25) >= 0.25 - margin
+        second = unsure & ~edge & (gain > margin)
+        near = unsure & (edge | (np.abs(gain) <= margin))
+    todo = np.flatnonzero(odd0 & ~second)
+    if todo.size:
+        _step_worst(y, todo, err, mag, top, first, todo)
+    if second.any():
+        fix = np.flatnonzero(second & odd1)
+        if fix.size:
+            # The rule's own errors t - 1/2 - floor(t) pick the coordinate
+            # to move, so that its ties fall as the rule's do.
+            e1, m1, f1 = _columns((err, mag, first), fix.size)
+            np.subtract(np.take(t, fix, axis=1, out=e1), 0.5, out=e1)
+            e1 -= np.take(y1, fix, axis=1, out=m1)
+            np.abs(e1, out=m1)
+        # y + 1 * (floor(t) + 1/2 - y) is floor(t) + 1/2 exactly, and
+        # y + 0 * (...) is y, whose zeros are never -0.
+        y1 += 0.5
+        y1 -= y
+        y1 *= second
+        y += y1
+        if fix.size:
+            _step_worst(y, fix, e1, m1, m1.max(axis=0), f1, np.arange(fix.size))
+    at = np.flatnonzero(near)
+    if at.size:
+        _two_coset_rule(t, y, at, y1, t1, err, mag, first)
+    return y
+
+
+def _two_coset_rule(t, y, at, *scratch):
+    """The two-coset rule on columns `at` of t, whose D8 points y holds:
+    decode t - 1/2 in D8 and add 1/2, and take that point where its squared
+    distance, summed in numpy's order, is below the D8 point's.  This is
+    the row-major rule's every bit, whatever t.  The scratch blocks are
+    y1, t1, err, mag and first of `_decode_e8`."""
+    y1, tc, err, mag, first = _columns(scratch, at.size)
+    np.take(t, at, axis=1, out=tc)
+    np.subtract(tc, np.take(y, at, axis=1, out=y1), out=err)
+    d0 = _row_sum(np.square(err, out=err))
+    _decode_dn(np.subtract(tc, 0.5, out=tc), y1, err, mag, first)
+    y1 += 0.5
+    np.take(t, at, axis=1, out=tc)
+    closer = d0 > _row_sum(np.square(np.subtract(tc, y1, out=err), out=err))
+    y[:, at[closer]] = y1[:, closer]
+    return y
 
 
 # Each fast decoder's rule, the dtypes of the scratch blocks it takes after
@@ -326,7 +390,8 @@ class Lattice:
     """A full-rank lattice given by generator rows, with exact nearest-point.
 
     `decoder` names the fast decoding rule, if any ("Zn", "D4", "E8"); an
-    optional `scale` lets the fast rule serve scaled copies c * Lambda.
+    optional `scale`, positive and finite, lets the fast rule serve scaled
+    copies c * Lambda.
     """
 
     name: str
@@ -335,6 +400,9 @@ class Lattice:
     scale: float = 1.0
 
     def __post_init__(self):
+        # Shell data, volumes and the fast rules' t = x / scale assume c > 0.
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError("scale must be positive and finite, not %s" % self.scale)
         b = np.asarray(self.basis, dtype=float)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError("basis must be square")
@@ -575,7 +643,7 @@ def load_basis(path):
     it gets the fast decoder and shell data of Z^n, D4 or E8 when its rows
     span that lattice's point set at unit scale (`_spans`, exact, no
     tolerance), and enumeration otherwise.  The benchmark's non-standard D4
-    file thus takes 3.6 ms a 20 000-sample `lattice` request, with the bits
+    file thus takes 2.3 ms a 20 000-sample `lattice` request, with the bits
     that enumeration gives (2-vCPU Xeon).
     """
     with open(path) as fh:

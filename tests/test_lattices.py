@@ -27,8 +27,11 @@ from expbounds.lattices import (
     lattice_figures,
     load_basis,
     unit_ball_volume,
+    voronoi_shell,
 )
-from expbounds.simulator import BLOCK
+from expbounds import lattices
+from expbounds.channel import ChannelSpec
+from expbounds.simulator import BLOCK, DEC_CLOSEST_COSET, LATTICE_COSET, SimConfig, simulate
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 # The benchmark's D4 basis in a non-standard form: the standard rows times a
@@ -294,18 +297,50 @@ def test_enumeration_on_unimodular_copies_matches_fast_rule(case):
 
 def _edge_points(rng, count, n):
     """Rounding edges: +-(1/2 - 2^-54), which rounds to 1 under floor(t + 1/2),
-    with halves, zeros and ones; subnormals; and coordinates of 2^53 and
-    more, where the coordinate sums that decide parity are no longer exact."""
+    with halves, zeros and ones, and integers and halves 1 to 4 ulps off;
+    subnormals; coordinates of 2^49 and more, past the integer sums that
+    E8's one rounding reads, and of 2^53 and more, where the sums that
+    decide parity are no longer exact; negative coordinates where t - 1/2
+    rounds, small ones and ones just above -2^m; and rows whose coordinates
+    all lie at one distance f from the integers, up to the rounding of
+    k +- f and an ulp, so that the first index of D8 + 1/2's parity step
+    falls as those roundings say (f often where the two cosets tie).  Rows
+    about 2^m come in ascending m, so that a block's largest coordinate is
+    about its own rows'."""
+    size = (count, n)
+
+    def ascending(lo, hi):
+        return 2.0 ** np.sort(rng.integers(lo, hi, size=(count, 1)), axis=0)
+
     below_half = 0.5 - 2.0 ** -54
     edges = np.array([below_half, -below_half, 0.5, -0.5, 0.0, -0.0, 1.0, -1.0, 1.5 - 2.0 ** -53])
+    halves = 0.5 * rng.integers(-8, 9, size=size)
+    ulps_off = halves + rng.choice([-4, -3, -2, -1, 1, 2, 3, 4], size=size) * np.spacing(halves)
     tiny = np.finfo(float).smallest_subnormal
-    big = 2.0 ** 53 * rng.integers(-4, 5, size=(count, n)) + rng.uniform(-3.0, 3.0, size=(count, n))
-    small = rng.random((count, n)) < 0.5
-    big[small] = rng.uniform(-3.0, 3.0, size=int(small.sum()))
+    big = ascending(49, 53) * rng.integers(-4, 5, size=size) + rng.uniform(-3.0, 3.0, size=size)
+    mixed = rng.random(size) < 0.5
+    big[mixed] = rng.uniform(-3.0, 3.0, size=int(mixed.sum()))
+    top, kind = ascending(0, 48), rng.integers(0, 3, size=size)
+    negative = np.select(
+        [kind == 0, kind == 1],
+        [-top + rng.uniform(0.0, 0.5, size=size), -rng.random(size) * 2.0 ** -rng.integers(1, 56, size=size)],
+        top * rng.integers(-1, 2, size=size) + rng.uniform(-2.0, 2.0, size=size),
+    )
+    # Where every a = f, d0 = d1 at f = 1/6, 1/4 or 1/3, by the parities.
+    f = np.where(
+        rng.random((count, 1)) < 0.5,
+        rng.choice([1.0 / 6.0, 0.25, 1.0 / 3.0], size=(count, 1)) + rng.uniform(-2.0 ** -8, 2.0 ** -8, size=(count, 1)),
+        rng.uniform(0.0, 0.5, size=(count, 1)),
+    )
+    ties = ascending(0, 48) * rng.integers(-3, 4, size=size) + rng.choice([-1.0, 1.0], size=size) * f
+    ties += rng.integers(-1, 2, size=size) * np.spacing(ties)
     return (
-        rng.choice(edges, size=(count, n)),
-        tiny * rng.integers(-2 ** 20, 2 ** 20, size=(count, n)),
+        rng.choice(edges, size=size),
+        ulps_off,
+        tiny * rng.integers(-2 ** 20, 2 ** 20, size=size),
         big,
+        negative,
+        ties,
     )
 
 
@@ -324,11 +359,11 @@ def _e8_certificate_blocks(rng, cols):
     a query within squared distance 0.49 of its D8 point skips D8 + 1/2.
 
     The first five blocks hold 0, 1, cols // 2, cols // 2 + 1 and cols
-    queries that are not certified, about the sparse rule's edge at half a
-    block.  In the next two, a quarter of the queries have some coordinates
-    of 2^51 and more, where t - 1/2 and D8 + 1/2 are not exact and the dense
-    rule must decode the block, or one just below 2^51, where the sparse
-    rule still does.  The last block's queries are about 0.49 from D8.
+    queries that are not certified.  In the next three, a quarter of the
+    queries have some coordinates of 2^51 and more, where t - 1/2 and
+    D8 + 1/2 are not exact, or one just below 2^51, or one just below 2^49,
+    the last size at which the closed forms pick the coset.  The last
+    block's queries are about 0.49 from D8.
     """
 
     def near_d8(rows, spread):
@@ -349,13 +384,14 @@ def _e8_certificate_blocks(rng, cols):
     def big(rows):
         return 2.0 ** 51 * rng.integers(-8, 9, size=(rows, 8)) * (rng.random((rows, 8)) < 0.5)
 
-    def edge(rows):
-        return np.array([2.0 ** 51 - 8.0] + [0.0] * 7)
+    def below(limit):
+        return lambda rows: np.array([limit - 8.0] + [0.0] * 7)
 
     radius = near_d8(cols, 0.0) + math.sqrt(0.49 / 8) * rng.choice([-1.0, 1.0], size=(cols, 8)) * (
         1.0 + 1e-15 * rng.integers(-4, 5, size=(cols, 1)))
     counts = (0, 1, cols // 2, cols // 2 + 1, cols)
-    return [block(u) for u in counts] + [block(1, big), block(1, edge), radius]
+    return [block(u) for u in counts] + [
+        block(1, big), block(1, below(2.0 ** 51)), block(1, below(2.0 ** 49)), radius]
 
 
 @pytest.mark.parametrize("make", [lambda: integer_lattice(4), d4, e8], ids=["Z4", "D4", "E8"])
@@ -409,6 +445,33 @@ def test_fast_decoders_bit_identical_to_row_major_oracles(monkeypatch, make, sca
     blocks = _e8_certificate_blocks(rng, chunk)
     for pts in blocks + [np.concatenate(blocks)]:
         check(scale * pts[:, : lat.n])
+
+
+def test_e8_two_coset_rule_runs_on_no_ordinary_column(monkeypatch):
+    # E8 picks its coset from closed forms and leaves to the two-coset rule
+    # only the columns within their margin of a tie or of a rounding edge,
+    # and blocks past 2^49.  200 000 uniform samples and a 20 000-trial
+    # SNR-4 run hold none of them; a change that widens that margin fails
+    # here, not only in the benchmark.
+    columns = []
+    rule = lattices._two_coset_rule
+
+    def spy(t, y, at, *scratch):
+        columns.append(at.size)
+        return rule(t, y, at, *scratch)
+
+    monkeypatch.setattr(lattices, "_two_coset_rule", spy)
+    e8().voronoi_norms2(200_000, np.random.default_rng(1))
+    uniform = sum(columns)
+    config = SimConfig(n=8, spec=ChannelSpec(4.0), rate=math.log(11) / 8, ensemble=LATTICE_COSET,
+                       decoder=DEC_CLOSEST_COSET, lattice=e8(), trials=20_000, seed=3)
+    assert simulate(config).trials == 20_000
+    assert (uniform, sum(columns) - uniform) == (0, 0)
+    # The spy sees the rule: three queries past 2^49, and a deep hole of
+    # D8 and D8 + 1/2 alike, where d0 = d1 = 1/2.
+    e8().nearest(np.full((3, 8), 2.0 ** 50))
+    e8().nearest(np.full((1, 8), 0.25))
+    assert columns == [3, 1]
 
 
 def _row_major_enumerated(lat, points, chunk):
@@ -787,6 +850,20 @@ def test_generic_basis_uses_enumeration():
     for p, q in zip(pts, near):
         best = np.min(((cands - p) ** 2).sum(axis=1))
         assert ((p - q) ** 2).sum() <= best + 1e-9
+
+
+@pytest.mark.parametrize("c", [-2.0, -0.0, 0.0, math.nan, math.inf, -math.inf])
+def test_scale_must_be_positive_and_finite(c):
+    # A scale of -2 once gave Z^3 a shell of volume -8 and a norm CDF of
+    # -0.086 at 0.3.
+    with pytest.raises(ValueError, match="scale must be positive and finite"):
+        Lattice("Zn", np.eye(3), decoder="Zn", scale=c)
+    if math.isfinite(c):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            integer_lattice(3).rescaled(c)
+    shell = voronoi_shell(integer_lattice(3).rescaled(2.0))
+    assert shell.volume == 8.0
+    assert 0.0 < shell.norm_cdf(0.3) < 1.0
 
 
 def test_dimension_cap():
