@@ -38,7 +38,6 @@ from .regions import (
     typical_event,
 )
 from .modlam import (
-    ScalingSpec,
     modlambda_exponent,
     rate_ii,
 )

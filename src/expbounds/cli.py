@@ -5,10 +5,10 @@ lattice (JSON figures of merit), simulate (JSON Monte Carlo result from a
 config file), validate (self-check suite).
 
 Exit status: 0 ok; 1 a `validate` check failed; 2 usage error or invalid
-input (`ValueError`); 3 numerical failure (`RuntimeError`: a root bracket not
-found, the expurgation attempt cap; `ArithmeticError`: a division by zero, an
-overflow, or a non-finite exponent or lattice figure at extreme inputs).  Exits
-2 and 3 print one `error:` line.
+input (`ValueError`); 3 numerical failure (`RuntimeError`: the expurgation
+attempt cap; `ArithmeticError`: a division by zero, an overflow, or a
+non-finite exponent or lattice figure at extreme inputs).  Exits 2 and 3 print
+one `error:` line.
 --out is written whole to a temporary file, then renamed onto the target.
 
 Rates are accepted in bits (engineering convention) or nats; outputs always
@@ -167,9 +167,8 @@ def cmd_geometry(args):
     # One typical error event, at each ensemble's distance floor.
     event_sp = regions.typical_event(r, d_min, spec)
     event_lam = regions.typical_event(r, floor_lam, spec)
-    scaling = modlam.ScalingSpec(event_lam.alpha)
     l_star, d_star, lat_regime = modlam.maximizers_lattice(
-        event_lam.radius, scaling, spec, min_distance=floor_lam
+        event_lam.radius, event_lam.k_alpha, spec, min_distance=floor_lam
     )
     report = {
         "snr": spec.snr,
@@ -192,8 +191,8 @@ def cmd_geometry(args):
         "alpha_awgn": event_sp.alpha,
         "alpha_awgn_r": regions.alpha_awgn_r(r, spec),
         "alpha_lambda": event_lam.alpha,
-        "alpha_mmse": modlam.mmse_alpha(spec).alpha,
-        "k_alpha_star": scaling.k_alpha,
+        "alpha_mmse": spec.snr / (1.0 + spec.snr),
+        "k_alpha_star": event_lam.k_alpha,
         "d_typ": event_sp.d,
         "d_typ_ii": event_lam.d,
         "d_crit": d_crit,

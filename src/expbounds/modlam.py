@@ -10,7 +10,6 @@ normalized AWGN chord.
 """
 
 import math
-from dataclasses import dataclass
 
 from .awgn import (
     _awgn_curve,
@@ -29,28 +28,7 @@ from .channel import (
     SPHERE_PACKING,
     ZERO,
 )
-from .numerics import bisect_root
-from .regions import f_bnd
-
-
-@dataclass(frozen=True)
-class ScalingSpec:
-    """Receiver scaling alpha in (0, 1] and its self-noise ratio K_alpha."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-
-    @property
-    def k_alpha(self):
-        return (1.0 - self.alpha) / self.alpha
-
-
-def mmse_alpha(spec: ChannelSpec) -> ScalingSpec:
-    """Capacity-optimal scaling SNR/(1+SNR) (not exponent-optimal below C)."""
-    return ScalingSpec(spec.snr / (1.0 + spec.snr))
+from .regions import _root_of_exp, f_bnd
 
 
 def l_circ_star(r, k_alpha, spec: ChannelSpec):
@@ -64,7 +42,7 @@ def l_circ_star(r, k_alpha, spec: ChannelSpec):
 UNCONSTRAINED = "unconstrained"
 
 
-def _expurgated_l_star(d_omega, scaling: ScalingSpec, spec: ChannelSpec):
+def _expurgated_l_star(d_omega, k_alpha, spec: ChannelSpec):
     """Stationary l of the lattice union bound under a binding distance floor.
 
     With K = K_alpha and a = d_omega (1+K)/2 the stationarity relation is the
@@ -72,33 +50,38 @@ def _expurgated_l_star(d_omega, scaling: ScalingSpec, spec: ChannelSpec):
     no root lies there.  On (max(K, a), inf) the function
     g(l) = K SNR (l-K)(1 - a^2/l^2) is a product of two non-negative
     increasing factors, rising strictly from 0 to inf, so g(l) = 1 has
-    exactly one root there.
+    exactly one root there.  It is solved in t = l - max(K, a), so that
+    neither l - K nor l - a cancels.
     """
-    k_a = scaling.k_alpha
-    a = d_omega * (1.0 + k_a) / 2.0
-    scale = k_a * spec.snr
-    return bisect_root(
-        lambda l: scale * (l - k_a) * (1.0 - (a / l) ** 2) - 1.0, max(k_a, a)
-    )
+    a = d_omega * (1.0 + k_alpha) / 2.0
+    m = max(k_alpha, a)
+    scale = k_alpha * spec.snr
+
+    def f(t):
+        l = m + t
+        return scale * (t + (m - k_alpha)) * ((t + (m - a)) / l) * ((l + a) / l) - 1.0
+
+    return m + _root_of_exp(f)
 
 
-def maximizers_lattice(r, scaling: ScalingSpec, spec: ChannelSpec, min_distance=0.0):
+def maximizers_lattice(r, k_alpha, spec: ChannelSpec, min_distance=0.0):
     """Dominating (l, d) of the lattice union bound; returns (l*, d*, regime).
 
-    Unconstrained: l* = l_circ_star (independent of d), d* = sqrt(2) r.  When
-    the minimum-distance floor binds (sqrt(2) r < min_distance (1+K_alpha)),
-    d* sits on the floor and l* solves the constrained stationarity relation.
+    `k_alpha` is the self-noise ratio K_alpha = (1 - alpha)/alpha of the
+    receiver scaling alpha.  Unconstrained: l* = l_circ_star (independent of
+    d), d* = sqrt(2) r.  When the minimum-distance floor binds
+    (sqrt(2) r < min_distance (1+K_alpha)), d* sits on the floor and l*
+    solves the constrained stationarity relation.
     """
     if r <= 0.0:
         raise ValueError("require r > 0")
-    k_a = scaling.k_alpha
-    if k_a <= 0.0:
+    if k_alpha <= 0.0:
         raise ValueError("l* diverges as alpha -> 1 (no self-noise)")
-    d_floor = min_distance * (1.0 + k_a)
+    d_floor = min_distance * (1.0 + k_alpha)
     d_free = math.sqrt(2.0) * r
     if d_free >= d_floor:
-        return l_circ_star(r, k_a, spec), d_free, UNCONSTRAINED
-    return _expurgated_l_star(min_distance, scaling, spec), d_floor, EXPURGATED
+        return l_circ_star(r, k_alpha, spec), d_free, UNCONSTRAINED
+    return _expurgated_l_star(min_distance, k_alpha, spec), d_floor, EXPURGATED
 
 
 def rate_ii(spec: ChannelSpec) -> float:

@@ -565,38 +565,3 @@ def simulate(config: SimConfig) -> SimResult:
         draw = functools.partial(draw, lattice=normalized_lattice(config.lattice))
     errors = sum(_per_block(config.trials, config.seed, draw))
     return _result(errors, config.trials, config.n)
-
-
-def empirical_spectrum(ensemble, n, bins, trials, seed, lattice=None):
-    """Pairwise-distance statistics of a random ensemble.
-
-    spherical: normalized chords between independent uniform points on the
-    power sphere.  lattice-coset: offsets between independent Voronoi-uniform
-    coset leaders, with the angle of the offset against a fixed axis.
-    Returns (hist, edges, distances[, angles]).
-    """
-    if ensemble == SPHERICAL:
-
-        def chords(rng, size):
-            u = rng.normal(size=(size, n))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            v = rng.normal(size=(size, n))
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-            return np.linalg.norm(u - v, axis=1)
-
-        d = np.concatenate(_per_block(trials, seed, chords))
-        hist, edges = np.histogram(d, bins=bins, range=(0.0, 2.0))
-        return hist, edges, d
-    if ensemble == LATTICE_COSET:
-        if lattice is None:
-            raise ValueError("lattice-coset spectrum requires a lattice")
-
-        def offsets(rng, size):
-            return lattice.sample_voronoi(size, rng) - lattice.sample_voronoi(size, rng)
-
-        w = np.concatenate(_per_block(trials, seed, offsets))
-        d = np.linalg.norm(w, axis=1)
-        angles = np.arccos(np.clip(w[:, 0] / np.maximum(d, 1e-300), -1.0, 1.0))
-        hist, edges = np.histogram(d, bins=bins)
-        return hist, edges, d, angles
-    raise ValueError("unknown ensemble %r" % ensemble)

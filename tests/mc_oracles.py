@@ -1,7 +1,8 @@
 """Monte Carlo oracles: the radial and joint tails of the cone-leaving event
-(exact laws in `validate full`) and the exit of the scaled self-noise plus
-noise from its design ball.  They draw on the simulator's `_per_block` streams,
-so `tests/test_frozen_outputs.py` pins their counts.
+(exact laws in `validate full`), the exit of the scaled self-noise plus
+noise from its design ball, and the pairwise-distance spectrum of an
+ensemble.  They draw on the simulator's `_per_block` streams, so
+`tests/test_frozen_outputs.py` pins their counts.
 """
 
 import math
@@ -11,7 +12,7 @@ import numpy as np
 from expbounds.awgn import sphere_packing_exponent, tail_exponents, theta_of_rate
 from expbounds.channel import ChannelSpec
 from expbounds.regions import joint_tail_exponent, tangent_sphere_scaling
-from expbounds.simulator import _per_block, _result, normalized_lattice
+from expbounds.simulator import LATTICE_COSET, SPHERICAL, _per_block, _result, normalized_lattice
 
 
 def _tail_record(hits, trials, n, bound):
@@ -102,3 +103,38 @@ def effective_noise_ball(n, spec: ChannelSpec, R, dither, trials, seed, lattice=
         "empirical_exponent": res.empirical_exponent,
         "target_exponent": sphere_packing_exponent(R, spec),
     }
+
+
+def empirical_spectrum(ensemble, n, bins, trials, seed, lattice=None):
+    """Pairwise-distance statistics of a random ensemble.
+
+    spherical: normalized chords between independent uniform points on the
+    power sphere.  lattice-coset: offsets between independent Voronoi-uniform
+    coset leaders, with the angle of the offset against a fixed axis.
+    Returns (hist, edges, distances[, angles]).
+    """
+    if ensemble == SPHERICAL:
+
+        def chords(rng, size):
+            u = rng.normal(size=(size, n))
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            v = rng.normal(size=(size, n))
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            return np.linalg.norm(u - v, axis=1)
+
+        d = np.concatenate(_per_block(trials, seed, chords))
+        hist, edges = np.histogram(d, bins=bins, range=(0.0, 2.0))
+        return hist, edges, d
+    if ensemble == LATTICE_COSET:
+        if lattice is None:
+            raise ValueError("lattice-coset spectrum requires a lattice")
+
+        def offsets(rng, size):
+            return lattice.sample_voronoi(size, rng) - lattice.sample_voronoi(size, rng)
+
+        w = np.concatenate(_per_block(trials, seed, offsets))
+        d = np.linalg.norm(w, axis=1)
+        angles = np.arccos(np.clip(w[:, 0] / np.maximum(d, 1e-300), -1.0, 1.0))
+        hist, edges = np.histogram(d, bins=bins)
+        return hist, edges, d, angles
+    raise ValueError("unknown ensemble %r" % ensemble)

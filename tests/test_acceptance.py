@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 import union_bound_oracles as ub
 from scipy import integrate, stats
+from scipy.optimize import brentq
 
 from expbounds.channel import ChannelSpec
 from expbounds import awgn, modlam, regions
 from expbounds import simulator as sim
-from expbounds.numerics import bisect_root
 
 SNR_GRID = (0.5, 1.0, 2.0, 10.0, 100.0)
 
@@ -122,9 +122,8 @@ def test_criterion_04_continuity_suite():
         jump = abs(chord(at - eps) - chord(at + eps))
         if jump > 1e-8:
             failures.append("d_typ jump %.2e at %s" % (jump, tag))
-    a_lo = regions.typical_event(r_c - eps, math.exp(-(r_c - eps)), spec).alpha
-    a_hi = regions.typical_event(r_c + eps, math.exp(-(r_c + eps)), spec).alpha
-    k_lo, k_hi = (modlam.ScalingSpec(a).k_alpha for a in (a_lo, a_hi))
+    lo, hi = (regions.typical_event(r, math.exp(-r), spec) for r in (r_c - eps, r_c + eps))
+    a_lo, a_hi, k_lo, k_hi = lo.alpha, hi.alpha, lo.k_alpha, hi.k_alpha
     if abs(k_lo - k_hi) > 1e-8:
         failures.append("K_alpha* jump %.2e" % abs(k_lo - k_hi))
     for k in (k_lo, k_hi):
@@ -165,13 +164,13 @@ def test_criterion_05_tightness_and_equivalence():
         _, _, double_min = ub.cone_union_min(theta, r, spec)
         if abs(double_min - e_sp) > 1e-6:
             failures.append("cone min off %.2e at R=%.3f" % (abs(double_min - e_sp), r))
-        scaling = modlam.ScalingSpec(regions.typical_event(r, math.exp(-r), spec).alpha)
-        radius = math.sin(theta) / scaling.alpha
-        l_opt, _, _, triple_min = ub.lattice_union_min(radius, scaling, spec, r)
+        event = regions.typical_event(r, math.exp(-r), spec)
+        radius = math.sin(theta) / event.alpha
+        l_opt, _, _, triple_min = ub.lattice_union_min(radius, event.k_alpha, spec, r)
         if abs(triple_min - double_min) > 1e-6:
             failures.append("triple/double gap %.2e at R=%.3f" % (abs(triple_min - double_min), r))
-        l_star = modlam.l_circ_star(radius, scaling.k_alpha, spec)
-        if abs(l_star - 1.0 / scaling.alpha) > 1e-8:
+        l_star = modlam.l_circ_star(radius, event.k_alpha, spec)
+        if abs(l_star - 1.0 / event.alpha) > 1e-8:
             failures.append("l* != 1/alpha at R=%.3f" % r)
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 30.0
@@ -217,14 +216,14 @@ def test_criterion_07_z_root_uniqueness():
         k_lo = 1.0 / snr + 1e-12
         k_hi = 200.0 * (1.0 + 1.0 / snr)
         grid = np.geomspace(k_lo, k_hi, 4000)
-        vals = np.array([regions.z_of_k(float(k), d, r, spec) for k in grid])
+        vals = np.array([ub.z_of_k(float(k), d, r, spec) for k in grid])
         signs = np.sign(vals)
         changes = int(np.sum(signs[:-1] * signs[1:] < 0))
         if changes != 1:
             failures.append("%d sign changes (snr=%.3g d=%.3g R=%.3g)" % (changes, snr, d, r))
             continue
         k_zeta = regions.k_zeta(d, r, spec)
-        resid = abs(regions.z_of_k(k_zeta, d, r, spec))
+        resid = abs(ub.z_of_k(k_zeta, d, r, spec))
         if resid > 1e-10:
             failures.append("residual %.2e (snr=%.3g d=%.3g R=%.3g)" % (resid, snr, d, r))
     _line(7, not failures, "; ".join(failures[:3]))
@@ -256,9 +255,7 @@ def test_criterion_08_monte_carlo_suite():
     # spherical dither ||z_eff||^2 * SNR is exactly noncentral chi^2_n with
     # lambda = k^2 n SNR, k = (1-alpha)/alpha, so the exit probability is
     # P_n = P(chi'^2_n(lambda) > n SNR sin^2(theta) / alpha^2).
-    r_target = bisect_root(
-        lambda r: awgn.sphere_packing_exponent(r, spec) - 0.05, 0.9, 1.19
-    )
+    r_target = brentq(lambda r: awgn.sphere_packing_exponent(r, spec) - 0.05, 0.9, 1.19, xtol=1e-12)
     rpt = mc.effective_noise_ball(64, spec, r_target, "spherical", trials, seed=23)
     # (b1) the 1M-trial CI holds the exact P_64 (scipy ncx2 and a 40-digit
     # mpmath Poisson-mixture sum agree on it to 10 digits).
@@ -335,7 +332,7 @@ def test_criterion_09_spectrum_against_printed_law():
     # its n=2 CDF 1 - (1-d^2/4)^(3/2).
     n = 16
     pairs = 100_000
-    hist, edges, d = sim.empirical_spectrum(sim.SPHERICAL, n, 40, pairs, seed=41)
+    hist, edges, d = mc.empirical_spectrum(sim.SPHERICAL, n, 40, pairs, seed=41)
 
     def density(t):
         return (t * math.sqrt(1.0 - t * t / 4.0)) ** (n - 1)
@@ -349,7 +346,7 @@ def test_criterion_09_spectrum_against_printed_law():
     exp = np.append(probs[keep], probs[~keep].sum()) * pairs
     _, p = stats.chisquare(obs, exp)
 
-    _, _, d2 = sim.empirical_spectrum(sim.SPHERICAL, 2, 10, pairs, seed=41)
+    _, _, d2 = mc.empirical_spectrum(sim.SPHERICAL, 2, 10, pairs, seed=41)
     d2_sorted = np.sort(d2)
     emp = np.arange(1, pairs + 1) / pairs
     cdf = 1.0 - (1.0 - d2_sorted ** 2 / 4.0) ** 1.5

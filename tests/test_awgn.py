@@ -9,6 +9,7 @@ from decimal import Decimal
 
 import pytest
 from cone_exit_mpmath import CONE_EXIT, CONSTANTS, HIGH_SNR_HALF_CAPACITY
+from scipy.optimize import brentq
 from union_bound_oracles import golden_min
 
 from expbounds.channel import (
@@ -18,7 +19,6 @@ from expbounds.channel import (
     SPHERE_PACKING,
 )
 from expbounds import awgn
-from expbounds.numerics import bisect_root
 
 SNR10 = ChannelSpec(10.0)
 SNR1 = ChannelSpec(1.0)
@@ -136,9 +136,7 @@ def test_rate_x_is_min_distance_crossing(snr):
     # The closed form is the root of the monotone crossing d_min(R) = d_crit.
     spec = ChannelSpec(snr)
     d_c = awgn.critical_distance(spec)
-    root = bisect_root(
-        lambda R: awgn.min_distance(R) - d_c, 1e-12, awgn.critical_rate(spec), tol=1e-12
-    )
+    root = brentq(lambda R: awgn.min_distance(R) - d_c, 1e-12, awgn.critical_rate(spec), xtol=1e-12)
     assert abs(root - awgn.rate_x(spec)) < 1e-9
 
 

@@ -142,9 +142,9 @@ def _sha256(arrays):
 def test_empirical_spectrum_frozen():
     trials = sim.BLOCK + 500
     got = {
-        "spherical": _sha256(sim.empirical_spectrum(sim.SPHERICAL, 16, 40, trials, 9)),
+        "spherical": _sha256(mc.empirical_spectrum(sim.SPHERICAL, 16, 40, trials, 9)),
         "lattice-coset": _sha256(
-            sim.empirical_spectrum(
+            mc.empirical_spectrum(
                 sim.LATTICE_COSET, 8, 30, trials, 9, lattice=integer_lattice(8)
             )
         ),
@@ -162,12 +162,19 @@ def test_empirical_spectrum_frozen():
 # mpmath.  E_x as (SNR/4) e^{-2R} / (1 + sqrt(1 - e^{-2R})), without the
 # cancellation of 1 - sqrt(1 - e^{-2R}), moved E_x and E_awgn up to r_x in
 # the three `exponents` outputs: each moved value is within 3.2e-16 of
-# mpmath, where the old one was off by up to 1.2e-12.
+# mpmath, where the old one was off by up to 1.2e-12.  K_zeta solved in
+# u = K SNR - 1 on a fixed bracket, l* solved in l - max(K_alpha, a), and
+# K_alpha from its closed form moved the geometry pin's fields, relative to
+# 700-digit mpmath on the same float inputs: k_zeta 2.5e-12 -> 2.9e-17,
+# theta_awgn and theta_lambda 5.0e-12 -> 7.7e-17, r_lambda_alpha
+# 4.5e-12 -> 1.4e-16, d_lambda_star 4.5e-12 -> 3.8e-17, l_star
+# 1.6e-12 -> 1.1e-17, and k_alpha_star 1.7e-17 -> 1.4e-16 (an ulp, from
+# 1/((1 - d^2/4) SNR) in place of (1 - alpha)/alpha).
 FROZEN_CLI_SHA256 = {
     "exponents -40 dB": "4c459134fc37db5b53976e8edbbffea441600052d2c9c19b84ed1b3b3884f5e0",
     "exponents 10 dB": "ae6dc14339c977dec8e84b3c4398d1f6d3c256446b68fe60643ff65b6bd79e33",
     "exponents 50 dB": "8e1f8cae1be7a71c4611fbbd6a956b942e4eb37ad5e22dd15fd62597d80d4a97",
-    "geometry 10 dB rate 0.7": "8ea9c7b117e57e5a7e3a6f89b7d5dbbb9ec987a1790994cd44856a33f3521492",
+    "geometry 10 dB rate 0.7": "26bc3c8a3573fc3747a6a99edebea8206972812ce36224e8c737c7d9d69111a0",
 }
 
 
@@ -238,8 +245,21 @@ def _sweep_outcomes():
 # code or stderr: E_x, E_awgn, d_min and d_typ are within 3.2e-16 of mpmath
 # (E_x read 0 for e^{-2R} below an ulp of 1, from SNR 6.9e18), and the
 # alpha_awgn, theta_awgn and k_zeta of 6 `geometry` requests at R < 1e-10
-# moved with d_typ.
-FROZEN_SWEEP_SHA256 = "830d8b95c4bf7d7385fd7825c6e8827b50d5b94ad4784cbf1ab4ef3123969bd0"
+# moved with d_typ.  K_zeta solved in u = K SNR - 1 and l* in
+# l - max(K_alpha, a), both on the fixed bracket of exp's range, with
+# K_alpha from its closed forms, took the exit codes from
+# {0: 409, 2: 158, 3: 33} to {0: 459, 2: 141}: 33 `root bracket expansion
+# failed`, 13 `l* diverges` and 4 `math domain error` are gone.  They moved
+# 153 `geometry` requests and no `exponents` request, exit-2 stderr or
+# field outside the geometry's roots and scalings.  Relative to 700-digit
+# mpmath on the same float inputs, the worst moved value went
+# k_zeta 1.2e-8 -> 4.1e-16, theta_awgn 1.3e-5 -> 4.7e-16, theta_lambda
+# 1.5e-6 -> 3.6e-16, r_lambda_alpha 1.5e-6 -> 4.6e-16, d_lambda_star
+# 7.1e-8 -> 5.1e-16, l_star 7.1e-8 -> 3.8e-16, k_alpha_star, alpha_awgn,
+# alpha_lambda and alpha_awgn_r 7.1e-8 -> 2.0e-16; the 50 requests that
+# moved to exit 0 are within 5.5e-14 (theta above SNR 1e5) and 2.3e-16
+# (every other field).
+FROZEN_SWEEP_SHA256 = "0a6bf8fdf084ba398ac606b7778c522fa32d250247ce7b0377d2d227109166e8"
 
 
 def test_closed_form_sweep_frozen():

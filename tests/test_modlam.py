@@ -1,14 +1,15 @@
 """Mod-lattice exponent machinery: closed-form identities and branch logic."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 import union_bound_oracles as ub
+from scipy.optimize import brentq
 
 from expbounds.channel import ChannelSpec, EXPURGATED, RANDOM_CODING, SPHERE_PACKING
-from expbounds import awgn, modlam, regions
-from expbounds.numerics import bisect_root
+from expbounds import awgn, cli, modlam, regions
 
 SNR10 = ChannelSpec(10.0)
 
@@ -20,29 +21,32 @@ EII_03 = 0.75980241315801483
 
 
 def test_scaling_spec():
-    sc = modlam.ScalingSpec(0.8)
-    assert abs(sc.k_alpha - 0.25) < 1e-15
-    with pytest.raises(ValueError):
-        modlam.ScalingSpec(1.5)
+    # An event carries its scaling as K_alpha; alpha = 1/(1 + K_alpha).
+    event = regions.TypicalEvent(0.5, 0.6, 0.25, None)
+    assert abs(event.alpha - 0.8) < 1e-15
+    assert event.radius == math.sin(0.6) * 1.25
+    for r in (0.2, 0.7, 1.1):
+        event = regions.typical_event(r, math.exp(-r), SNR10)
+        assert abs((1.0 - event.alpha) / event.alpha - event.k_alpha) < 1e-15
 
 
-def test_mmse_alpha():
-    assert abs(modlam.mmse_alpha(SNR10).alpha - 10.0 / 11.0) < 1e-15
+def test_mmse_alpha(capsys):
+    assert cli.main(["geometry", "--snr", "10", "--rate-nats", "0.5"]) == 0
+    assert abs(json.loads(capsys.readouterr().out)["alpha_mmse"] - 10.0 / 11.0) < 1e-15
 
 
-def _event_scaling(d_omega, r, spec):
-    """Tangent-sphere scaling of the typical event with chord floor d_omega."""
-    return modlam.ScalingSpec(regions.event_alpha(awgn.typical_chord(r, d_omega, spec), r, spec))
+def _event_k_alpha(d_omega, r, spec):
+    """Self-noise ratio K_alpha of the typical event with chord floor d_omega."""
+    return regions.typical_event(r, d_omega, spec).k_alpha
 
 
 def _matched_geometry(r_rate):
     """Scaled-lattice parameters that mirror the cone geometry at rate r_rate."""
     theta = awgn.theta_of_rate(r_rate)
     alpha = regions.tangent_sphere_scaling(theta, SNR10)
-    scaling = modlam.ScalingSpec(alpha)
     return (
         theta,
-        scaling,
+        (1.0 - alpha) / alpha,
         1.0 / alpha,
         math.sqrt(2.0) * math.sin(theta) / alpha,
         math.sin(theta) / alpha,
@@ -52,17 +56,17 @@ def _matched_geometry(r_rate):
 def test_offset_identity_with_cone():
     # l - K_alpha - beta_circ* = 1 + beta*(theta) under the matched scaling.
     for r in (0.95, 1.1):
-        theta, scaling, l, d, radius = _matched_geometry(r)
-        beta_c = ub.beta_circ_star(radius, d, l, scaling, SNR10)
+        theta, k_a, l, d, radius = _matched_geometry(r)
+        beta_c = ub.beta_circ_star(radius, d, l, k_a, SNR10)
         beta_s = awgn.beta_star(theta, SNR10)
-        assert abs((l - scaling.k_alpha - beta_c) - (1.0 + beta_s)) < 1e-12
+        assert abs((l - k_a - beta_c) - (1.0 + beta_s)) < 1e-12
 
 
 def test_cross_sections_match_cone():
     for r in (0.95, 1.1):
-        theta, scaling, l, d, radius = _matched_geometry(r)
-        beta_c = ub.beta_circ_star(radius, d, l, scaling, SNR10)
-        x_l, y_l = ub.lattice_cross_section(beta_c, l, d, radius, scaling)
+        theta, k_a, l, d, radius = _matched_geometry(r)
+        beta_c = ub.beta_circ_star(radius, d, l, k_a, SNR10)
+        x_l, y_l = ub.lattice_cross_section(beta_c, l, d, radius, k_a)
         beta_s = awgn.beta_star(theta, SNR10)
         theta_d = regions.theta_d_of_chord(math.sqrt(2.0) * math.sin(theta))
         x_c, y_c = ub.cone_cross_section(beta_s, theta_d, theta)
@@ -72,13 +76,13 @@ def test_cross_sections_match_cone():
 
 def test_l_star_is_inverse_alpha():
     for r in (0.95, 1.1):
-        _, scaling, l, _, radius = _matched_geometry(r)
-        assert abs(modlam.l_circ_star(radius, scaling.k_alpha, SNR10) - l) < 1e-12
+        _, k_a, l, _, radius = _matched_geometry(r)
+        assert abs(modlam.l_circ_star(radius, k_a, SNR10) - l) < 1e-12
 
 
 def test_maximizers_unconstrained():
-    _, scaling, l, _, radius = _matched_geometry(1.0)
-    l_star, d_star, regime = modlam.maximizers_lattice(radius, scaling, SNR10)
+    _, k_a, l, _, radius = _matched_geometry(1.0)
+    l_star, d_star, regime = modlam.maximizers_lattice(radius, k_a, SNR10)
     assert regime == modlam.UNCONSTRAINED
     assert abs(l_star - l) < 1e-12
     assert abs(d_star - math.sqrt(2.0) * radius) < 1e-14
@@ -86,9 +90,9 @@ def test_maximizers_unconstrained():
 
 def test_triple_min_equals_sphere_packing():
     for r in (0.95, 1.1):
-        scaling = _event_scaling(math.exp(-r), r, SNR10)
-        radius = math.sin(awgn.theta_of_rate(r)) / scaling.alpha
-        _, _, _, val = ub.lattice_union_min(radius, scaling, SNR10, r)
+        k_a = _event_k_alpha(math.exp(-r), r, SNR10)
+        radius = math.sin(awgn.theta_of_rate(r)) * (1.0 + k_a)
+        _, _, _, val = ub.lattice_union_min(radius, k_a, SNR10, r)
         assert abs(val - awgn.sphere_packing_exponent(r, SNR10)) < 1e-8
 
 
@@ -97,23 +101,21 @@ def test_expurgated_l_star_solves_constraint():
     # K_alpha = 4 / ((4 - d^2) SNR); the floor distance then dominates.
     for r in (0.2, 0.4):
         d_omega = math.exp(-r)
-        scaling = _event_scaling(d_omega, r, SNR10)
-        k_a = scaling.k_alpha
+        k_a = _event_k_alpha(d_omega, r, SNR10)
         # Radius small enough that the distance floor binds.
         radius = 0.9 * d_omega * (1.0 + k_a) / math.sqrt(2.0)
         l_star, d_star, regime = modlam.maximizers_lattice(
-            radius, scaling, SNR10, min_distance=d_omega
+            radius, k_a, SNR10, min_distance=d_omega
         )
         assert regime == EXPURGATED
         assert abs(d_star - d_omega * (1.0 + k_a)) < 1e-12
         assert abs(l_star - (1.0 + k_a)) < 1e-6
 
 
-def _grid_scan_l_star(d_omega, scaling, spec, r):
+def _grid_scan_l_star(d_omega, k_a, spec, r):
     """Oracle: sign-change roots of the stationarity residual on a 400-cell
-    grid over (K_alpha, l_hi), each refined by bisection; among them the one
-    minimizing the bound exponent."""
-    k_a = scaling.k_alpha
+    grid over (K_alpha, l_hi), each refined by Brent's method; among them the
+    one minimizing the bound exponent."""
     snr = spec.snr
 
     def residual(l):
@@ -127,20 +129,20 @@ def _grid_scan_l_star(d_omega, scaling, spec, r):
     for a, b in zip(grid[:-1], grid[1:]):
         try:
             if residual(a) * residual(b) <= 0.0:
-                roots.append(bisect_root(residual, a, b, tol=1e-12))
+                roots.append(brentq(residual, a, b, xtol=1e-12))
         except (ValueError, ZeroDivisionError):
             continue
     d_lat = d_omega * (1.0 + k_a)
 
     def value(l):
-        beta = ub.beta_star_lattice(r, d_lat, l, scaling, spec)
+        beta = ub.beta_star_lattice(r, d_lat, l, k_a, spec)
         return ub.union_bound_exponent_lattice(r, k_a, l, d_lat, beta, 0.0, spec)
 
     return min(roots, key=value)
 
 
 def _floor_binding_points(geometry_radius):
-    """(spec, scaling, radius, d_omega) with a binding distance floor, -40..50 dB.
+    """(spec, K_alpha, radius, d_omega) with a binding distance floor, -40..50 dB.
 
     With geometry_radius the radius is r_lambda_alpha(R), as in the geometry
     report, where the floor binds from 10 dB up; otherwise it is 0.9 times
@@ -150,36 +152,35 @@ def _floor_binding_points(geometry_radius):
         for frac in np.linspace(0.02, 1.0, 50):
             r = float(frac) * spec.capacity_nats
             d_omega = math.exp(-r)
-            scaling = _event_scaling(d_omega, r, spec)
-            floor_radius = d_omega * (1.0 + scaling.k_alpha) / math.sqrt(2.0)
+            k_a = _event_k_alpha(d_omega, r, spec)
+            floor_radius = d_omega * (1.0 + k_a) / math.sqrt(2.0)
             if geometry_radius:
                 radius = regions.typical_event(r, math.exp(-r), spec).radius
             else:
                 radius = 0.9 * floor_radius
             if radius < floor_radius:
-                yield spec, scaling, radius, d_omega
+                yield spec, k_a, radius, d_omega
 
 
 def test_expurgated_l_star_matches_grid_scan():
     points = list(_floor_binding_points(geometry_radius=True))
     assert len(points) > 200
-    for spec, scaling, radius, d_omega in points:
+    for spec, k_a, radius, d_omega in points:
         l_star, _, regime = modlam.maximizers_lattice(
-            radius, scaling, spec, min_distance=d_omega
+            radius, k_a, spec, min_distance=d_omega
         )
         assert regime == EXPURGATED
-        want = _grid_scan_l_star(d_omega, scaling, spec, radius)
+        want = _grid_scan_l_star(d_omega, k_a, spec, radius)
         assert abs(l_star - want) <= 1e-10 * want
 
 
 def test_expurgated_l_star_is_the_admissible_cubic_root():
-    for spec, scaling, radius, d_omega in _floor_binding_points(geometry_radius=False):
+    for spec, k_a, radius, d_omega in _floor_binding_points(geometry_radius=False):
         l_star, _, regime = modlam.maximizers_lattice(
-            radius, scaling, spec, min_distance=d_omega
+            radius, k_a, spec, min_distance=d_omega
         )
         assert regime == EXPURGATED
         # The unique root of K SNR (l-K)(l^2 - a^2) = l^2 above max(K, a).
-        k_a = scaling.k_alpha
         a = d_omega * (1.0 + k_a) / 2.0
         assert l_star > max(k_a, a)
         lhs = k_a * spec.snr * (l_star - k_a) * (l_star ** 2 - a * a)
@@ -188,12 +189,12 @@ def test_expurgated_l_star_is_the_admissible_cubic_root():
 
 def test_k_alpha_star_branches():
     r_c = awgn.critical_rate(SNR10)
-    above = _event_scaling(math.exp(-(r_c + 1e-9)), r_c + 1e-9, SNR10)
-    below = _event_scaling(math.exp(-(r_c - 1e-9)), r_c - 1e-9, SNR10)
-    assert abs(above.k_alpha - KA_RCRIT) < 1e-7
-    assert abs(below.k_alpha - KA_RCRIT) < 1e-7
-    low = _event_scaling(math.exp(-0.2), 0.2, SNR10)
-    assert abs(low.k_alpha - KA_02) < 1e-12
+    above = _event_k_alpha(math.exp(-(r_c + 1e-9)), r_c + 1e-9, SNR10)
+    below = _event_k_alpha(math.exp(-(r_c - 1e-9)), r_c - 1e-9, SNR10)
+    assert abs(above - KA_RCRIT) < 1e-7
+    assert abs(below - KA_RCRIT) < 1e-7
+    low = _event_k_alpha(math.exp(-0.2), 0.2, SNR10)
+    assert abs(low - KA_02) < 1e-12
 
 
 def test_rate_ii():

@@ -1,13 +1,15 @@
 """Cone/sphere region geometry and its union-bound identities."""
 
 import math
+from decimal import Decimal
 
 import pytest
 import union_bound_oracles as ub
 from scipy import special
+from zeta_mpmath import ZETA
 
 from expbounds.channel import ChannelSpec
-from expbounds import awgn, regions
+from expbounds import awgn, modlam, regions
 
 SNR10 = ChannelSpec(10.0)
 
@@ -141,7 +143,7 @@ def test_sphere_param_equals_sphere_packing():
         theta = awgn.theta_of_rate(r)
         # Invert theta_zeta: K(1+K) = 1/(snr cos^2 theta).
         k = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 / (snr * math.cos(theta) ** 2)))
-        assert abs(regions.theta_zeta(k, SNR10) - theta) < 1e-12
+        assert abs(ub.theta_zeta(k, SNR10) - theta) < 1e-12
         got = (-1.0 + k * snr - k * math.log(1.0 + 1.0 / k - 1.0 / (k * k * snr))) / (2.0 * k)
         want = awgn.sphere_packing_exponent(r, SNR10)
         assert abs(got - want) < 1e-10
@@ -153,18 +155,39 @@ def test_k_zeta_value():
 
 def test_z_of_k_root_residual():
     k = regions.k_zeta(0.45, 0.4, SNR10)
-    assert abs(regions.z_of_k(k, 0.45, 0.4, SNR10)) < 1e-10
+    assert abs(ub.z_of_k(k, 0.45, 0.4, SNR10)) < 1e-10
 
 
 def test_k_zeta_at_low_snr():
-    # At SNR 1e-4 the root sits near 1e4, where the float spacing exceeds
-    # the bisection tolerance.
+    # At SNR 1e-4 the root sits near 1e4, where the float spacing is wider
+    # than 1e-12.
     spec = ChannelSpec(1e-4)
     r = 0.25 * spec.capacity_nats
     d = awgn.typical_chord(r, awgn.min_distance(r), spec)
     k = regions.k_zeta(d, r, spec)
     assert 1.0 / spec.snr < k < math.inf
-    assert abs(regions.z_of_k(k, d, r, spec)) < 1e-9
+    assert abs(ub.z_of_k(k, d, r, spec)) < 1e-9
+
+
+def test_typical_event_below_r_crit_matches_mpmath():
+    # K_zeta, theta_zeta, K_alpha and l* from the float inputs of each row
+    # (`zeta_mpmath`): 4e-15 relative over SNR 1e-4...1e5, 1e-12 outside.
+    worst = {}
+    for snr, R, floor, d, *want in ZETA:
+        spec = ChannelSpec(snr)
+        event = regions.typical_event(R, d, spec)
+        assert event.d == d and R < spec.r_crit
+        l_star = modlam.maximizers_lattice(event.radius, event.k_alpha, spec, min_distance=floor)[0]
+        assert regions.k_zeta(d, R, spec) == event.k_zeta
+        tol = 4e-15 if 1e-4 <= snr <= 1e5 else 1e-12
+        for name, got, ref in zip(
+            ("k_zeta", "theta", "k_alpha", "l_star"),
+            (event.k_zeta, event.theta, event.k_alpha, l_star),
+            want,
+        ):
+            err = float(abs(Decimal(got) - Decimal(ref)) / Decimal(ref)) / tol
+            worst[name] = max(worst.get(name, (0.0,)), (err, snr, R, floor))
+    assert all(w[0] <= 1.0 for w in worst.values()), worst
 
 
 def test_tangent_sphere_scaling_identities():

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy import special, stats
 
 from expbounds.channel import ChannelSpec
-from expbounds import awgn, modlam, regions, simulator as sim
+from expbounds import awgn, regions, simulator as sim
 from expbounds.lattices import Lattice, d4, e8, integer_lattice, load_basis, voronoi_shell
 
 SNR2 = ChannelSpec(2.0)
@@ -557,7 +557,7 @@ def test_lattice_coset_mmse_scaling_beats_unit_alpha(snr):
     # At alpha = SNR/(1+SNR) the effective noise alpha z - (1-alpha) x has
     # power 1/(1+SNR) a dimension, against 1/SNR at alpha = 1.
     spec = ChannelSpec(snr)
-    alpha = modlam.mmse_alpha(spec).alpha
+    alpha = spec.snr / (1.0 + spec.snr)
     mmse, unit = (
         sim.simulate(_coset_config(e8(), 4, sim.DEC_CLOSEST_COSET, a, trials=20_000, snr=snr))
         for a in (alpha, 1.0)
@@ -760,7 +760,7 @@ def test_effective_noise_ball_voronoi_close_to_spherical():
 
 
 def test_spherical_spectrum_basics():
-    hist, edges, d = sim.empirical_spectrum(sim.SPHERICAL, 16, 40, 50_000, 9)
+    hist, edges, d = mc.empirical_spectrum(sim.SPHERICAL, 16, 40, 50_000, 9)
     assert hist.sum() == 50_000
     assert 0.0 <= d.min() and d.max() <= 2.0
     # Mode near sqrt(2) for moderate n.
@@ -769,7 +769,7 @@ def test_spherical_spectrum_basics():
 
 
 def test_lattice_spectrum_shapes():
-    hist, edges, d, ang = sim.empirical_spectrum(
+    hist, edges, d, ang = mc.empirical_spectrum(
         sim.LATTICE_COSET, 8, 30, 20_000, 9, lattice=integer_lattice(8)
     )
     assert len(d) == len(ang) == 20_000
@@ -782,7 +782,7 @@ def test_spherical_spectrum_matches_exact_chord_law():
     from scipy import integrate, stats
 
     n = 16
-    hist, edges, d = sim.empirical_spectrum(sim.SPHERICAL, n, 40, 100_000, 13)
+    hist, edges, d = mc.empirical_spectrum(sim.SPHERICAL, n, 40, 100_000, 13)
 
     def density(t):
         return t ** (n - 2) * (1.0 - t * t / 4.0) ** ((n - 3) / 2.0)
@@ -800,7 +800,7 @@ def test_spherical_spectrum_matches_exact_chord_law():
 
 def test_spherical_spectrum_exact_cdf_n2():
     # In two dimensions the chord CDF is (2/pi) arcsin(d/2) exactly.
-    _, _, d = sim.empirical_spectrum(sim.SPHERICAL, 2, 10, 100_000, 13)
+    _, _, d = mc.empirical_spectrum(sim.SPHERICAL, 2, 10, 100_000, 13)
     d_sorted = np.sort(d)
     emp = np.arange(1, len(d) + 1) / len(d)
     exact = (2.0 / math.pi) * np.arcsin(d_sorted / 2.0)

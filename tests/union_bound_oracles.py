@@ -6,13 +6,17 @@ and `awgn.sphere_packing_exponent` for the AWGN cone's (beta, d) error event,
 same minima are searched numerically: golden-section search over the cone
 event, Nelder-Mead over the lattice event, each from the per-event union-bound
 exponent.  The tests check the closed forms against these searches.
+
+The stationarity function z(K) of the sphere-packing curve's bounding sphere
+and its cone angle theta_zeta(K) are kept here in their textbook forms: the
+library solves z in u = K SNR - 1 and never forms either.
 """
 
 import math
 
 from expbounds.awgn import beta_star, rate_of_theta
 from expbounds.channel import ChannelSpec
-from expbounds.modlam import ScalingSpec, l_circ_star
+from expbounds.modlam import l_circ_star
 from expbounds.regions import (
     critical_rate_of_theta_d,
     joint_tail_exponent,
@@ -124,19 +128,18 @@ def cone_union_min(theta, R, spec: ChannelSpec):
     return d_opt, b_opt, val
 
 
-def lattice_cross_section(beta_l, l, d, r, scaling: ScalingSpec):
+def lattice_cross_section(beta_l, l, d, r, k_alpha):
     """Half-space offset and sphere-slice radius in the scaled-lattice geometry.
 
     x = (l - (beta_l + K_alpha)) / sqrt(4 l^2 / d^2 - 1);
     y^2 = r^2 - (beta_l + K_alpha)^2.  Returns None outside the region.
     """
-    k_a = scaling.k_alpha
     if not 0.0 < d < 2.0 * l:
         raise ValueError("require 0 < d < 2l")
-    y2 = r * r - (beta_l + k_a) ** 2
+    y2 = r * r - (beta_l + k_alpha) ** 2
     if y2 < 0.0:
         return None
-    x = (l - (beta_l + k_a)) / math.sqrt(4.0 * l * l / (d * d) - 1.0)
+    x = (l - (beta_l + k_alpha)) / math.sqrt(4.0 * l * l / (d * d) - 1.0)
     return x, math.sqrt(y2)
 
 
@@ -149,7 +152,7 @@ def union_bound_exponent_lattice(r, k_alpha, l, d, beta, R, spec: ChannelSpec):
     """
     if d <= _EPS or d >= 2.0 * l - _EPS:
         return math.inf
-    cross = lattice_cross_section(beta, l, d, r, ScalingSpec(1.0 / (1.0 + k_alpha)))
+    cross = lattice_cross_section(beta, l, d, r, k_alpha)
     if cross is None:
         return math.inf
     x, y = cross
@@ -168,59 +171,56 @@ def rate_of_scaled_radius(r, alpha):
     return -math.log(alpha * r)
 
 
-def critical_rate_lattice(d, l, scaling: ScalingSpec, spec: ChannelSpec):
+def critical_rate_lattice(d, l, k_alpha, spec: ChannelSpec):
     """Threshold rate separating the two branches of the optimal lattice beta."""
-    k_a = scaling.k_alpha
     arg = (
-        d * d / 4.0 + k_a * k_a * (1.0 - d * d / (4.0 * l * l)) + 1.0 / spec.snr
-    ) / (1.0 + k_a)
+        d * d / 4.0 + k_alpha * k_alpha * (1.0 - d * d / (4.0 * l * l)) + 1.0 / spec.snr
+    ) / (1.0 + k_alpha)
     return -0.5 * math.log(arg)
 
 
-def beta_circ_star(r, d, l, scaling: ScalingSpec, spec: ChannelSpec):
+def beta_circ_star(r, d, l, k_alpha, spec: ChannelSpec):
     """Optimal radial offset when the slice gap clears the noise variance."""
-    k_a = scaling.k_alpha
     one = 1.0 - d * d / (4.0 * l * l)
-    root_arg = 1.0 / (4.0 * k_a * k_a * spec.snr ** 2) + (r * r - d * d / 4.0) * one
+    root_arg = 1.0 / (4.0 * k_alpha * k_alpha * spec.snr ** 2) + (r * r - d * d / 4.0) * one
     if root_arg < 0.0:
         raise ValueError("infeasible parameters for the offset equation")
-    return l - k_a - (
-        l * one + 1.0 / (2.0 * k_a * spec.snr) - math.sqrt(root_arg)
+    return l - k_alpha - (
+        l * one + 1.0 / (2.0 * k_alpha * spec.snr) - math.sqrt(root_arg)
     )
 
 
-def beta_star_lattice(r, d, l, scaling: ScalingSpec, spec: ChannelSpec):
+def beta_star_lattice(r, d, l, k_alpha, spec: ChannelSpec):
     """Optimal radial offset of the lattice union bound."""
-    if rate_of_scaled_radius(r, scaling.alpha) > critical_rate_lattice(
-        d, l, scaling, spec
+    if rate_of_scaled_radius(r, 1.0 / (1.0 + k_alpha)) > critical_rate_lattice(
+        d, l, k_alpha, spec
     ):
-        return beta_circ_star(r, d, l, scaling, spec)
-    return d * d / (4.0 * l * l) * (l - scaling.k_alpha)
+        return beta_circ_star(r, d, l, k_alpha, spec)
+    return d * d / (4.0 * l * l) * (l - k_alpha)
 
 
-def lattice_union_min(r, scaling: ScalingSpec, spec: ChannelSpec, R):
+def lattice_union_min(r, k_alpha, spec: ChannelSpec, R):
     """Minimize the lattice union exponent over (l, d, beta).
 
     Uses the closed-form beta and the analytic warm starts, then refines
     (l, d) by Nelder-Mead; returns (l, d, beta, value).
     """
-    k_a = scaling.k_alpha
 
     def at_ld(l, d):
         try:
-            beta = beta_star_lattice(r, d, l, scaling, spec)
+            beta = beta_star_lattice(r, d, l, k_alpha, spec)
         except ValueError:
             return math.inf
-        return union_bound_exponent_lattice(r, k_a, l, d, beta, R, spec)
+        return union_bound_exponent_lattice(r, k_alpha, l, d, beta, R, spec)
 
     from scipy import optimize
 
-    l0 = l_circ_star(r, k_a, spec)
+    l0 = l_circ_star(r, k_alpha, spec)
     d0 = math.sqrt(2.0) * r
 
     def objective(v):
         l, d = v
-        if l <= k_a or not 0.0 <= d < 2.0 * l:
+        if l <= k_alpha or not 0.0 <= d < 2.0 * l:
             return math.inf
         return at_ld(l, d)
 
@@ -231,6 +231,27 @@ def lattice_union_min(r, scaling: ScalingSpec, spec: ChannelSpec, R):
         options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
     )
     l_opt, d_opt = best.x
-    beta_opt = beta_star_lattice(r, d_opt, l_opt, scaling, spec)
-    val = union_bound_exponent_lattice(r, k_a, l_opt, d_opt, beta_opt, R, spec)
+    beta_opt = beta_star_lattice(r, d_opt, l_opt, k_alpha, spec)
+    val = union_bound_exponent_lattice(r, k_alpha, l_opt, d_opt, beta_opt, R, spec)
     return l_opt, d_opt, beta_opt, val
+
+
+def theta_zeta(K: float, spec: ChannelSpec) -> float:
+    """Cone angle of the sphere-packing curve point parametrized by K >= 1/SNR."""
+    snr = spec.snr
+    if K < 1.0 / snr:
+        raise ValueError("require K >= 1/SNR")
+    return math.asin(math.sqrt(1.0 - 1.0 / (K * (1.0 + K) * snr)))
+
+
+def z_of_k(K: float, d: float, R: float, spec: ChannelSpec) -> float:
+    """Stationarity function whose root K_zeta picks the bounding-sphere parameter."""
+    snr = spec.snr
+    denom = K * (1.0 + K) * snr - 1.0
+    if denom <= 0.0:
+        raise ValueError("require K (1+K) SNR > 1")
+    return (
+        -1.0
+        + K * (2.0 * R + (1.0 - d * d / 4.0) * snr)
+        + K * math.log(d * d * (1.0 - d * d / 4.0) * K * K * snr / denom)
+    )
