@@ -41,27 +41,38 @@ def rate_of_theta(theta: float) -> float:
     return -math.log(math.sin(theta))
 
 
-def _cone_exit(R: float, spec: ChannelSpec):
-    """(E_sp, rho_G) at 0 < R < C: the received vector leaving the cone of
-    half-angle theta(R), as `leave_cone_exponent` has it, in terms that do
-    not cancel.  With c^2 = -expm1(-2R), s = SNR and k = expm1(2(C - R))/s,
-    beta* = -2k/(2 - c^2 + c sqrt(c^2 + 4/s)) and mu* = e^z with
-    z = 2(asinh(c sqrt(s)/2) - R); E_sp = beta*^2 s/2 + (expm1(z) - z)/2, two
-    terms >= 0, and rho_G = -dE_sp/dR = expm1(z)/c^2.  Up to R_crit k is
-    taken as e^{-2R} - c^2/s, which loses at most a bit there and is exact as
-    R -> 0, where expm1(2C) != SNR in floats.  Near C both are limited by C's
-    own rounding: about 2 ulp(C)/(C - R) relative.
+def _radial_offset(R: float, spec: ChannelSpec) -> float:
+    """beta* of the cone exit at rate R in [0, C], from R itself, in terms
+    that do not cancel: beta* = -2k/(2 - c^2 + c sqrt(c^2 + 4/s)) with
+    c^2 = -expm1(-2R), s = SNR and k = expm1(2(C - R))/s, which is 0 at C.
+    Up to R_crit k is taken as e^{-2R} - c^2/s, which loses at most a bit
+    there and is exact as R -> 0, where expm1(2C) != SNR in floats.  Near C
+    it is limited by C's own rounding: about 2 ulp(C)/(C - R) relative.
     """
     s = spec.snr
     c2 = -math.expm1(-2.0 * R)
     c = math.sqrt(c2)
-    rs = math.sqrt(s)
     if R <= spec.r_crit:
         k = math.exp(-2.0 * R) - c2 / s
     else:
         k = math.expm1(2.0 * (spec.capacity_nats - R)) / s
     # hypot(c, 2/sqrt(s)) is sqrt(c^2 + 4/s), whose 4/s overflows at tiny SNR.
-    beta = -2.0 * k / (2.0 - c2 + c * math.hypot(c, 2.0 / rs))
+    return -2.0 * k / (2.0 - c2 + c * math.hypot(c, 2.0 / math.sqrt(s)))
+
+
+def _cone_exit(R: float, spec: ChannelSpec):
+    """(E_sp, rho_G) at 0 < R < C: the received vector leaving the cone of
+    half-angle theta(R), as `leave_cone_exponent` has it, in terms that do
+    not cancel.  With beta* from `_radial_offset`, c^2 = -expm1(-2R) and
+    mu* = e^z, z = 2(asinh(c sqrt(SNR)/2) - R): E_sp = beta*^2 SNR/2 +
+    (expm1(z) - z)/2, two terms >= 0, and rho_G = -dE_sp/dR = expm1(z)/c^2.
+    Near C both are limited by C's own rounding, as beta* is.
+    """
+    s = spec.snr
+    c2 = -math.expm1(-2.0 * R)
+    c = math.sqrt(c2)
+    rs = math.sqrt(s)
+    beta = _radial_offset(R, spec)
     z = 2.0 * (math.asinh(0.5 * c * rs) - R)
     t = math.expm1(z)
     if -0.125 < z < 0.125:  # expm1(z) - z cancels: its series to z^11/11! (< 4e-18 left out)

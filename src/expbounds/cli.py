@@ -197,7 +197,8 @@ def cmd_geometry(args):
         "d_typ_ii": event_lam.d,
         "d_crit": d_crit,
         "d_min": d_min,
-        "beta_star": awgn.beta_star(theta, spec),
+        # From R itself, not through theta; + 0.0 prints C's -0.0 as 0.0.
+        "beta_star": awgn._radial_offset(r, spec) + 0.0,
         "l_star": l_star,
         "d_lambda_star": d_star,
         "lattice_regime": lat_regime,

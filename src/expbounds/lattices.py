@@ -25,17 +25,19 @@ coordinate-major (`_row_sum`, numpy's order) and only the norms are kept:
 `Lattice.residual_norms2` for given queries (the simulator's sent coset),
 also telling whether each closest point is other than the origin, and
 `Lattice.voronoi_norms2` for Voronoi samples it draws a block at a time
-(`lattice_figures` and the simulator's rivals).  At SNR 4 that costs E8
-0.10 us a point and D4 0.03 us.
+(`lattice_figures`, the simulator's rivals and its Monte Carlo second
+moment).  At SNR 4 that costs E8 0.10 us a point and D4 0.03 us.
+`Lattice.reduce` keeps the residuals themselves (`sample_voronoi`).
 
-Any other basis, and `Lattice.nearest_enumerated` on any basis, goes
-through batched exact enumeration: the basis is LLL-reduced once and its QR
-frame cached; every query row gets a nearest-plane start, whose distance is
-the search radius, and Schnorr-Euchner enumeration then runs over all rows
-of a block at once.  This costs about 1 us a point on a D4 basis in a
-non-standard form and 7 us on E8 (against 70 and 180 us for one depth-first
-search per point); 16-dimensional bases cost 0.1 to 0.3 ms a point (a
-unimodular copy of Z^16, random Gaussian bases).
+Any other basis, and `Lattice.nearest_enumerated` (a copy of the lattice
+without its fast rule), goes through batched exact enumeration: the basis
+is LLL-reduced once and its QR frame cached; every query row gets a
+nearest-plane start, whose distance is the search radius, and
+Schnorr-Euchner enumeration then runs over all rows of a block at once.
+This costs about 1 us a point on a D4 basis in a non-standard form and 7 us
+on E8 (against 70 and 180 us for one depth-first search per point);
+16-dimensional bases cost 0.1 to 0.3 ms a point (a unimodular copy of Z^16,
+random Gaussian bases).
 
 Basis files are plain text: the dimension n followed by n*n
 whitespace-separated entries, row-major (rows generate the lattice).
@@ -268,11 +270,6 @@ _FAST_DECODERS = {
 }
 
 
-def _require_finite(block):
-    if not np.isfinite(block).all():
-        raise ValueError("closest-point queries must be finite")
-
-
 def _residual_norms2(x, f):
     """Squared norms of the columns of x - f, coordinate-major blocks, in
     numpy's order of a row-major `.sum(axis=1)` (`_row_sum`); f is overwritten."""
@@ -431,44 +428,34 @@ class Lattice:
         """Exact closest lattice points; `points` is (N, n), returns (N, n).
 
         A fast rule decodes each block coordinate-major, on its transpose;
-        any other basis is enumerated, as in `nearest_enumerated`.
+        any other basis is enumerated (`_decoder`).
         """
-        return self._closest(points, False)
-
-    def nearest_enumerated(self, points):
-        """Exact closest lattice points by enumeration, for any basis (`_decoder`)."""
-        return self._closest(points, True)
-
-    def _closest(self, points, enumerated):
         pts = self._queries(points)
         out = np.empty_like(pts)
-
-        def take(rows, x, f):
-            out[rows] = f.T
-
-        self._each_block(len(pts), lambda start, rows: pts[start : start + rows], take, enumerated)
+        self._each_block(len(pts), lambda start, rows: pts[start : start + rows],
+                         lambda rows, x, f: np.copyto(out[rows].T, f))
         return out
+
+    def nearest_enumerated(self, points):
+        """Exact closest lattice points by enumeration: `nearest` without the fast rule."""
+        return Lattice(self.name, self.basis).nearest(points)
 
     def reduce(self, points):
         """Reduce points modulo the lattice into the Voronoi region."""
         pts = self._queries(points)
-        return self._reduce_into(pts, np.empty_like(pts))
+        out = np.empty_like(pts)
+        self._each_block(len(pts), lambda start, rows: pts[start : start + rows],
+                         lambda rows, x, f: np.subtract(x, f, out=out[rows].T))
+        return out
 
     def sample_voronoi(self, count, rng):
         """Exact uniform samples over the Voronoi region of the origin.
 
         Uniform over a fundamental parallelepiped, reduced modulo the lattice
-        in place; the reduction is measure-preserving, so the result is
+        (`reduce`); the reduction is measure-preserving, so the result is
         exactly uniform over the Voronoi region.
         """
-        u = rng.random((count, self.n)) @ self.basis
-        return self._reduce_into(u, u)
-
-    def _reduce_into(self, pts, out):
-        # Each row of pts minus its closest point, into out, which may be pts.
-        self._each_block(len(pts), lambda start, rows: pts[start : start + rows],
-                         lambda rows, x, f: np.subtract(x, f, out=out[rows].T))
-        return out
+        return self.reduce(rng.random((count, self.n)) @ self.basis)
 
     def residual_norms2(self, points):
         """Squared norm of each query's residual modulo the lattice, and
@@ -512,7 +499,7 @@ class Lattice:
         self._each_block(count, block_at, take)
         return norms2
 
-    def _each_block(self, count, block_at, take, enumerated=False):
+    def _each_block(self, count, block_at, take):
         """Decode `count` queries CVP_ROWS at a time.
 
         block_at(start, rows) gives queries start .. start + rows - 1, and
@@ -520,20 +507,21 @@ class Lattice:
         `_decoder` before the next block is asked for: beyond the caller's
         output, memory is a few (CVP_ROWS, n) blocks whatever the batch.
         """
-        decode = self._decoder(min(count, CVP_ROWS), enumerated)
+        decode = self._decoder(min(count, CVP_ROWS))
         # Sums overflow near 1e308 with the points still right (`_decode_dn`);
         # one errstate a call, as entering one costs about 2 us.
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, count, CVP_ROWS):
                 block = block_at(start, min(CVP_ROWS, count - start))
-                _require_finite(block)
+                if not np.isfinite(block).all():
+                    raise ValueError("closest-point queries must be finite")
                 take(slice(start, start + len(block)), *decode(block))
 
-    def _decoder(self, cols, enumerated):
+    def _decoder(self, cols):
         """decode(block) -> (x, f) for blocks of at most `cols` query rows.
 
         x is the block and f its closest lattice points, both coordinate-major
-        (n, rows).  The fast rule of `decoder`, if any and not `enumerated`,
+        (n, rows).  The lattice's own `decoder` picks the rule.  A fast rule
         decodes into blocks allocated here, once: every call reuses them, so
         x and f hold only until the next call.  Each is a flat buffer, so that
         a short last block views it as a contiguous array too.  Otherwise each
@@ -541,7 +529,7 @@ class Lattice:
         basis; the answers map back to integer coordinates in the given basis,
         and f is those coordinates times `basis`.
         """
-        if enumerated or self.decoder not in _FAST_DECODERS:
+        if self.decoder not in _FAST_DECODERS:
             unimodular, q, r = _cvp_frame(self.basis.tobytes(), self.n)
             return lambda block: (
                 block.T, ((_closest_coords(r, block @ q) @ unimodular) @ self.basis).T)

@@ -33,10 +33,9 @@ from .regions import _root_of_exp, f_bnd
 
 def l_circ_star(r, k_alpha, spec: ChannelSpec):
     """Stationary l of the union bound, independent of d."""
-    snr = spec.snr
-    return (1.0 + math.sqrt(1.0 + 4.0 * k_alpha ** 2 * r * r * snr * snr)) / (
-        2.0 * k_alpha * snr
-    )
+    # hypot(1, 2 K SNR r) is sqrt(1 + 4 K^2 r^2 SNR^2), whose K^2 underflows.
+    ks = k_alpha * spec.snr
+    return (1.0 + math.hypot(1.0, 2.0 * ks * r)) / (2.0 * ks)
 
 
 UNCONSTRAINED = "unconstrained"

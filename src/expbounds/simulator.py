@@ -88,7 +88,7 @@ import numpy as np
 from scipy import special
 
 from .channel import ChannelSpec
-from .lattices import MEMORY_BUDGET_BYTES, Lattice, _row_sum, lattice_figures, voronoi_shell
+from .lattices import MEMORY_BUDGET_BYTES, Lattice, _row_sum, voronoi_shell
 
 BLOCK = 4096
 MAX_CODEBOOK = 65536
@@ -527,8 +527,8 @@ def _skip_uniforms(rng, size):
 
 @functools.lru_cache(maxsize=16)
 def _mc_second_moment(basis_bytes, n):
-    basis = np.frombuffer(basis_bytes).reshape(n, n)
-    return lattice_figures(Lattice("", basis), samples=200_000, seed=0).second_moment
+    lattice = Lattice("", np.frombuffer(basis_bytes).reshape(n, n))
+    return float(lattice.voronoi_norms2(200_000, np.random.default_rng(0)).mean() / n)
 
 
 def normalized_lattice(lattice):

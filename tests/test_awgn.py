@@ -360,7 +360,7 @@ def test_sphere_packing_and_rho_g_match_mpmath_to_the_floor(snr):
     # Rates from R/C = 1e-300 to the float below C, through r_x, R_crit and
     # rate_ii and their neighbouring floats (`cone_exit_mpmath`).
     spec = ChannelSpec(snr)
-    for _, rate, e_sp, rho in (row for row in CONE_EXIT if row[0] == snr):
+    for _, rate, e_sp, rho, _ in (row for row in CONE_EXIT if row[0] == snr):
         bound = 8.0 * _floor(rate, spec)
         assert _rel_error(awgn.sphere_packing_exponent(rate, spec), e_sp) <= bound, rate
         assert _rel_error(awgn.rho_g(rate, spec), rho) <= bound, rate

@@ -7,11 +7,14 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
+from decimal import Decimal
 
 import pytest
+from cone_exit_mpmath import CONE_EXIT
 
 from expbounds.channel import ChannelSpec, bits_to_nats, db_to_linear, nats_to_bits
 from expbounds import awgn, cli, modlam, regions, simulator
@@ -171,6 +174,30 @@ def test_exponents_and_geometry_at_capacity(capsys):
         code, out, err = _run(capsys, "geometry", "--snr-db", repr(snr_db), "--rate-nats", repr(c))
         assert code == 0, err
         json.loads(out)
+
+
+@pytest.mark.parametrize("snr", sorted({row[0] for row in CONE_EXIT}))
+def test_geometry_beta_star_matches_mpmath_to_the_floor(capsys, snr):
+    # beta* from E_sp's kernel at R itself, on the rows of `cone_exit_mpmath`:
+    # R/C from 1e-300 to the float below C, through r_x, R_crit and rate_ii.
+    spec = ChannelSpec(snr)
+    c = spec.capacity_nats
+    for _, rate, _, _, beta in (row for row in CONE_EXIT if row[0] == snr):
+        code, out, err = _run(capsys, "geometry", "--snr", repr(snr), "--rate-nats", repr(rate))
+        assert code == 0, (rate, err)
+        got = json.loads(out)["beta_star"]
+        error = abs(Decimal(got) - Decimal(beta)) / abs(Decimal(beta))
+        assert error <= 8.0 * (2.0 * math.ulp(c) / (c - rate) + 1e-16), (rate, got, beta)
+
+
+@pytest.mark.parametrize("snr_db", [-40.0, -20.0, 10.0, 50.0])
+def test_geometry_beta_star_is_zero_at_capacity(capsys, snr_db):
+    # k = expm1(2(C - R))/SNR is 0 at R = C, and 0.0 prints unsigned.
+    c = ChannelSpec(db_to_linear(snr_db)).capacity_nats
+    code, out, err = _run(capsys, "geometry", "--snr-db", repr(snr_db), "--rate-nats", repr(c))
+    assert code == 0, err
+    assert '"beta_star": 0.0,' in out
+    assert '"beta_star": -0.0' not in out
 
 
 def test_geometry_runs_each_k_zeta_bisection_once(capsys, monkeypatch):
@@ -549,6 +576,55 @@ def test_every_library_function_has_a_caller():
         if fn not in used | exported | _NO_CALLER_NEEDED and not fn.startswith("cmd_")
     )
     assert not orphans, orphans
+
+
+# Methods and properties read nowhere in `src/`, each with its reason.
+_METHODS_WITHOUT_CALLER = {
+    # The tests' oracle of the fast rules; perfbench's tracer wraps it by name.
+    "Lattice.nearest_enumerated",
+}
+
+
+def test_every_library_method_has_a_caller():
+    # The same rule for classes: each method or property of a class of the
+    # package, dunders aside, is read as an attribute somewhere in `src/`
+    # outside its own body, or is on the list above.
+    defined, reads = {}, {}
+    for path in sorted(glob.glob(os.path.join(_SRC, "expbounds", "*.py"))):
+        name = os.path.basename(path)
+        with open(path) as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                reads[node.attr] = reads.get(node.attr, 0) + 1
+        for cls in (top for top in tree.body if isinstance(top, ast.ClassDef)):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__"):
+                    own = sum(isinstance(n, ast.Attribute) and n.attr == fn.name for n in ast.walk(fn))
+                    defined["%s.%s" % (cls.name, fn.name)] = (fn.name, own)
+    assert "Lattice.reduce" in defined
+    orphans = sorted(
+        where for where, (fn, own) in defined.items()
+        if reads.get(fn, 0) == own and where not in _METHODS_WITHOUT_CALLER
+    )
+    assert not orphans, orphans
+    assert _METHODS_WITHOUT_CALLER <= set(defined)
+
+
+def test_every_export_is_documented():
+    # What `expbounds` exports, eagerly or on first use, README names.
+    import expbounds
+
+    with open(os.path.join(_SRC, os.pardir, "README.md")) as f:
+        readme = f.read()
+    exported = [
+        name for name, obj in vars(expbounds).items()
+        if not name.startswith("_") and getattr(obj, "__module__", "").startswith("expbounds.")
+    ]
+    exported += list(expbounds._LAZY)
+    assert len(exported) > 30
+    missing = [name for name in exported if not re.search(r"`%s\b" % re.escape(name), readme)]
+    assert not missing, missing
 
 
 def test_closed_form_requests_load_no_numpy():

@@ -258,8 +258,17 @@ def _sweep_outcomes():
 # 7.1e-8 -> 5.1e-16, l_star 7.1e-8 -> 3.8e-16, k_alpha_star, alpha_awgn,
 # alpha_lambda and alpha_awgn_r 7.1e-8 -> 2.0e-16; the 50 requests that
 # moved to exit 0 are within 5.5e-14 (theta above SNR 1e5) and 2.3e-16
-# (every other field).
-FROZEN_SWEEP_SHA256 = "0a6bf8fdf084ba398ac606b7778c522fa32d250247ce7b0377d2d227109166e8"
+# (every other field).  geometry's beta_star from E_sp's kernel at R (not
+# through theta) and l_star's unconstrained form through hypot moved 118
+# `geometry` requests and only those two fields: no exit code (still
+# {0: 459, 2: 141}), stderr or `exponents` output.  Relative to 700-digit
+# mpmath on the same float inputs, the worst moved beta_star below C went
+# 8.8e-9 -> 6.2e-15 in SNR 1e-4...1e5 (3.4e6 -> 0.05 times
+# 8 (2 ulp(C)/(C - R) + 1e-16)) and 1 -> 1.1e-16 outside it (0.0 where
+# -4.1e-108 is right, at SNR 9.5e278), and l_star
+# (18 moved) 2.3e-16 -> 1.6e-16.  At R = C, 22 beta_star fields that read
+# up to 7.1e-8 in magnitude now read 0.0.
+FROZEN_SWEEP_SHA256 = "b01b427a0ee29b904adb09da82a1fb78e83d03d900444c1b166d2cebfe4c4543"
 
 
 def test_closed_form_sweep_frozen():

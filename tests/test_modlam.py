@@ -88,6 +88,17 @@ def test_maximizers_unconstrained():
     assert abs(d_star - math.sqrt(2.0) * radius) < 1e-14
 
 
+@pytest.mark.parametrize("k_alpha, snr", [(1e-200, 1e200), (1e-100, 1e100), (1e-300, 1e300)])
+def test_unconstrained_l_star_at_tiny_k_alpha(k_alpha, snr):
+    # K_alpha SNR = 1 and r = 1/2 give l* = (1 + sqrt 2)/2 at any scale;
+    # 4 K_alpha^2 r^2 SNR^2, formed left to right, underflowed to 0 below
+    # K_alpha ~ 1e-154 and gave 1.
+    l_star, _, regime = modlam.maximizers_lattice(0.5, k_alpha, ChannelSpec(snr))
+    assert regime == modlam.UNCONSTRAINED
+    want = (1.0 + math.sqrt(2.0)) / 2.0
+    assert abs(l_star - want) <= 1e-15 * want
+
+
 def test_triple_min_equals_sphere_packing():
     for r in (0.95, 1.1):
         k_a = _event_k_alpha(math.exp(-r), r, SNR10)

@@ -12,7 +12,9 @@ from scipy import special, stats
 
 from expbounds.channel import ChannelSpec
 from expbounds import awgn, regions, simulator as sim
-from expbounds.lattices import Lattice, d4, e8, integer_lattice, load_basis, voronoi_shell
+from expbounds.lattices import (
+    Lattice, d4, e8, integer_lattice, lattice_figures, load_basis, voronoi_shell,
+)
 
 SNR2 = ChannelSpec(2.0)
 SNR10 = ChannelSpec(10.0)
@@ -504,6 +506,19 @@ def _iid_rival_errors(config, seed, rows=sim.BLOCK):
 def _assert_ci_overlap(res, errors, trials=None):
     lo, hi = sim.clopper_pearson(errors, trials or res.trials)
     assert res.ci95[0] <= hi and lo <= res.ci95[1], (res.ci95, (lo, hi))
+
+
+def test_normalized_lattice_without_shell_keeps_the_figures_second_moment():
+    # A basis without shell data is normalized by the Monte Carlo second
+    # moment of `lattice_figures` at its 200 000 samples and seed 0, bit for bit.
+    basis = np.random.default_rng(31).normal(size=(5, 5))
+    lattice = Lattice("rand5", basis)
+    assert voronoi_shell(lattice) is None
+    got = sim.normalized_lattice(lattice)
+    sigma2 = lattice_figures(Lattice("", basis), samples=200_000, seed=0).second_moment
+    want = lattice.rescaled(1.0 / math.sqrt(sigma2))
+    assert (got.name, got.decoder, got.scale) == (want.name, want.decoder, want.scale)
+    assert got.basis.tobytes() == want.basis.tobytes()
 
 
 @pytest.mark.parametrize("lattice", [integer_lattice(4), integer_lattice(8), d4(), e8()])
