@@ -157,10 +157,13 @@ def cmd_geometry(args):
     r = _rate_nats(args, spec)
     # d_crit can raise, so all three are read before either range check.
     r_crit, r_x, d_crit = spec.r_crit, spec.r_x, spec.d_crit
+    # Each range breaks only where a float does, below the SNR its message names.
     if not 0.0 < r_x < r_crit < spec.capacity_nats:
-        raise ValueError("expected 0 < r_x < r_crit < c")
+        raise ValueError("expected 0 < r_x < r_crit < c: r_x, about SNR^2/32, underflows to 0 "
+                         "below SNR ~ 1e-161, a float limit")
     if not 0.0 < d_crit < math.sqrt(2.0):
-        raise ValueError("d_crit out of range (0, sqrt(2))")
+        raise ValueError("d_crit out of range (0, sqrt(2)): it rounds to sqrt(2) "
+                         "below SNR ~ 4.5e-16, a float limit")
     e_awgn = awgn.awgn_exponent(r, spec)
     e_lam = modlam.modlambda_exponent(r, spec)
     theta, d_min, floor_lam = awgn.theta_of_rate(r), awgn.min_distance(r), math.exp(-r)

@@ -1,11 +1,12 @@
 """Small lattices: exact nearest-point decoding, Voronoi sampling, figures of merit.
 
 Every query runs CVP_ROWS rows at a time through one loop,
-`Lattice._each_block`, and one decoder interface, `Lattice._decoder`: each
-block is checked to be finite and decoded coordinate-major, and the caller
-keeps what it reads of the block and its closest points (the points, the
-residuals or their squared norms), so memory beyond the output is a few
-(CVP_ROWS, n) arrays whatever the batch.  Fast exact decoders are provided
+`Lattice._each_block`, which checks each block to be finite and hands it
+to one per-block function: the decoder interface, `Lattice._decoder`,
+which decodes it coordinate-major, or the squared distances of
+`Lattice._norms2`.  The caller keeps what it reads of the result (the
+points, the residuals or their squared norms), so memory beyond the
+output is a few (CVP_ROWS, n) arrays whatever the batch.  Fast exact decoders are provided
 for Z^n, D4, and E8 (the classic rounding rules), run without masks on each
 transposed block, into a few blocks allocated once per call: on a 2-vCPU
 Xeon D4 costs about 0.04 us a point and E8 0.14 us on uniform queries.
@@ -16,18 +17,22 @@ a = |t - round(t)|, and only the closer coset's point is built, with one
 parity step.  A query within 0.49 of its D8 point is certified
 (`_E8_CERTIFIED`).  The two-coset rule itself (`_two_coset_rule`) runs only
 on queries within a margin of a tie or of a rounding edge, gathered, and on
-blocks with |t| >= 2^49 (`_E8_EXACT`); 200 000 uniform samples and a
+blocks with |t| >= 2^49 (`_EXACT_SUMS`); 200 000 uniform samples and a
 20 000-trial SNR-4 run hold none.  At SNR 4 (the simulator's noise) E8
 costs 0.10 us a point.
 
-Where only squared norms are read, the residuals are squared and summed
-coordinate-major (`_row_sum`, numpy's order) and only the norms are kept:
-`Lattice.residual_norms2` for given queries (the simulator's sent coset),
-also telling whether each closest point is other than the origin, and
-`Lattice.voronoi_norms2` for Voronoi samples it draws a block at a time
+Where only squared norms are read, only the norms are kept.
+`Lattice.residual_norms2`, for given queries (the simulator's sent coset),
+squares and sums the residuals coordinate-major (`_row_sum`, numpy's
+order), and also tells whether each closest point is other than the
+origin; at SNR 4 that costs E8 0.10 us a point and D4 0.03 us.
+`Lattice.voronoi_norms2`, for Voronoi samples it draws a block at a time
 (`lattice_figures`, the simulator's rivals and its Monte Carlo second
-moment).  At SNR 4 that costs E8 0.10 us a point and D4 0.03 us.
-`Lattice.reduce` keeps the residuals themselves (`sample_voronoi`).
+moment), builds no closest point on Z^n, D4 and E8: each sample's squared
+distance is a closed form of one rounding (`_zn_norms2`, `_dn_norms2`,
+`_e8_norms2`), within a few ulps of the residual's norm, so 200 000 E8
+samples take about 15 ms against 30 ms decoded.  `Lattice.reduce` keeps
+the residuals themselves (`sample_voronoi`).
 
 Any other basis, and `Lattice.nearest_enumerated` (a copy of the lattice
 without its fast rule), goes through batched exact enumeration: the basis
@@ -167,7 +172,8 @@ def _decode_dn(t, f, err, mag, first):
 #   d0 = sum a^2 + odd0 (1 - 2 max a),
 #   d1 = sum a^2 + (n/4 - sum a) + odd1 2 min a,
 # where odd0 and odd1 are the parities of sum round(t) and sum floor(t),
-# integer sums that are exact in any order while |t| < 2^49 (`_E8_EXACT`):
+# integer sums that are exact in any order while |t| < 2^49 (`_EXACT_SUMS`;
+# n <= 16 such coordinates sum below 2^53):
 # D8 + 1/2's point is floor(t) + 1/2 with, where odd1, its coordinate
 # nearest an integer moved one step.  Every point of D8 + 1/2 is at squared
 # distance at least 2 from every point of D8 (SPLAG ch. 4), so where
@@ -175,7 +181,7 @@ def _decode_dn(t, f, err, mag, first):
 # (sqrt 2 - sqrt 1/2)^2 = 1/2 away.  0.49 leaves room for the rounding of
 # the sums (`_E8_CERTIFIED`).
 _E8_CERTIFIED = 0.49
-_E8_EXACT = 2.0 ** 49
+_EXACT_SUMS = 2.0 ** 49
 
 
 def _decode_e8(t, y, y1, t1, err, mag, first):
@@ -190,7 +196,7 @@ def _decode_e8(t, y, y1, t1, err, mag, first):
     """
     n, cols = t.shape
     big = max(t.max(), -t.min())
-    if big >= _E8_EXACT:
+    if big >= _EXACT_SUMS:
         _decode_dn(t, y, err, mag, first)
         return _two_coset_rule(t, y, np.arange(cols), y1, t1, err, mag, first)
     ones = np.ones(n)
@@ -257,17 +263,54 @@ def _two_coset_rule(t, y, at, *scratch):
     return y
 
 
+# Squared distances to the lattice, read off one rounding of t and summed
+# in numpy's row order (`_row_sum`), with a = |t - round(t)| a coordinate
+# (Conway & Sloane, SPLAG ch. 20): Z^n is at sum a^2, D_n at
+# sum a^2 + odd0 (1 - 2 max a), and E8 at the smaller of D8's and
+# sum (1/2 - a)^2 + odd1 2 min a (the forms of `_decode_e8`, with D8 + 1/2's
+# sum taken whole, as sum a^2 - sum a + n/4 cancels).  No point is built.
+# `f`, `err` and `mag` are scratch blocks of t's shape; the parities are
+# exact while |t| < 2^49 (`_EXACT_SUMS`).
+
+
+def _zn_norms2(t, f, err, mag):
+    _round_dn(t, f, err, mag)
+    return _row_sum(np.square(mag, out=err))
+
+
+def _dn_norms2(t, f, err, mag):
+    d = _zn_norms2(t, f, err, mag)
+    d += _odd(np.ones(len(t)) @ f) * (1.0 - 2.0 * mag.max(axis=0))
+    return d
+
+
+def _e8_norms2(t, f, err, mag):
+    d0 = _dn_norms2(t, f, err, mag)
+    d1 = _row_sum(np.square(np.subtract(0.5, mag, out=err), out=err))
+    d1 += _odd(np.ones(len(t)) @ np.floor(t, out=f)) * (2.0 * mag.min(axis=0))
+    return np.minimum(d0, d1, out=d0)
+
+
 # Each fast decoder's rule, the dtypes of the scratch blocks it takes after
-# t, and its unit-scale Voronoi data at dimension n (`voronoi_shell`).  Z^n
-# rounds t in place.
+# t, its squared distances (above), and its unit-scale Voronoi data at
+# dimension n (`voronoi_shell`).  Z^n rounds t in place.
 _DN_SCRATCH = (float, float, float, np.int8)
 _FAST_DECODERS = {
-    "Zn": (lambda t: _round_half_away(t, t), (),
+    "Zn": (lambda t: _round_half_away(t, t), (), _zn_norms2,
            lambda n: (1.0, 1.0 / 12.0, 1.0, 2 * n, 0.5 if n > 1 else math.inf)),
-    "D4": (_decode_dn, _DN_SCRATCH, lambda n: (2.0, 13.0 / 120.0, 2.0, 24, 2.0 / 3.0)),
-    "E8": (_decode_e8, (float, float) + _DN_SCRATCH,
+    "D4": (_decode_dn, _DN_SCRATCH, _dn_norms2,
+           lambda n: (2.0, 13.0 / 120.0, 2.0, 24, 2.0 / 3.0)),
+    "E8": (_decode_e8, (float, float) + _DN_SCRATCH, _e8_norms2,
            lambda n: (1.0, 929.0 / 12960.0, 2.0, 240, 2.0 / 3.0)),
 }
+
+
+def _workspace(n, cols, dtypes):
+    """views(rows) -> one (n, rows) block a dtype, allocated here once: every
+    call views the same flat buffers, so a short last block is a contiguous
+    array too, and each view holds only until the next call."""
+    work = [np.empty(n * cols, dtype) for dtype in dtypes]
+    return lambda rows: [b[: n * rows].reshape(n, rows) for b in work]
 
 
 def _residual_norms2(x, f):
@@ -432,7 +475,7 @@ class Lattice:
         """
         pts = self._queries(points)
         out = np.empty_like(pts)
-        self._each_block(len(pts), lambda start, rows: pts[start : start + rows],
+        self._each_block(len(pts), lambda start, rows: pts[start : start + rows], self._decoder,
                          lambda rows, x, f: np.copyto(out[rows].T, f))
         return out
 
@@ -444,7 +487,7 @@ class Lattice:
         """Reduce points modulo the lattice into the Voronoi region."""
         pts = self._queries(points)
         out = np.empty_like(pts)
-        self._each_block(len(pts), lambda start, rows: pts[start : start + rows],
+        self._each_block(len(pts), lambda start, rows: pts[start : start + rows], self._decoder,
                          lambda rows, x, f: np.subtract(x, f, out=out[rows].T))
         return out
 
@@ -473,14 +516,19 @@ class Lattice:
             np.any(f, axis=0, out=outside[rows])
             norms2[rows] = _residual_norms2(x, f)
 
-        self._each_block(len(pts), lambda start, rows: pts[start : start + rows], take)
+        self._each_block(len(pts), lambda start, rows: pts[start : start + rows], self._decoder,
+                         take)
         return norms2, outside
 
     def voronoi_norms2(self, count, rng):
-        """Squared norms of `sample_voronoi(count, rng)`, bit for bit, without the samples.
+        """Squared norms of `sample_voronoi(count, rng)`, without the samples.
 
-        The samples are drawn from the same stream CVP_ROWS at a time, and
-        each block is reduced and squared before the next is drawn.
+        The parallelepiped points are drawn from the same stream CVP_ROWS at
+        a time, and each block is done before the next is drawn.  A fast
+        rule reads each point's squared distance to the lattice off one
+        rounding (`_norms2`) and builds no closest point: within a few ulps
+        of the samples' norms (`tests/test_lattices.py` states the bound).
+        Any other basis gives the samples' norms bit for bit.
         """
         draw, u = np.empty((2, min(count, CVP_ROWS), self.n))
         norms2 = np.empty(count)
@@ -493,21 +541,23 @@ class Lattice:
             k = max(rows, min(2, len(draw)))
             return np.matmul(draw[:k], self.basis, out=u[:k])[:rows]
 
-        def take(rows, x, f):
-            norms2[rows] = _residual_norms2(x, f)
+        def take(rows, d):
+            norms2[rows] = d
 
-        self._each_block(count, block_at, take)
+        self._each_block(count, block_at, self._norms2, take)
         return norms2
 
-    def _each_block(self, count, block_at, take):
-        """Decode `count` queries CVP_ROWS at a time.
+    def _each_block(self, count, block_at, make, take):
+        """Run `count` queries CVP_ROWS at a time.
 
-        block_at(start, rows) gives queries start .. start + rows - 1, and
-        take(slice, x, f) receives them and their closest points from
-        `_decoder` before the next block is asked for: beyond the caller's
-        output, memory is a few (CVP_ROWS, n) blocks whatever the batch.
+        make(cols) gives the per-block function run(block) for blocks of at
+        most cols query rows (`_decoder`, `_norms2`).  block_at(start, rows)
+        gives queries start .. start + rows - 1, and take(slice, *run(block))
+        receives what run makes of them before the next block is asked for:
+        beyond the caller's output, memory is a few (CVP_ROWS, n) blocks
+        whatever the batch.
         """
-        decode = self._decoder(min(count, CVP_ROWS))
+        run = make(min(count, CVP_ROWS))
         # Sums overflow near 1e308 with the points still right (`_decode_dn`);
         # one errstate a call, as entering one costs about 2 us.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -515,36 +565,62 @@ class Lattice:
                 block = block_at(start, min(CVP_ROWS, count - start))
                 if not np.isfinite(block).all():
                     raise ValueError("closest-point queries must be finite")
-                take(slice(start, start + len(block)), *decode(block))
+                take(slice(start, start + len(block)), *run(block))
 
     def _decoder(self, cols):
         """decode(block) -> (x, f) for blocks of at most `cols` query rows.
 
         x is the block and f its closest lattice points, both coordinate-major
         (n, rows).  The lattice's own `decoder` picks the rule.  A fast rule
-        decodes into blocks allocated here, once: every call reuses them, so
-        x and f hold only until the next call.  Each is a flat buffer, so that
-        a short last block views it as a contiguous array too.  Otherwise each
-        block goes through `_closest_coords` in the frame of the LLL-reduced
-        basis; the answers map back to integer coordinates in the given basis,
-        and f is those coordinates times `basis`.
+        decodes into blocks allocated here, once (`_workspace`), so x and f
+        hold only until the next call.  Otherwise each block goes through
+        `_closest_coords` in the frame of the LLL-reduced basis; the answers
+        map back to integer coordinates in the given basis, and f is those
+        coordinates times `basis`.
         """
         if self.decoder not in _FAST_DECODERS:
             unimodular, q, r = _cvp_frame(self.basis.tobytes(), self.n)
             return lambda block: (
                 block.T, ((_closest_coords(r, block @ q) @ unimodular) @ self.basis).T)
-        rule, scratch, _ = _FAST_DECODERS[self.decoder]
-        n, scale = self.n, self.scale
-        work = [np.empty(n * cols, dtype) for dtype in (float, float) + scratch]
+        rule, scratch, *_ = _FAST_DECODERS[self.decoder]
+        scale = self.scale
+        views = _workspace(self.n, cols, (float, float) + scratch)
 
         def decode(block):
-            x, t, *w = (b[: block.size].reshape(n, len(block)) for b in work)
+            x, t, *w = views(len(block))
             np.copyto(x, block.T)
             f = rule(np.divide(x, scale, out=t), *w)
             f *= scale
             return x, f
 
         return decode
+
+    def _norms2(self, cols):
+        """norms2(block) -> (d,), d the squared distance of each of the block's
+        query rows to the lattice, for blocks of at most `cols` rows.
+
+        A fast rule reads d off one rounding of t = x / scale, c^2 times its
+        closed form; a block with |t| >= 2^49, where the parity sums may not
+        be exact (`_EXACT_SUMS`), and any other basis are decoded, and d is the
+        squared norm of each residual.
+        """
+        if self.decoder not in _FAST_DECODERS:
+            decode = self._decoder(cols)
+            return lambda block: (_residual_norms2(*decode(block)),)
+        form = _FAST_DECODERS[self.decoder][2]
+        scale = self.scale
+        views = _workspace(self.n, cols, (float,) * 4)
+
+        def norms2(block):
+            t, *w = views(len(block))
+            np.divide(block.T, scale, out=t)
+            if max(t.max(), -t.min()) >= _EXACT_SUMS:
+                return (_residual_norms2(*self._decoder(len(block))(block)),)
+            d = form(t, *w)
+            d *= scale * scale
+            return (d,)
+
+        return norms2
 
     def _queries(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -631,8 +707,10 @@ def load_basis(path):
     it gets the fast decoder and shell data of Z^n, D4 or E8 when its rows
     span that lattice's point set at unit scale (`_spans`, exact, no
     tolerance), and enumeration otherwise.  The benchmark's non-standard D4
-    file thus takes 2.3 ms a 20 000-sample `lattice` request, with the bits
-    that enumeration gives (2-vCPU Xeon).
+    file thus takes 2.3 ms a 20 000-sample `lattice` request (2-vCPU Xeon).
+    Its samples are enumeration's bit for bit; its figures read D4's closed
+    forms (`Lattice.voronoi_norms2`), so those made of squared norms may
+    differ from enumeration's by an ulp or two.
     """
     with open(path) as fh:
         tokens = fh.read().split()
@@ -742,11 +820,11 @@ class LatticeFigures:
 # Reduced points probed for the deep-hole estimate of `lattice_figures`.
 _DEEP_HOLE_PROBES = 2_000
 # The working set of `lattice_figures` beyond its 8 bytes a sample, in
-# (CVP_ROWS, n) blocks: the draw, the query and the decoder's state.  The
-# traced peaks are about 4.5 blocks for Z^8, 8.2 for D4 and 10.0 for E8;
-# enumeration takes 11.7 on a D4 basis in a non-standard form and 18.2 at
-# n = 1, where its (rows,) bookkeeping is as large as a block
-# (`tests/test_lattices.py`).
+# (CVP_ROWS, n) blocks: the draw, the query and the closed forms' or the
+# decoder's state.  The traced peaks are about 6.5 blocks for Z^8, 7.1 for
+# D4 and 6.7 for E8; enumeration takes 11.7 on a D4 basis in a non-standard
+# form and 18.2 at n = 1, where its (rows,) bookkeeping is as large as a
+# block (`tests/test_lattices.py`).
 _FIGURES_BLOCKS = 20
 
 
@@ -757,7 +835,8 @@ def lattice_figures(lattice, samples=200_000, seed=0):
     error.  r_cov is the guaranteed nearest-plane upper bound; the probing
     value (max distance over random reduced points, a lower estimate of the
     covering radius) is reported alongside.  Only the samples' squared norms
-    are kept (`Lattice.voronoi_norms2`).
+    are kept, read off one rounding on Z^n, D4 and E8
+    (`Lattice.voronoi_norms2`).
     """
     if samples < 2:
         raise ValueError("samples must be >= 2 for a second moment and its stderr")

@@ -299,6 +299,14 @@ def test_geometry_at_a_tiny_rate(capsys):
     assert abs(rpt["E_sp"] - 5.0) < 1e-7
 
 
+R_X_UNDERFLOWS = ("expected 0 < r_x < r_crit < c: r_x, about SNR^2/32, underflows to 0 "
+                  "below SNR ~ 1e-161, a float limit")
+D_CRIT_ROUNDS = ("d_crit out of range (0, sqrt(2)): it rounds to sqrt(2) below SNR ~ 4.5e-16, "
+                 "a float limit")
+# Each refusal's message by its leading clause.
+REFUSALS = {message.split(":")[0]: message for message in (R_X_UNDERFLOWS, D_CRIT_ROUNDS)}
+
+
 @pytest.mark.parametrize(
     "snr, code, message",
     [
@@ -322,7 +330,28 @@ def test_geometry_domain_checks_at_extreme_snr(capsys, snr, code, message):
         assert (got, err) == (0, "")
         assert all(math.isfinite(v) for v in json.loads(out).values() if isinstance(v, float))
     else:
-        assert (got, out, err) == (code, "", "error: %s\n" % message)
+        assert (got, out, err) == (code, "", "error: %s\n" % REFUSALS[message])
+
+
+@pytest.mark.parametrize(
+    "snr, message",
+    [(9.9e-162, R_X_UNDERFLOWS), (1e-200, R_X_UNDERFLOWS), (1.0e-161, D_CRIT_ROUNDS),
+     (4.4e-16, D_CRIT_ROUNDS), (4.5e-16, None)],
+    ids=["r_x-9.9e-162", "r_x-1e-200", "d_crit-1.0e-161", "d_crit-4.4e-16", "none-4.5e-16"],
+)
+def test_geometry_refusals_name_their_float_limit(capsys, snr, message):
+    # Each message names the SNR below which a float breaks its range, and
+    # that SNR is where it breaks: r_x underflows to 0 between 9.9e-162 and
+    # 1.0e-161, where d_crit is already sqrt(2), and d_crit leaves sqrt(2)
+    # between 4.4e-16 and 4.5e-16.
+    spec = ChannelSpec(snr)
+    assert (spec.r_x == 0.0) == (message == R_X_UNDERFLOWS)
+    assert (spec.d_crit == math.sqrt(2.0)) == (message is not None)
+    got, out, err = _run(capsys, "geometry", "--snr", repr(snr), "--rate-nats", repr(0.5 * spec.capacity_nats))
+    if message is None:
+        assert (got, err) == (0, "")
+    else:
+        assert (got, out, err) == (2, "", "error: %s\n" % message)
 
 
 def test_geometry_requires_rate(capsys):

@@ -169,13 +169,25 @@ def test_empirical_spectrum_frozen():
 # theta_awgn and theta_lambda 5.0e-12 -> 7.7e-17, r_lambda_alpha
 # 4.5e-12 -> 1.4e-16, d_lambda_star 4.5e-12 -> 3.8e-17, l_star
 # 1.6e-12 -> 1.1e-17, and k_alpha_star 1.7e-17 -> 1.4e-16 (an ulp, from
-# 1/((1 - d^2/4) SNR) in place of (1 - alpha)/alpha).
+# 1/((1 - d^2/4) SNR) in place of (1 - alpha)/alpha).  The `lattice` pins
+# (E8 at 200 000 samples, D4 and the benchmark's D4 file, which `load_basis`
+# gives D4's rule, at 20 000; seed 3) read the fast rules' squared distances
+# from one rounding, which builds no closest point.  Against the decoded
+# residuals' norms, E8's second_moment_stderr moved by -1 ulp, D4's
+# second_moment and nsm by +2 ulps and the file's by +1 ulp; no other field
+# moved.
 FROZEN_CLI_SHA256 = {
     "exponents -40 dB": "4c459134fc37db5b53976e8edbbffea441600052d2c9c19b84ed1b3b3884f5e0",
     "exponents 10 dB": "ae6dc14339c977dec8e84b3c4398d1f6d3c256446b68fe60643ff65b6bd79e33",
     "exponents 50 dB": "8e1f8cae1be7a71c4611fbbd6a956b942e4eb37ad5e22dd15fd62597d80d4a97",
     "geometry 10 dB rate 0.7": "26bc3c8a3573fc3747a6a99edebea8206972812ce36224e8c737c7d9d69111a0",
+    "lattice e8": "e1fd3a2f1ea4bad9c855d82b6b74aaa11b95828f2c61e40f832114e62ce36528",
+    "lattice d4": "0092a2fc8056017b616c6c78cb3a4a7f8ab3463435545a1a8f8456c52bd08a16",
+    "lattice d4 file": "d0017af31794b889ad4b8bc42c4ad5cb193966d6a102519d01bb29748e3a2f93",
 }
+
+# The benchmark's D4 basis in a non-standard form (`perfbench/workloads.py`).
+D4_FILE = "4\n1 2 -1 0\n2 0 0 0\n0 1 -1 0\n1 2 0 -1\n"
 
 
 def _cli_sha256(tmp_path, argv):
@@ -195,6 +207,12 @@ def test_closed_form_outputs_frozen(tmp_path):
     got["geometry 10 dB rate 0.7"] = _cli_sha256(
         tmp_path, ["geometry", "--snr-db", "10", "--rate-nats", "0.7"]
     )
+    d4_file = os.path.join(tmp_path, "d4.lat")
+    with open(d4_file, "w") as fh:
+        fh.write(D4_FILE)
+    for label, target, trials in (("e8", "e8", 200_000), ("d4", "d4", 20_000), ("d4 file", d4_file, 20_000)):
+        got["lattice " + label] = _cli_sha256(
+            tmp_path, ["lattice", "--lattice", target, "--trials", str(trials), "--seed", "3"])
     assert got == FROZEN_CLI_SHA256
 
 
@@ -267,8 +285,11 @@ def _sweep_outcomes():
 # 8 (2 ulp(C)/(C - R) + 1e-16)) and 1 -> 1.1e-16 outside it (0.0 where
 # -4.1e-108 is right, at SNR 9.5e278), and l_star
 # (18 moved) 2.3e-16 -> 1.6e-16.  At R = C, 22 beta_star fields that read
-# up to 7.1e-8 in magnitude now read 0.0.
-FROZEN_SWEEP_SHA256 = "b01b427a0ee29b904adb09da82a1fb78e83d03d900444c1b166d2cebfe4c4543"
+# up to 7.1e-8 in magnitude now read 0.0.  `geometry`'s two refusals now
+# name their float limits (r_x underflows below SNR ~ 1e-161, d_crit rounds
+# to sqrt(2) below ~ 4.5e-16): that moved the stderr of their 32 + 32
+# requests and nothing else; the exit codes stay {0: 459, 2: 141}.
+FROZEN_SWEEP_SHA256 = "b0f60a5503978b5e82a28bc5106a73178971903c87e9f8354edab3907ba71537"
 
 
 def test_closed_form_sweep_frozen():
