@@ -216,10 +216,16 @@ def cmd_geometry(args):
 def cmd_lattice(args):
     if args.lattice is None:
         raise ValueError("--lattice NAME|FILE is required")
+    import numpy as np
+
     from . import lattices
 
     lat = _load_lattice(args.lattice)
-    figs = lattices.lattice_figures(lat, samples=args.trials, seed=args.seed)
+    # Entries near the float range overflow the figures; the check below
+    # refuses every field that is not finite, so numpy's warnings would only
+    # repeat it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        figs = lattices.lattice_figures(lat, samples=args.trials, seed=args.seed)
     report = {
         "name": lat.name,
         "n": figs.n,

@@ -1,15 +1,18 @@
 """Small lattices: exact nearest-point decoding, Voronoi sampling, figures of merit.
 
 Every query runs CVP_ROWS rows at a time through one loop,
-`Lattice._each_block`, which checks each block to be finite and hands it
-to one per-block function: the decoder interface, `Lattice._decoder`,
-which decodes it coordinate-major, or the squared distances of
-`Lattice._norms2`.  The caller keeps what it reads of the result (the
-points, the residuals or their squared norms), so memory beyond the
-output is a few (CVP_ROWS, n) arrays whatever the batch.  Fast exact decoders are provided
-for Z^n, D4, and E8 (the classic rounding rules), run without masks on each
-transposed block, into a few blocks allocated once per call: on a 2-vCPU
-Xeon D4 costs about 0.04 us a point and E8 0.14 us on uniform queries.
+`Lattice._each_block`, in one layout: each block is coordinate-major,
+(n, rows), a coordinate a row.  Row-major queries are handed over as a
+transposed view, and Voronoi draws are written that way by one gemm.  The
+loop hands each block to one per-block function, which refuses a block
+that is not finite: the decoder interface, `Lattice._decoder`, or the
+squared distances of `Lattice._norms2`.  The caller keeps what it reads of
+the result (the points, the residuals or their squared norms), so memory
+beyond the output is a few (CVP_ROWS, n) arrays whatever the batch.  Fast
+exact decoders are provided for Z^n, D4, and E8 (the classic rounding
+rules), run without masks on each block, into a few blocks allocated once
+per call: on a 2-vCPU Xeon D4 costs about 0.04 us a point and E8 0.14 us
+on uniform queries.
 
 E8 picks its coset from one rounding of each query (`_decode_e8`): the
 squared distances to its D8 and D8 + 1/2 points have closed forms in
@@ -313,6 +316,12 @@ def _workspace(n, cols, dtypes):
     return lambda rows: [b[: n * rows].reshape(n, rows) for b in work]
 
 
+def _finite(block):
+    if not np.isfinite(block).all():
+        raise ValueError("closest-point queries must be finite")
+    return block
+
+
 def _residual_norms2(x, f):
     """Squared norms of the columns of x - f, coordinate-major blocks, in
     numpy's order of a row-major `.sum(axis=1)` (`_row_sum`); f is overwritten."""
@@ -450,9 +459,18 @@ class Lattice:
             raise ValueError("dimension must be between 1 and %d" % MAX_DIMENSION)
         if not np.isfinite(b).all():
             raise ValueError("basis entries must be finite")
-        # Scale-free: |det| against Hadamard's bound, the product of the row norms.
-        if abs(np.linalg.det(b)) <= SINGULAR_RTOL * np.prod(np.linalg.norm(b, axis=1)):
+        # Scale-free: |det| against Hadamard's bound, the product of the row
+        # norms, on each row divided by its largest entry, where neither can
+        # overflow (entries near 1e308 gave inf <= inf) or underflow.
+        top = np.abs(b).max(axis=1, keepdims=True)
+        unit = b / np.where(top > 0.0, top, 1.0)
+        if abs(np.linalg.det(unit)) <= SINGULAR_RTOL * np.prod(np.linalg.norm(unit, axis=1)):
             raise ValueError("basis is singular")
+        with np.errstate(over="ignore", under="ignore"):
+            volume = abs(np.linalg.det(b))
+        if not 0.0 < volume < math.inf:
+            raise ValueError("basis volume |det| %s, past the float range"
+                             % ("overflows to inf" if volume else "underflows to 0"))
         object.__setattr__(self, "basis", b)
 
     @property
@@ -475,7 +493,7 @@ class Lattice:
         """
         pts = self._queries(points)
         out = np.empty_like(pts)
-        self._each_block(len(pts), lambda start, rows: pts[start : start + rows], self._decoder,
+        self._each_block(len(pts), lambda start, rows: pts[start : start + rows].T, self._decoder,
                          lambda rows, x, f: np.copyto(out[rows].T, f))
         return out
 
@@ -487,7 +505,7 @@ class Lattice:
         """Reduce points modulo the lattice into the Voronoi region."""
         pts = self._queries(points)
         out = np.empty_like(pts)
-        self._each_block(len(pts), lambda start, rows: pts[start : start + rows], self._decoder,
+        self._each_block(len(pts), lambda start, rows: pts[start : start + rows].T, self._decoder,
                          lambda rows, x, f: np.subtract(x, f, out=out[rows].T))
         return out
 
@@ -516,7 +534,7 @@ class Lattice:
             np.any(f, axis=0, out=outside[rows])
             norms2[rows] = _residual_norms2(x, f)
 
-        self._each_block(len(pts), lambda start, rows: pts[start : start + rows], self._decoder,
+        self._each_block(len(pts), lambda start, rows: pts[start : start + rows].T, self._decoder,
                          take)
         return norms2, outside
 
@@ -524,22 +542,29 @@ class Lattice:
         """Squared norms of `sample_voronoi(count, rng)`, without the samples.
 
         The parallelepiped points are drawn from the same stream CVP_ROWS at
-        a time, and each block is done before the next is drawn.  A fast
-        rule reads each point's squared distance to the lattice off one
-        rounding (`_norms2`) and builds no closest point: within a few ulps
-        of the samples' norms (`tests/test_lattices.py` states the bound).
-        Any other basis gives the samples' norms bit for bit.
+        a time, each block written coordinate-major by one gemm,
+        basis^T draw^T, and done before the next is drawn.  That takes BLAS
+        to give this F-ordered product the bits of `sample_voronoi`'s
+        row-major draw @ basis, as scipy-openblas does
+        (`tests/test_lattices.py` checks it by name).  A fast rule reads
+        each point's squared distance to the lattice off one rounding
+        (`_norms2`) and builds no closest point: within a few ulps of the
+        samples' norms (`tests/test_lattices.py` states the bound).  Any
+        other basis gives the samples' norms bit for bit.
         """
-        draw, u = np.empty((2, min(count, CVP_ROWS), self.n))
+        draw = np.empty((min(count, CVP_ROWS), self.n))
+        views = _workspace(self.n, len(draw), (float,))
         norms2 = np.empty(count)
 
         def block_at(start, rows):
             # A product of two rows or more rounds each row as the whole
             # batch's product in `sample_voronoi` does (BLAS gemm); a one-row
-            # product (gemv) may not, so a lone last row is taken with a second.
+            # product (gemv) may not, so a lone last row is taken with a second,
+            # and its column is copied out contiguous, as BLAS reads it.
             rng.random(out=draw[:rows])
             k = max(rows, min(2, len(draw)))
-            return np.matmul(draw[:k], self.basis, out=u[:k])[:rows]
+            x = np.matmul(self.basis.T, draw[:k].T, out=views(k)[0])
+            return np.ascontiguousarray(x[:, :rows])
 
         def take(rows, d):
             norms2[rows] = d
@@ -548,32 +573,33 @@ class Lattice:
         return norms2
 
     def _each_block(self, count, block_at, make, take):
-        """Run `count` queries CVP_ROWS at a time.
+        """Run `count` queries CVP_ROWS at a time, coordinate-major.
 
         make(cols) gives the per-block function run(block) for blocks of at
-        most cols query rows (`_decoder`, `_norms2`).  block_at(start, rows)
-        gives queries start .. start + rows - 1, and take(slice, *run(block))
-        receives what run makes of them before the next block is asked for:
-        beyond the caller's output, memory is a few (CVP_ROWS, n) blocks
-        whatever the batch.
+        most cols queries (`_decoder`, `_norms2`), which refuses a block that
+        is not finite.  block_at(start, rows) gives queries start ..
+        start + rows - 1 as one (n, rows) block, a coordinate a row: a
+        transposed view of row-major queries, or a Voronoi draw written that
+        way.  take(slice, *run(block)) receives what run makes of them before
+        the next block is asked for: beyond the caller's output, memory is a
+        few (CVP_ROWS, n) blocks whatever the batch.
         """
         run = make(min(count, CVP_ROWS))
         # Sums overflow near 1e308 with the points still right (`_decode_dn`);
         # one errstate a call, as entering one costs about 2 us.
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, count, CVP_ROWS):
-                block = block_at(start, min(CVP_ROWS, count - start))
-                if not np.isfinite(block).all():
-                    raise ValueError("closest-point queries must be finite")
-                take(slice(start, start + len(block)), *run(block))
+                rows = min(CVP_ROWS, count - start)
+                take(slice(start, start + rows), *run(block_at(start, rows)))
 
     def _decoder(self, cols):
-        """decode(block) -> (x, f) for blocks of at most `cols` query rows.
+        """decode(block) -> (x, f) for (n, rows) blocks of at most `cols` queries.
 
-        x is the block and f its closest lattice points, both coordinate-major
+        x holds the block's queries and f their closest lattice points, both
         (n, rows).  The lattice's own `decoder` picks the rule.  A fast rule
-        decodes into blocks allocated here, once (`_workspace`), so x and f
-        hold only until the next call.  Otherwise each block goes through
+        copies the block into x and decodes t = x / scale, into blocks
+        allocated here, once (`_workspace`), so x and f hold only until the
+        next call.  Otherwise x is the block itself, and its rows go through
         `_closest_coords` in the frame of the LLL-reduced basis; the answers
         map back to integer coordinates in the given basis, and f is those
         coordinates times `basis`.
@@ -581,14 +607,16 @@ class Lattice:
         if self.decoder not in _FAST_DECODERS:
             unimodular, q, r = _cvp_frame(self.basis.tobytes(), self.n)
             return lambda block: (
-                block.T, ((_closest_coords(r, block @ q) @ unimodular) @ self.basis).T)
+                block, ((_closest_coords(r, _finite(block).T @ q) @ unimodular) @ self.basis).T)
         rule, scratch, *_ = _FAST_DECODERS[self.decoder]
         scale = self.scale
         views = _workspace(self.n, cols, (float, float) + scratch)
 
         def decode(block):
-            x, t, *w = views(len(block))
-            np.copyto(x, block.T)
+            # A contiguous x: `_residual_norms2` and `reduce` then subtract
+            # f from it at half the cost of from a transposed view.
+            x, t, *w = views(block.shape[1])
+            np.copyto(x, _finite(block))
             f = rule(np.divide(x, scale, out=t), *w)
             f *= scale
             return x, f
@@ -596,27 +624,33 @@ class Lattice:
         return decode
 
     def _norms2(self, cols):
-        """norms2(block) -> (d,), d the squared distance of each of the block's
-        query rows to the lattice, for blocks of at most `cols` rows.
+        """norms2(block) -> (d,), d the squared distance of each query of an
+        (n, rows) block to the lattice, for blocks of at most `cols` queries;
+        the block is overwritten.
 
-        A fast rule reads d off one rounding of t = x / scale, c^2 times its
-        closed form; a block with |t| >= 2^49, where the parity sums may not
-        be exact (`_EXACT_SUMS`), and any other basis are decoded, and d is the
-        squared norm of each residual.
+        A fast rule divides the block by scale in place, t = x / scale, and
+        reads d off one rounding of t, c^2 times its closed form.  A block
+        with |t| >= 2^49, where the parity sums may not be exact
+        (`_EXACT_SUMS`), and any other basis are decoded, and d is the
+        squared norm of each residual.  A block that is not finite fails the
+        2^49 test too, as its |t| is inf or nan, and the decoder refuses it:
+        no other pass checks it.
         """
         if self.decoder not in _FAST_DECODERS:
             decode = self._decoder(cols)
             return lambda block: (_residual_norms2(*decode(block)),)
         form = _FAST_DECODERS[self.decoder][2]
         scale = self.scale
-        views = _workspace(self.n, cols, (float,) * 4)
+        views = _workspace(self.n, cols, (float,) * 3)
 
         def norms2(block):
-            t, *w = views(len(block))
-            np.divide(block.T, scale, out=t)
-            if max(t.max(), -t.min()) >= _EXACT_SUMS:
-                return (_residual_norms2(*self._decoder(len(block))(block)),)
-            d = form(t, *w)
+            # Division by scale > 0 is monotone, so max |x| / scale is
+            # max |t|, bit for bit, and the test needs no t.
+            if not max(block.max(), -block.min()) / scale < _EXACT_SUMS:
+                return (_residual_norms2(*self._decoder(block.shape[1])(block)),)
+            if scale != 1.0:  # x / 1 is x
+                block /= scale
+            d = form(block, *views(block.shape[1]))
             d *= scale * scale
             return (d,)
 
@@ -820,11 +854,12 @@ class LatticeFigures:
 # Reduced points probed for the deep-hole estimate of `lattice_figures`.
 _DEEP_HOLE_PROBES = 2_000
 # The working set of `lattice_figures` beyond its 8 bytes a sample, in
-# (CVP_ROWS, n) blocks: the draw, the query and the closed forms' or the
-# decoder's state.  The traced peaks are about 6.5 blocks for Z^8, 7.1 for
-# D4 and 6.7 for E8; enumeration takes 11.7 on a D4 basis in a non-standard
-# form and 18.2 at n = 1, where its (rows,) bookkeeping is as large as a
-# block (`tests/test_lattices.py`).
+# (CVP_ROWS, n) blocks: the row-major draw, its coordinate-major product,
+# divided by the scale in place, and the closed forms' or the decoder's
+# state.  The traced peaks are about 5.5 blocks for Z^8, 6.1 for D4 and 5.7
+# for E8; enumeration takes 11.7 on a D4 basis in a non-standard form and
+# 18.2 at n = 1, where its (rows,) bookkeeping is as large as a block
+# (`tests/test_lattices.py`).
 _FIGURES_BLOCKS = 20
 
 

@@ -108,17 +108,18 @@ def block_rng(seed, index):
 
 
 def _blocks(trials):
-    full, rem = divmod(trials, BLOCK)
-    sizes = [BLOCK] * full + ([rem] if rem else [])
-    return list(enumerate(sizes))
+    """(index, size) of each block of `trials`, in block order, one at a time."""
+    return ((i, min(BLOCK, trials - start)) for i, start in enumerate(range(0, trials, BLOCK)))
 
 
 def _per_block(trials, seed, draw, stream=0):
-    """draw(rng, size) for each block of `trials`, in block order, as a list.
+    """draw(rng, size) for each block of `trials`, in block order, as an
+    iterator: a block is drawn only when its result is asked for, so memory
+    does not grow with the number of blocks.
 
     The one block driver: the only caller of `block_rng` (module docstring).
     """
-    return [draw(block_rng(seed, (stream << 32) + i), size) for i, size in _blocks(trials)]
+    return (draw(block_rng(seed, (stream << 32) + i), size) for i, size in _blocks(trials))
 
 
 @dataclass(frozen=True)

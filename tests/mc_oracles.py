@@ -122,7 +122,7 @@ def empirical_spectrum(ensemble, n, bins, trials, seed, lattice=None):
             v /= np.linalg.norm(v, axis=1, keepdims=True)
             return np.linalg.norm(u - v, axis=1)
 
-        d = np.concatenate(_per_block(trials, seed, chords))
+        d = np.concatenate(list(_per_block(trials, seed, chords)))
         hist, edges = np.histogram(d, bins=bins, range=(0.0, 2.0))
         return hist, edges, d
     if ensemble == LATTICE_COSET:
@@ -132,7 +132,7 @@ def empirical_spectrum(ensemble, n, bins, trials, seed, lattice=None):
         def offsets(rng, size):
             return lattice.sample_voronoi(size, rng) - lattice.sample_voronoi(size, rng)
 
-        w = np.concatenate(_per_block(trials, seed, offsets))
+        w = np.concatenate(list(_per_block(trials, seed, offsets)))
         d = np.linalg.norm(w, axis=1)
         angles = np.arccos(np.clip(w[:, 0] / np.maximum(d, 1e-300), -1.0, 1.0))
         hist, edges = np.histogram(d, bins=bins)

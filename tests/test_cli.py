@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from decimal import Decimal
 
 import pytest
@@ -431,6 +432,28 @@ def test_lattice_fails_closed_on_non_finite_figures(tmp_path, capsys, big, small
         assert stdout == ""
         assert err.startswith("error: second_moment is inf") and err.count("\n") == 1, err
     assert [p.name for p in tmp_path.iterdir()] == ["huge.lat"]
+
+
+@pytest.mark.parametrize(
+    "text, code, message",
+    [
+        ("2\n1e308 1e308\n1e308 -1e308\n", 2, "basis volume |det| overflows to inf"),
+        ("2\n1e300 0\n0 1e-300\n", 3, "error: second_moment is inf"),
+    ],
+    ids=["volume-overflows", "figures-overflow"],
+)
+def test_lattice_at_the_float_range_says_one_error_line(tmp_path, capsys, text, code, message):
+    # A basis whose |det| overflows is refused by name, not as singular (its
+    # Hadamard bound overflows too); one whose figures overflow fails closed.
+    # Either way stderr is one `error:` line, with no numpy warning.
+    path = tmp_path / "extreme.lat"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, out, err = _run(capsys, "lattice", "--lattice", str(path), "--trials", "1000")
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+    assert [str(w.message) for w in caught] == []
 
 
 def test_simulate_deterministic_output(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Lattice layer: exact nearest-point decoding, sampling, figures of merit."""
 
 import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -31,7 +32,9 @@ from expbounds.lattices import (
 )
 from expbounds import lattices
 from expbounds.channel import ChannelSpec
-from expbounds.simulator import BLOCK, DEC_CLOSEST_COSET, LATTICE_COSET, SimConfig, simulate
+from expbounds.simulator import (
+    BLOCK, DEC_CLOSEST_COSET, LATTICE_COSET, SimConfig, normalized_lattice, simulate,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 # The benchmark's D4 basis in a non-standard form: the standard rows times a
@@ -614,10 +617,35 @@ def test_voronoi_norms2_are_the_samples_norms():
             _assert_within_closed_form_bound(lat, u, got, want)
 
 
+def test_f_ordered_gemm_keeps_the_row_major_bits(tmp_path):
+    # `voronoi_norms2` writes each block of parallelepiped points
+    # coordinate-major, basis^T draw^T, and enumeration reads that (n, rows)
+    # block's rows as an F-ordered matrix; `sample_voronoi` takes
+    # draw @ basis row-major.  Both lean on BLAS giving the F-ordered
+    # products the row-major ones' bits, which a build that breaks it fails
+    # here by name.  The bases: Z^8, D4 and E8 and the recognised D4 file,
+    # each at unit scale and normalized as the simulator takes them, an
+    # enumeration-only basis and a random Gaussian one.
+    file_d4 = load_basis(_write_basis(tmp_path / "d4-file.lat", D4_UNIMODULAR @ d4().basis))
+    assert file_d4.decoder == "D4"
+    bases = [integer_lattice(8), d4(), e8(), file_d4]
+    bases += [normalized_lattice(lat) for lat in bases]
+    rng = np.random.default_rng(20)
+    bases += [Lattice("d4-file", file_d4.basis), Lattice("gaussian", rng.standard_normal((8, 8)))]
+    for lat in bases:
+        q = _cvp_frame(lat.basis.tobytes(), lat.n)[1]
+        for rows in (1, 2, 3, CVP_ROWS - 1, CVP_ROWS):
+            draw = rng.random((rows, lat.n))
+            x = np.matmul(lat.basis.T, draw.T, out=np.empty((lat.n, rows)))
+            want = draw @ lat.basis
+            _assert_same_bits(x, want.T)
+            _assert_same_bits(x.T @ q, want @ q)
+
+
 def _closed_form_norms2(lat, points):
     """`voronoi_norms2`'s squared distances of given points, block by block."""
     run = lat._norms2(CVP_ROWS)
-    return np.concatenate([run(points[start : start + CVP_ROWS])[0]
+    return np.concatenate([run(points[start : start + CVP_ROWS].T.copy())[0]
                            for start in range(0, len(points), CVP_ROWS)])
 
 
@@ -723,13 +751,15 @@ def test_enumeration_memory_is_bounded(monkeypatch, chunk):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_enumeration_rejects_non_finite_queries(bad):
     # Every decoder, fast rule or enumeration, rejects such a query the same
-    # way, in the first block or a later one.
+    # way, in the first block or a later one; so do the closed forms of
+    # `voronoi_norms2`, whose 2^49 test sends such a block to the decoder.
     for lat in (Lattice("d4-file", D4_UNIMODULAR @ d4().basis), integer_lattice(4), d4(), e8(),
                 e8().rescaled(2.5)):
         for row in (1, CVP_ROWS + 1):
             pts = np.zeros((CVP_ROWS + 3, lat.n))
             pts[row, 2] = bad
-            for decode in (lat.nearest, lat.reduce, lat.nearest_enumerated):
+            for decode in (lat.nearest, lat.reduce, lat.nearest_enumerated, lat.residual_norms2,
+                           functools.partial(_closed_form_norms2, lat)):
                 with pytest.raises(ValueError, match="finite"):
                     decode(pts)
 
@@ -1023,3 +1053,17 @@ def test_singularity_check_is_scale_free():
     assert np.allclose(lat.nearest_enumerated(pts), 1e-4 * np.round(pts / 1e-4), rtol=0.0, atol=1e-18)
     with pytest.raises(ValueError, match="singular"):
         Lattice("equal-rows", np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]))
+
+
+def test_singularity_check_holds_at_the_float_range():
+    # Rows near 1e308 once gave |det| and Hadamard's bound both inf, and
+    # inf <= inf called them singular; rows scaled by their largest entry
+    # are judged as any others, and a volume past the float range is
+    # refused by name.  Rows far from 1 whose |det| is in range are kept.
+    with pytest.raises(ValueError, match="overflows to inf"):
+        Lattice("huge", np.array([[1e308, 1e308], [1e308, -1e308]]))
+    with pytest.raises(ValueError, match="underflows to 0"):
+        Lattice("tiny", 1e-200 * np.eye(2))
+    with pytest.raises(ValueError, match="singular"):
+        Lattice("huge-equal-rows", np.array([[1e308, 1e308], [1e308, 1e308]]))
+    assert Lattice("skewed", np.array([[1e300, 0.0], [0.0, 1e-300]])).volume == pytest.approx(1.0)

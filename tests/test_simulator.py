@@ -1,6 +1,7 @@
 """Monte Carlo machinery: determinism, decoders, tail checks, spectra."""
 
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -285,6 +286,28 @@ def test_block_split_invariance():
         parts = [block(cfg, sim.block_rng(cfg.seed, i), size) for i, size in enumerate(sizes)]
         assert min(parts) > 0, ensemble
         assert sum(parts) == sim.simulate(cfg).errors, ensemble
+
+
+def test_block_driver_is_lazy():
+    # 10^15 trials are about 2.4e11 blocks: a list of them, or of their
+    # results, would need terabytes before the first draw.  The first blocks
+    # come in order, drawn one at a time, in O(1) memory.
+    trials = 10 ** 15
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(sim._blocks(trials), 3))
+        seen = []
+        draws = sim._per_block(trials, 5, lambda rng, size: seen.append(size) or size)
+        got = list(itertools.islice(draws, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == [(0, sim.BLOCK), (1, sim.BLOCK), (2, sim.BLOCK)]
+    assert got == seen == [sim.BLOCK, sim.BLOCK]
+    assert peak < 64 * 1024, peak
+    assert list(sim._blocks(2 * sim.BLOCK + 777)) == [(0, sim.BLOCK), (1, sim.BLOCK), (2, 777)]
+    assert list(sim._blocks(sim.BLOCK)) == [(0, sim.BLOCK)]
+    assert list(sim._blocks(0)) == []
 
 
 def test_skipped_uniforms_leave_the_block_stream_where_drawing_does():
