@@ -59,7 +59,7 @@ the tests' oracle.
 import functools
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -863,6 +863,9 @@ _DEEP_HOLE_PROBES = 2_000
 _FIGURES_BLOCKS = 20
 
 
+# Entries near the float range overflow the figures, and the finiteness check
+# at the end refuses them, so numpy's warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def lattice_figures(lattice, samples=200_000, seed=0):
     """Monte Carlo figures of merit, with exact volume and r_eff.
 
@@ -871,7 +874,8 @@ def lattice_figures(lattice, samples=200_000, seed=0):
     value (max distance over random reduced points, a lower estimate of the
     covering radius) is reported alongside.  Only the samples' squared norms
     are kept, read off one rounding on Z^n, D4 and E8
-    (`Lattice.voronoi_norms2`).
+    (`Lattice.voronoi_norms2`).  ArithmeticError names the first figure
+    that is not finite.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2 for a second moment and its stderr")
@@ -893,7 +897,7 @@ def lattice_figures(lattice, samples=200_000, seed=0):
     np.square(norms2, out=norms2)
     stderr = math.sqrt(norms2.sum() / (samples - 1)) / math.sqrt(samples) / n
     probe_max = float(np.sqrt(lattice.voronoi_norms2(_DEEP_HOLE_PROBES, rng)).max())
-    return LatticeFigures(
+    figs = LatticeFigures(
         n=n,
         volume=v,
         second_moment=float(sigma2),
@@ -903,3 +907,7 @@ def lattice_figures(lattice, samples=200_000, seed=0):
         r_cov=lattice.covering_radius_bound(),
         deep_hole_probe=probe_max,
     )
+    for name, value in asdict(figs).items():
+        if not math.isfinite(value):
+            raise ArithmeticError("%s is %r for lattice %r" % (name, float(value), lattice.name))
+    return figs

@@ -31,22 +31,21 @@ max(1, sigma), so sigma^2 chi^2 cannot overflow at any finite noise
 variance.  n = 1 is the discrete case: the "sphere" is {-1, +1}, a rival
 equals the sent word with probability 1/2 and that tie counts as an error.
 The expurgated ensemble has dependent codewords, so it still builds its
-codebooks (all of a block at once) and decodes by the largest inner
-product, which does not cancel to ties at huge noise as distances do.  The
-books are held coordinate-major, as (slot, coordinate, book), the layout of
-the `lattices` decoders, so each round of candidates is normalized, screened
-against the earlier codewords and decoded by numpy operations on whole rows
-of books rather than on axes of length n.  Norms and the decode's inner
-products are summed in numpy's pairwise order (`lattices._row_sum`), so
-codewords and decisions keep the bits of a row-major build; the screen adds
-its inner products one coordinate at a time, which can differ from a matrix
-product only for a candidate within a few ulps of the floor.  At n = 8,
-M = 9, d_min = 0.6 a trial costs about 3 us against 5 us row-major (2-vCPU
-Xeon), and the 85 normal variates it draws take about half of that: the
-draws are the floor.  `SimConfig` budgets min(trials, BLOCK) (2 M n + n + 16)
-8 bytes for a block: its books, as much again for expurgating and decoding,
-and the per-trial bookkeeping.  Once the books pass about 1 MB, a block's
-memory peak is about 0.5-0.7 of that.
+codebooks (all of a block at once, slot by slot) and decodes by the largest
+inner product, which does not cancel to ties at huge noise as distances do.
+The same rotational symmetry builds each book in the Gram-Schmidt frame of
+its own codewords (`_expurgated_codebooks`): a slot-k candidate draws its
+w = min(k, n) coordinates on the earlier codewords' axes and, when w < n,
+one chi^2_(n-w) energy off them, not n normals, and a trial's noise needs
+only its r = min(M, n) coordinates on the books' axes.  The books are held
+as (slot, coordinate, book), and one einsum screens a round of candidates
+and one decodes a block, each adding its products one coordinate at a time.
+At n = 8, M = 9, d_min = 0.6 a book draws 36 normals and 7 chi^2 variates,
+plus its redraws, and a trial costs about 1.7 us (2-vCPU Xeon, in process),
+about half of it in the draws.  `SimConfig` budgets
+min(trials, BLOCK) (2 M min(M, n) + n + 16) 8 bytes for a block: its books,
+as much again for expurgating and decoding, and the per-trial bookkeeping.
+A block's traced peak is at most about 0.7 of that.
 
 The lattice-coset ensemble is simulated without coset leaders (Erez & Zamir
 2004, "Achieving 1/2 log(1+SNR) on the AWGN channel with lattice encoding and
@@ -88,7 +87,7 @@ import numpy as np
 from scipy import special
 
 from .channel import ChannelSpec
-from .lattices import MEMORY_BUDGET_BYTES, Lattice, _row_sum, voronoi_shell
+from .lattices import MEMORY_BUDGET_BYTES, Lattice, voronoi_shell
 
 BLOCK = 4096
 MAX_CODEBOOK = 65536
@@ -182,12 +181,11 @@ class SimConfig:
                 % (self.d_min, self.n + 1, m)
             )
         if self.ensemble == SPHERICAL_EXPURGATED:
-            # A block holds its codebooks, and less than as much again while it
-            # expurgates and decodes once they pass about 1 MB (the module
-            # docstring), plus n + 16 floats a trial of bookkeeping: the
-            # noise, counters, indices and the screen's chunk.
+            # A block holds its codebooks of M min(M, n) floats a trial, and
+            # less than as much again while it expurgates and decodes (the
+            # module docstring), plus n + 16 floats a trial of bookkeeping.
             # `tests/test_expurgation.py` traces the peak.
-            need = min(self.trials, BLOCK) * (2 * m * self.n + self.n + 16) * 8
+            need = min(self.trials, BLOCK) * (2 * m * min(m, self.n) + self.n + 16) * 8
             if need > MEMORY_BUDGET_BYTES:
                 raise ValueError(
                     "expurgated codebooks need about %.3g GiB, over the %.3g GiB budget;"
@@ -256,92 +254,62 @@ def _result(errors, trials, n):
     )
 
 
-def _on_sphere(rng, shape, n, out=None):
-    """Uniform points of norm sqrt(n), drawn as `shape` rows, coordinate-major.
-
-    The normal draws fill an array of shape (*shape, n) in row-major order;
-    the result, in `out` if given, is (n, *shape), one contiguous row a
-    coordinate, with the bits of `draw / ||draw|| * sqrt(n)` taken row by
-    row (`_row_sum` keeps numpy's order; exactly +-1 when n = 1).
-    """
-    if out is None:
-        out = np.empty((n, *shape))
-    out[...] = np.moveaxis(rng.standard_normal((*shape, n)), -1, 0)
-    out /= np.sqrt(_row_sum(out * out))
-    out *= math.sqrt(n)
-    return out
-
-
-# Bytes of inner products the expurgation kernel holds at once: the screen
-# takes the earlier codewords, and the decode the books, in chunks of at
-# most this many products, so neither holds a full (M, count) array.
-_CHUNK_BYTES = 1 << 18
-
-
-def _largest_ip(earlier, cand, todo=None):
-    """Each candidate's largest inner product with the codewords `earlier`.
-
-    `earlier` is (k, n, count).  `cand` is (n, count), one candidate a book,
-    or with `todo`, (n, todo.size, per): `per` candidates for each book in
-    `todo`.  For a chunk of codewords at a time (gathered for `todo`), the
-    products are added one coordinate at a time into a (chunk, ...) array,
-    and its maximum over the chunk joins the running maximum.
-    """
-    step = max(1, _CHUNK_BYTES // (8 * cand[0].size))
-    best = None
-    for j in range(0, len(earlier), step):
-        part = earlier[j : j + step]
-        if todo is not None:
-            part = part[:, :, todo, None]
-        ips = part[:, 0] * cand[0]
-        term = np.empty_like(ips)
-        for c in range(1, len(cand)):
-            ips += np.multiply(part[:, c], cand[c], out=term)
-        top = ips.max(axis=0)
-        best = top if best is None else np.maximum(best, top, out=best)
-    return best
-
-
 # Candidates drawn per round while expurgating: a few pending codebooks draw
 # several each, so a hard floor costs few numpy calls.
 _CANDIDATES = 256
 
 
 def _expurgated_codebooks(rng, count, m, n, d_min):
-    """`count` codebooks whose codewords keep pairwise distance >= d_min sqrt(n).
+    """`count` codebooks whose codewords keep pairwise distance >= d_min sqrt(n),
+    each in the Gram-Schmidt frame of its own codewords.
 
-    Built slot by slot across all codebooks at once.  For slot k every book
-    draws uniform candidates until one clears its first k codewords, and only
-    books still pending draw again; each candidate is accepted or rejected
-    exactly as in one-at-a-time sequential rejection, so each codebook has that
-    law.  A book that needs more than 10 000 M draws in all raises
-    RuntimeError.  The books are held coordinate-major, as (slot, coordinate,
-    book), and returned as a (count, M, n) view of that array.
+    Built slot by slot across all codebooks at once.  Slot 0 is sqrt(n) e_1,
+    and codewords 0..k-1 lie on the first w = min(k, n) axes, so a slot-k
+    candidate is w normals there and, when w < n, a chi^2_(n-w) energy off
+    them, divided by the root of their total square and multiplied by
+    sqrt(n).  Only the w coordinates meet the screen; an accepted candidate
+    puts its orthogonal part on +e_(w+1).  A rotation fixing the first w axes
+    takes a uniform candidate of the full space there, so each book has the
+    law of one-at-a-time sequential rejection up to a rotation, which neither
+    the screen nor the decode can see.  Every pending book draws candidates
+    until one clears its first k codewords.  A book that needs more than
+    10 000 M draws in all raises RuntimeError.  The books are held as (slot,
+    coordinate, book) with r = min(M, n) coordinates, and returned as a
+    (count, M, r) view.
     """
-    books = np.empty((m, n, count))
-    _on_sphere(rng, (count,), n, out=books[0])
+    books = np.zeros((m, min(m, n), count))
+    books[0, 0] = math.sqrt(n)
     # Equal norms: |a - b|^2 >= d_min^2 n  iff  <a, b> <= n (1 - d_min^2 / 2).
     ip_max = n * (1.0 - 0.5 * d_min * d_min)
     attempts = np.ones(count, dtype=np.int64)
     for k in range(1, m):
+        # The candidate's w coordinates on the earlier codewords' axes and,
+        # when w < n, its orthogonal part on the next axis: v rows.
+        w = min(k, n)
+        v = min(k + 1, n)
         todo = np.arange(count)
         while todo.size:
             per = max(1, _CANDIDATES // todo.size)
-            if todo.size == count and per == 1:
-                # Every book draws one candidate: draw them all into the slot,
-                # and let the books that reject theirs overwrite it below.
-                _on_sphere(rng, (count,), n, out=books[k])
-                ok = _largest_ip(books[:k], books[k]) <= ip_max
-                attempts += 1
-                todo = np.flatnonzero(~ok)
-            else:
-                cand = _on_sphere(rng, (todo.size, per), n)
-                ok = _largest_ip(books[:k], cand, todo) <= ip_max
-                hit = ok.any(axis=1)
-                first = ok.argmax(axis=1)  # the first candidate in draw order that clears
-                attempts[todo] += np.where(hit, first + 1, per)
-                books[k][:, todo[hit]] = cand[:, hit, first[hit]]
-                todo = todo[~hit]
+            # When every book draws one candidate, they are drawn into the
+            # slot, and the books that reject theirs overwrite it later.
+            whole = todo.size == count and per == 1
+            cand = books[k, :v, :, None] if whole else np.empty((v, todo.size, per))
+            rng.standard_normal(out=cand[:w])
+            norm = np.einsum("wtp,wtp->tp", cand[:w], cand[:w])
+            if w < n:
+                cand[w] = rng.chisquare(n - w, (todo.size, per))
+                norm += cand[w]
+                np.sqrt(cand[w], out=cand[w])
+            cand /= np.sqrt(norm)
+            cand *= math.sqrt(n)
+            earlier = books[:k, :w] if todo.size == count else books[:k, :w, todo]
+            ok = np.einsum("kwt,wtp->ktp", earlier, cand[:w]).max(axis=0) <= ip_max
+            hit = ok.any(axis=1)
+            first = ok.argmax(axis=1)  # the first candidate in draw order that clears
+            attempts[todo] += np.where(hit, first + 1, per)
+            if not whole:
+                books[k][:v, todo[hit]] = cand[:, hit, first[hit]]
+            todo = todo[~hit]
             # Only this round's books drew, and every other book was checked
             # when it last drew.
             if attempts.max() > 10_000 * m:
@@ -432,30 +400,24 @@ def _spherical_ml_errors(config, rng, count):
 
 
 def _expurgated_errors(config, rng, count):
-    """ML errors of `count` trials, each with a fresh expurgated codebook."""
-    n, m = config.n, config.codebook_size
-    sd = math.sqrt(config.noise_variance)
-    books = _expurgated_codebooks(rng, count, m, n, config.d_min)
+    """ML errors of `count` trials, each with a fresh expurgated codebook.
+
+    Only the noise on the r axes of the books' frame moves an inner product
+    with a codeword, so a trial draws r normals of noise, not n.
+    """
+    m = config.codebook_size
+    books = _expurgated_codebooks(rng, count, m, config.n, config.d_min)
     sent = rng.integers(m, size=count)
-    slots = books.transpose(1, 2, 0)  # (slot, coordinate, book), contiguous
-    y = rng.normal(scale=sd, size=(count, n)).T
     rows = np.arange(count)
-    for c in range(n):
-        y[c] += slots[sent, c, rows]
+    y = rng.normal(scale=math.sqrt(config.noise_variance), size=(books.shape[2], count))
+    y += books[rows, sent].T
     # Equal norms: ML picks the largest inner product.  Distances would cancel
     # to ties once ||y||^2 dwarfs the codeword terms, and overflow near 1e308.
-    # Each inner product keeps the bits of a row sum over the n coordinates.
-    width = max(1, _CHUNK_BYTES // (8 * m * n))
-    errors = 0
-    for start in range(0, count, width):
-        cols = slice(start, start + width)
-        ips = _row_sum((slots[:, :, cols] * y[:, cols]).transpose(1, 0, 2))
-        own = sent[cols], rows[: ips.shape[1]]
-        ip_sent = ips[own]
-        ips[own] = -np.inf
-        # Pessimistic tie rule: a rival at an equal inner product counts as an error.
-        errors += int((ips.max(axis=0) >= ip_sent).sum())
-    return errors
+    ips = np.einsum("mrb,rb->mb", books.transpose(1, 2, 0), y)
+    ip_sent = ips[sent, rows]
+    ips[sent, rows] = -np.inf
+    # Pessimistic tie rule: a rival at an equal inner product counts as an error.
+    return int((ips.max(axis=0) >= ip_sent).sum())
 
 
 def _rivals_lost(lattice, shell, rng, d2_sent, m):

@@ -810,6 +810,17 @@ def test_effective_radius():
     assert abs(figs.r_eff - 1.0 / math.sqrt(math.pi)) < 1e-12
 
 
+@pytest.mark.parametrize("big, small", [(1e300, 1e-300), (1e200, 1e-200)])
+def test_lattice_figures_refuse_non_finite_figures(big, small):
+    # |det| = 1, but the draws overflow once scaled into sigma^2: the first
+    # non-finite field is named, and numpy warns of nothing on the way.
+    lat = Lattice("huge", np.array([[big, 0.0], [0.0, small]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="^second_moment is inf for lattice 'huge'$"):
+            lattice_figures(lat, samples=100, seed=0)
+
+
 def test_covering_radius_bounds_probe():
     for lat in (
         e8(),

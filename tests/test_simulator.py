@@ -339,11 +339,14 @@ def test_zero_noise_zero_errors():
 
 
 def test_expurgated_respects_distance_floor():
-    rng = sim.block_rng(0, 0)
-    books = sim._expurgated_codebooks(rng, 64, 9, 8, 0.5)
-    d2 = ((books[:, :, None, :] - books[:, None, :, :]) ** 2).sum(axis=3)
-    d2 += np.eye(9) * 1e9
-    assert d2.min() >= 0.25 * 8 - 1e-9
+    # The books come in the frame of their own codewords, with min(M, n)
+    # coordinates: M above n, M below n, and the line.
+    for m, n, d_min in [(9, 8, 0.5), (4, 16, 1.3), (32, 8, 0.6), (2, 1, 1.4)]:
+        books = sim._expurgated_codebooks(sim.block_rng(0, 0), 64, m, n, d_min)
+        assert books.shape == (64, m, min(m, n))
+        d2 = ((books[:, :, None, :] - books[:, None, :, :]) ** 2).sum(axis=3)
+        d2 += np.eye(m) * 1e9
+        assert d2.min() >= d_min * d_min * n - 1e-9
 
 
 def test_expurgated_unreachable_floor_raises():
