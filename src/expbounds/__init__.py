@@ -2,7 +2,7 @@
 Gaussian channel and its mod-lattice variant, with Monte Carlo validation.
 
 The closed forms need only `math`.  The lattice and simulator names, which
-need numpy and scipy, are imported on first use (PEP 562).
+need numpy (never scipy), are imported on first use (PEP 562).
 """
 
 import importlib

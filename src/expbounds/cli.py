@@ -33,9 +33,9 @@ from .channel import (
     nats_to_bits,
 )
 
-# `lattices` and `simulator` (numpy, scipy.special) are imported inside the
-# functions that use them, so `exponents`, `geometry` and `validate fast`
-# start with the standard library alone.
+# `lattices` and `simulator` (numpy) are imported inside the functions that
+# use them, so `exponents`, `geometry` and `validate fast` start with the
+# standard library alone.  No command loads scipy.
 
 # In the order of `modlam.exponent_table`'s rows.
 CURVES = ("E_sp", "E_r", "E_x", "E_awgn", "E_modlambda")
@@ -375,9 +375,31 @@ def _fast_checks():
     return checks
 
 
-def _mc_checks():
-    from scipy import special
+def _gammaincc_int(m, y):
+    """The regularized upper incomplete gamma function Q(m, y) for integer
+    m >= 1, as its finite Poisson sum e^-y (1 + y + ... + y^(m-1)/(m-1)!)."""
+    term = total = math.exp(-y)
+    for j in range(1, m):
+        term *= y / j
+        total += term
+    return total
 
+
+def _gammainc_half(a, y):
+    """The regularized lower incomplete gamma function P(a, y) for
+    a = 1/2, 3/2, ...: from P(1/2, y) = erf(sqrt y), each step
+    P(b+1, y) = P(b, y) - y^b e^-y / Gamma(b+1)."""
+    total = math.erf(math.sqrt(y))
+    term = 2.0 * math.sqrt(y / math.pi) * math.exp(-y)  # b = 1/2
+    b = 0.5
+    while b < a:
+        total -= term
+        b += 1.0
+        term *= y / b
+    return total
+
+
+def _mc_checks():
     from . import simulator
 
     spec = ChannelSpec(10.0)
@@ -411,7 +433,7 @@ def _mc_checks():
 
     def tail_bound():
         r = 0.5
-        exact = special.gammaincc(n / 2, r * r * half)
+        exact = _gammaincc_int(n // 2, r * r * half)
         e_h, _ = awgn.tail_exponents(r * r * snr)
         return max(0.0, exact - math.exp(-n * e_h))
 
@@ -419,7 +441,7 @@ def _mc_checks():
 
     def joint_tail_bound():
         x, y = 0.2, 0.5
-        exact = special.erfc(x * math.sqrt(half)) * special.gammainc((n - 1) / 2, y * y * half)
+        exact = math.erfc(x * math.sqrt(half)) * _gammainc_half((n - 1) / 2, y * y * half)
         return max(0.0, exact - math.exp(-n * regions.joint_tail_exponent(x, y, snr)))
 
     checks.append(("joint tail bound holds", joint_tail_bound, 0.0))

@@ -8,6 +8,9 @@ scheduling; block results are added (counts) or concatenated, in block order.
 Power convention: P = 1, codewords have norm sqrt(n), noise variance 1/SNR
 per dimension.  Normalized distances divide by sqrt(n).
 
+The module needs numpy alone: the cap law of the spherical ensemble and the
+Clopper-Pearson bounds of every result come from `_beta`.
+
 The spherical ML ensemble is simulated without drawing codebooks (Shannon
 1959, "Probability of error for optimal codes in a Gaussian channel").  All
 codewords have the same norm, so ML decoding picks the largest inner product
@@ -23,13 +26,15 @@ E < -(M-1) ln(1-q): a Bernoulli(P(err | y)) draw, which is the brute-force
 ML error law at O(1) cost and memory per trial.  q rises with x, so a cached
 table of q at CAP_KNOTS + 1 knots of x in [0, 1/2] (built once per n)
 brackets each trial's threshold; only trials whose E falls inside their
-bracket, about 0.15% at n = 8 and 12, SNR 2, evaluate betainc.  The decisions
-are those of one betainc call per trial, bit for bit, at 0.13 us a trial
-instead of 0.29 (n = 8, M = 9, 2-vCPU Xeon); the random draws are now most of
-the cost.  The noise is handled in units of a power of two at least
-max(1, sigma), so sigma^2 chi^2 cannot overflow at any finite noise
-variance.  n = 1 is the discrete case: the "sphere" is {-1, +1}, a rival
-equals the sent word with probability 1/2 and that tie counts as an error.
+bracket, about 0.15% at n = 8 and 12, SNR 2, evaluate ln q exactly
+(`_beta.log_cap`, finite where q underflows).  Every x takes the same terms
+there, so the decisions are those of one evaluation per trial, bit for bit,
+at about 0.08 us a trial (n = 8, M = 9, 100 000 trials, in process on a
+2-vCPU Xeon); the random draws are most of the cost.  The noise is handled
+in units of a power of two at least max(1, sigma), so sigma^2 chi^2 cannot
+overflow at any finite noise variance.  n = 1 is the discrete case: the
+"sphere" is {-1, +1}, a rival equals the sent word with probability 1/2 and
+that tie counts as an error.
 The expurgated ensemble has dependent codewords, so it still builds its
 codebooks (all of a block at once, slot by slot) and decodes by the largest
 inner product, which does not cancel to ties at huge noise as distances do.
@@ -84,8 +89,8 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy import special
 
+from . import _beta
 from .channel import ChannelSpec
 from .lattices import MEMORY_BUDGET_BYTES, Lattice, voronoi_shell
 
@@ -119,6 +124,27 @@ def _per_block(trials, seed, draw, stream=0):
     The one block driver: the only caller of `block_rng` (module docstring).
     """
     return (draw(block_rng(seed, (stream << 32) + i), size) for i, size in _blocks(trials))
+
+
+def _most_codewords(n, d_min):
+    """An upper bound on the codewords of the sphere of radius sqrt(n) in R^n
+    with pairwise distances at least d_min sqrt(n), or inf where none is used.
+
+    The sphere of R^1 has two points, so any floor above 0 allows 2.  Past
+    the right angle, d_min > sqrt(2), Rankin's bound n + 1 holds, and so
+    does 1 + 2/(d_min^2 - 2), from ||x_1 + ... + x_M||^2 >= 0 with every
+    inner product at most n (1 - d_min^2/2): 2 at d_min = 2, n + 1 at the
+    regular simplex's chord.  It is rounded down after a 1e-9 allowance, so
+    a floor given as a rounded chord of a code that meets it keeps that
+    code's size.  At the right angle itself at most 2n fit (Rankin).
+    """
+    if n == 1 and d_min > 0.0:
+        return 2
+    if d_min > math.sqrt(2.0):
+        return min(n + 1, math.floor(1.0 + 2.0 / (d_min * d_min - 2.0) + 1e-9))
+    if d_min == math.sqrt(2.0):
+        return 2 * n
+    return math.inf
 
 
 @dataclass(frozen=True)
@@ -170,17 +196,13 @@ class SimConfig:
             raise ValueError("codebook size %d < 2; raise rate or n" % m)
         if m > MAX_CODEBOOK:
             raise ValueError("codebook size %d exceeds cap %d" % (m, MAX_CODEBOOK))
-        if (
-            self.ensemble == SPHERICAL_EXPURGATED
-            and self.d_min > math.sqrt(2.0)
-            and m > self.n + 1
-        ):
-            # Rankin: beyond the right-angle chord sqrt(2) at most n+1 points fit.
-            raise ValueError(
-                "d_min %g > sqrt(2) admits at most n+1 = %d codewords, not %d"
-                % (self.d_min, self.n + 1, m)
-            )
         if self.ensemble == SPHERICAL_EXPURGATED:
+            most = _most_codewords(self.n, self.d_min)
+            if m > most:
+                raise ValueError(
+                    "d_min %g admits at most %d codewords in n = %d, not %d"
+                    % (self.d_min, most, self.n, m)
+                )
             # A block holds its codebooks of M min(M, n) floats a trial, and
             # less than as much again while it expurgates and decodes (the
             # module docstring), plus n + 16 floats a trial of bookkeeping.
@@ -230,16 +252,12 @@ class SimResult:
 def clopper_pearson(errors, trials):
     """Exact 95% binomial confidence interval (valid at zero counts).
 
-    Clopper-Pearson: the bounds are beta quantiles, taken by inverting the
-    regularized incomplete beta function with `scipy.special.betaincinv`.
+    Clopper-Pearson: lo is the p at which P(X >= errors) = 0.025 and hi the p
+    at which P(X <= errors) = 0.025, for X ~ Bin(trials, p); the second is
+    the first for trials - errors failures (`_beta.binomial_root`).
     """
-    a = (1.0 - 0.95) / 2.0
-    lo = 0.0 if errors == 0 else float(special.betaincinv(errors, trials - errors + 1, a))
-    hi = (
-        1.0
-        if errors == trials
-        else float(special.betaincinv(errors + 1, trials - errors, 1.0 - a))
-    )
+    lo = 0.0 if errors == 0 else _beta.binomial_root(errors, trials)[0]
+    hi = 1.0 if errors == trials else _beta.binomial_root(trials - errors, trials)[1]
     return lo, hi
 
 
@@ -320,16 +338,15 @@ def _expurgated_codebooks(rng, count, m, n, d_min):
 # Knots of the cap table: s = k / (2 CAP_KNOTS), k = 0..CAP_KNOTS, cover
 # [0, 1/2].  A power of two, so s * 2 CAP_KNOTS and every knot are exact.
 # 1024 knots leave about 0.15% of the benchmark's trials to an exact
-# evaluation, and the table costs one 1025-point betainc call per n.
+# evaluation, and the table costs one 1025-point `_beta.log_cap` call per n.
 CAP_KNOTS = 1024
-# Relative slack on the tabulated cap probabilities.  betainc is not monotone
-# at the level of its rounding: at knots +-3 ulps it steps backwards by up to
-# 2.4e-14 relative for n <= 200.  1e-9 covers that with room, and keeps the
-# bounds on ln P(miss) many ulps away from any value betainc can return.
+# Relative slack on the tabulated cap probabilities, added to ln I_s.
+# `_beta.log_cap` is not monotone at the level of its rounding: at knots
+# +-4 ulps it steps backwards by up to 3e-14 in ln I_s for n <= 200 (where
+# |ln I_s| is large, near the first knots).  1e-9 covers that with room, and
+# keeps the bounds on ln P(miss) many ulps away from any value the
+# evaluator can return.
 CAP_SLACK = 1e-9
-# Absolute slack: below the smallest normal float betainc returns
-# subnormals, whose relative error CAP_SLACK does not bound.
-_CAP_TINY = np.finfo(float).tiny
 
 
 @functools.lru_cache(maxsize=64)
@@ -341,13 +358,11 @@ def _cap_table(n):
     for every s in [s_k, s_{k+1}].  I_s rises with s, so I_{s_k} and
     I_{s_{k+1}}, widened by the slack, bound it on the interval.
     """
-    a = 0.5 * (n - 1)
-    cap = special.betainc(a, a, np.arange(CAP_KNOTS + 1) / (2.0 * CAP_KNOTS))
-    lo = np.maximum(cap[:-1] * (1.0 - CAP_SLACK) - _CAP_TINY, 0.0)
-    hi = cap[1:] * (1.0 + CAP_SLACK) + _CAP_TINY
-    with np.errstate(divide="ignore"):
-        least = np.concatenate([np.log1p(-hi), np.log(lo)])
-        most = np.concatenate([np.log1p(-lo), np.log(hi)])
+    log_cap = _beta.log_cap(n, np.arange(CAP_KNOTS + 1) / (2.0 * CAP_KNOTS))
+    lo = log_cap[:-1] + math.log1p(-CAP_SLACK)
+    hi = log_cap[1:] + math.log1p(CAP_SLACK)
+    least = np.concatenate([np.log1p(-np.exp(hi)), lo])
+    most = np.concatenate([np.log1p(-np.exp(lo)), hi])
     least.flags.writeable = most.flags.writeable = False  # shared by every caller
     return least, most
 
@@ -366,7 +381,7 @@ def _spherical_ml_errors(config, rng, count):
     Draws only the noise along the sent codeword, its orthogonal energy and
     one Exp(1) variate per trial; see the module docstring.  A trial errs iff
     E < -(M-1) ln P(miss).  The cap table brackets ln P(miss), and only the
-    trials whose E falls inside the bracket evaluate betainc.
+    trials whose E falls inside the bracket evaluate `_beta.log_cap`.
     """
     n, m = config.n, config.codebook_size
     # Lengths in units of a power of two at least max(1, sigma), so that
@@ -391,10 +406,9 @@ def _spherical_ml_errors(config, rng, count):
     err = expo < -(m - 1) * most
     unsure = np.flatnonzero(~err & (expo < -(m - 1) * least))
     if unsure.size:
-        cap = special.betainc(0.5 * (n - 1), 0.5 * (n - 1), s[unsure])
-        # Past the equator I_{1-s}(a, a) = 1 - I_s(a, a), so 1 - q = cap.
-        with np.errstate(divide="ignore"):
-            log_miss = np.where(par[unsure] >= 0.0, np.log1p(-cap), np.log(cap))
+        log_cap = _beta.log_cap(n, s[unsure])
+        # Past the equator I_{1-s}(a, a) = 1 - I_s(a, a), so 1 - q = I_s.
+        log_miss = np.where(par[unsure] >= 0.0, np.log1p(-np.exp(log_cap)), log_cap)
         err[unsure] = expo[unsure] < -(m - 1) * log_miss
     return int(err.sum())
 

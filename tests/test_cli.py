@@ -471,12 +471,14 @@ def test_simulate_deterministic_output(tmp_path, capsys):
 
 def test_simulate_with_every_optional_field_defaulted_is_pinned(tmp_path, capsys):
     # Ensemble, decoder, trials, seed, d_min and alpha all come from SimConfig.
+    # The 50-digit bounds are 0.13854505099822726882... and
+    # 0.15246214709311612487...: ci95 is 0.46 and 0.76 ulps from them.
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({"n": 8, "snr": 2.0, "rate_nats": 0.42}))
     code, out, _ = _run(capsys, "simulate", str(cfg))
     assert code == 0
     assert out == (
-        '{"ci95": [0.13854505099822728, 0.15246214709311612], '
+        '{"ci95": [0.13854505099822728, 0.15246214709311615], '
         '"config": {"n": 8, "rate_nats": 0.42, "snr": 2.0}, '
         '"empirical_exponent": 0.24103333923533976, "errors": 1454, "pe": 0.1454, '
         '"trials": 10000}\n'
@@ -506,6 +508,22 @@ def test_simulate_rejects_unreachable_floor(tmp_path, capsys):
     code, _, err = _run(capsys, "simulate", str(cfg))
     assert code == 2
     assert "d_min" in err
+
+
+def test_simulate_refuses_a_floor_no_codebook_meets_at_once(tmp_path, capsys, monkeypatch):
+    # n = 200 admits 201 codewords by Rankin's bound at d_min 2, but antipodal
+    # chords leave room for 2; once this ran 40 s to the attempt cap.
+    def no_draw(*args):
+        raise AssertionError("a rejected config must draw nothing")
+
+    monkeypatch.setattr(simulator, "_expurgated_codebooks", no_draw)
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"n": 200, "snr": 2.0, "rate_nats": math.log(100) / 200,
+                               "ensemble": "spherical-expurgated", "d_min": 2.0,
+                               "trials": 300}))
+    code, _, err = _run(capsys, "simulate", str(cfg))
+    assert code == 2
+    assert "d_min 2 admits at most 2 codewords in n = 200, not 100" in err
 
 
 def test_simulate_over_expurgated_budget_exits_2_at_once(tmp_path, capsys, monkeypatch):
@@ -694,19 +712,48 @@ def test_closed_form_requests_load_no_numpy():
 
 
 def test_validate_full_and_simulate_load_no_scipy_stats(tmp_path):
-    # `validate full`'s exact tail laws and the simulator need only scipy.special.
-    cfg = tmp_path / "coset.json"
-    cfg.write_text(json.dumps(_COSET))
+    # The simulator, the lattices and `validate full`'s exact tail laws run on
+    # numpy and `math`: no request loads any of scipy.
+    spherical = {"n": 8, "snr": 2.0, "rate_nats": math.log(9) / 8, "trials": 2000, "seed": 1}
+    configs = [
+        dict(spherical),
+        dict(spherical, ensemble="spherical-expurgated", d_min=0.6),
+        _COSET,
+        # A basis of no built-in lattice: enumeration and the Monte Carlo
+        # second moment.
+        dict(_COSET, n=2, lattice="basis.lat", rate_nats=math.log(3) / 2),
+    ]
+    (tmp_path / "basis.lat").write_text("2\n1 0\n0.5 1.25\n")
+    argvs = [["validate", "full"], ["lattice", "--lattice", "e8", "--trials", "2000"],
+             ["lattice", "--lattice", "basis.lat", "--trials", "2000"]]
+    for i, config in enumerate(configs):
+        path = tmp_path / ("sim%d.json" % i)
+        path.write_text(json.dumps(config))
+        argvs.append(["simulate", str(path)])
     out = _fresh_process(
-        "import contextlib, io, sys\n"
+        "import contextlib, io, os, sys\n"
         "from expbounds import cli\n"
+        "os.chdir(%r)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['validate', 'full']) == 0\n"
-        "    assert cli.main(['simulate', %r]) == 0\n"
-        "print(' '.join(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules))))\n"
-        % str(cfg)
+        "    for argv in %r:\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        % (str(tmp_path), argvs)
     )
     assert out.strip() == ""
+
+
+def test_validate_full_tail_laws_match_scipy():
+    # `validate full`'s exact chi^2 tails at n = 16, which once came from scipy.
+    from scipy import special
+
+    for y in (0.01, 0.5, 1.0, 5.0, 10.0, 20.0, 40.0, 80.0):
+        assert abs(cli._gammaincc_int(8, y) - special.gammaincc(8, y)) <= 1e-14, y
+        assert abs(cli._gammainc_half(7.5, y) - special.gammainc(7.5, y)) <= 1e-14, y
+        assert abs(math.erfc(y / 10) - special.erfc(y / 10)) <= 1e-14, y
+    for m in range(1, 12):
+        assert abs(cli._gammaincc_int(m, 3.0) - special.gammaincc(m, 3.0)) <= 1e-14, m
+        assert abs(cli._gammainc_half(m - 0.5, 3.0) - special.gammainc(m - 0.5, 3.0)) <= 1e-14, m
 
 
 def test_lattice_and_simulator_names_load_on_first_use():
@@ -777,11 +824,12 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
 
 
 def test_numerical_failure_exits_3_without_traceback(tmp_path, capsys):
-    # Rankin admits M = 5 at d_min 1.9 in n = 4, but no codebook meets the
-    # floor (the simplex chord is 1.58), so the expurgation attempt cap fires.
+    # The config's bounds admit M = 9 at d_min 1.4 in n = 4 (they start at
+    # the right-angle chord sqrt(2), where 2n = 8 fit), but sequential
+    # rejection does not reach 9 such codewords, so the attempt cap fires.
     cfg = tmp_path / "sim.json"
-    cfg.write_text(json.dumps({"n": 4, "snr": 2.0, "rate_nats": math.log(5) / 4,
-                               "ensemble": "spherical-expurgated", "d_min": 1.9,
+    cfg.write_text(json.dumps({"n": 4, "snr": 2.0, "rate_nats": math.log(9) / 4,
+                               "ensemble": "spherical-expurgated", "d_min": 1.4,
                                "trials": 1}))
     code, stdout, err = _run(capsys, "simulate", str(cfg))
     assert code == 3

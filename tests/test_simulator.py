@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mc_oracles as mc
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import special, stats
 
+from beta_mpmath import CLOPPER_PEARSON
 from expbounds.channel import ChannelSpec
-from expbounds import awgn, regions, simulator as sim
+from expbounds import _beta, awgn, regions, simulator as sim
 from expbounds.lattices import (
     Lattice, d4, e8, integer_lattice, lattice_figures, load_basis, voronoi_shell,
 )
@@ -125,8 +127,21 @@ def test_spherical_ml_n1_pessimistic_ties(m):
     assert lo <= exact <= hi
 
 
-def _all_trials_ml_errors(config, rng, count):
-    """Oracle: the spherical ML block with one exact betainc call per trial.
+def _exact_log_miss(n, s, par):
+    """ln P(a rival misses) as the unsure trials take it: one `_beta.log_cap` call."""
+    log_cap = _beta.log_cap(n, s)
+    return np.where(par >= 0.0, np.log1p(-np.exp(log_cap)), log_cap)
+
+
+def _scipy_log_miss(n, s, par):
+    """The same from scipy's betainc, which decided the unsure trials before."""
+    cap = special.betainc(0.5 * (n - 1), 0.5 * (n - 1), s)
+    with np.errstate(divide="ignore"):
+        return np.where(par >= 0.0, np.log1p(-cap), np.log(cap))
+
+
+def _all_trials_ml_errors(config, rng, count, log_miss=_exact_log_miss):
+    """Oracle: the spherical ML block with one exact evaluation per trial.
 
     The same draws in the same order as `simulate`, without the cap table's
     screen and without rescaling the noise, so it is exact only where
@@ -136,16 +151,14 @@ def _all_trials_ml_errors(config, rng, count):
     sd = math.sqrt(config.noise_variance)
     par = math.sqrt(n) + rng.normal(scale=sd, size=count)
     expo = rng.standard_exponential(count)
-    with np.errstate(divide="ignore"):
-        if n == 1:
-            log_miss = np.where(par > 0.0, math.log(0.5), -np.inf)
-        else:
-            perp2 = (sd * sd) * rng.chisquare(n - 1, size=count)
-            norm = np.sqrt(par * par + perp2)
-            s = perp2 / (2.0 * norm * (norm + np.abs(par)))
-            cap = special.betainc(0.5 * (n - 1), 0.5 * (n - 1), s)
-            log_miss = np.where(par >= 0.0, np.log1p(-cap), np.log(cap))
-    return int((expo < -(m - 1) * log_miss).sum())
+    if n == 1:
+        miss = np.where(par > 0.0, math.log(0.5), -np.inf)
+    else:
+        perp2 = (sd * sd) * rng.chisquare(n - 1, size=count)
+        norm = np.sqrt(par * par + perp2)
+        s = perp2 / (2.0 * norm * (norm + np.abs(par)))
+        miss = log_miss(n, s, par)
+    return int((expo < -(m - 1) * miss).sum())
 
 
 # SNR per dimension, or None for noise_var 0.
@@ -156,6 +169,7 @@ _ORACLE_NOISE = (1e-4, 0.1, 2.0, 100.0, 1e5, None)
 def test_spherical_ml_screen_matches_all_trials_oracle(n):
     # Every count must equal the oracle's: the screen only decides trials
     # whose exact decision it can prove.  One full block and a partial one.
+    # scipy's betainc, one call a trial, gives the same counts.
     for snr in _ORACLE_NOISE:
         for m in (2, 3, 9, 512, 4096, 65536):
             cfg = sim.SimConfig(
@@ -163,17 +177,12 @@ def test_spherical_ml_screen_matches_all_trials_oracle(n):
                 trials=sim.BLOCK + 777, seed=n * m, noise_var=None if snr else 0.0,
             )
             assert cfg.codebook_size == m
-            want = sum(
-                _all_trials_ml_errors(cfg, sim.block_rng(cfg.seed, index), size)
-                for index, size in sim._blocks(cfg.trials)
-            )
-            assert sim.simulate(cfg).errors == want, (n, snr, m)
-
-
-def _exact_log_miss(n, s, par):
-    cap = special.betainc(0.5 * (n - 1), 0.5 * (n - 1), s)
-    with np.errstate(divide="ignore"):
-        return np.where(par >= 0.0, np.log1p(-cap), np.log(cap))
+            for log_miss in (_exact_log_miss, _scipy_log_miss):
+                want = sum(
+                    _all_trials_ml_errors(cfg, sim.block_rng(cfg.seed, index), size, log_miss)
+                    for index, size in sim._blocks(cfg.trials)
+                )
+                assert sim.simulate(cfg).errors == want, (n, snr, m, log_miss.__name__)
 
 
 def _near_knots(ulps):
@@ -189,8 +198,8 @@ def _near_knots(ulps):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 12, 31, 64, 101, 200])
 def test_cap_bracket_holds_at_every_knot(n):
-    # betainc steps backwards by up to ~1e-14 relative at knots +-2 ulps, so
-    # the bracket holds only with its slack.
+    # log_cap is monotone only to its rounding, so the bracket holds at
+    # knots +-2 ulps only with its slack.
     s = _near_knots(2)
     for sign in (1.0, -1.0):
         par = np.full(s.size, sign)
@@ -235,16 +244,16 @@ def test_spherical_ml_par_zero_gives_s_about_one_half():
                      (12, 64, 8192), (12, 512, 8192)],
 )
 def test_spherical_ml_screen_decides_most_trials(n, m, trials, monkeypatch):
-    # The benchmark's spherical configs: at most 1% of trials call betainc.
+    # The benchmark's spherical configs: at most 1% of trials are evaluated.
     sim._cap_table(n)
     evaluated = []
-    exact = special.betainc
+    exact = _beta.log_cap
 
-    def spy(a, b, x):
-        evaluated.append(np.size(x))
-        return exact(a, b, x)
+    def spy(n, s):
+        evaluated.append(np.size(s))
+        return exact(n, s)
 
-    monkeypatch.setattr(sim.special, "betainc", spy)
+    monkeypatch.setattr(sim._beta, "log_cap", spy)
     cfg = _grid_config(n, m, 2.0, trials, 11)
     sim.simulate(cfg)
     assert sum(evaluated) <= 0.01 * trials, sum(evaluated)
@@ -357,6 +366,28 @@ def test_expurgated_unreachable_floor_raises():
         )
 
 
+@pytest.mark.parametrize(
+    "n, d_min, most",
+    [
+        (200, 2.0, 2),  # antipodal: 1 + 2/(d^2 - 2)
+        (4, 1.9, 2),  # 1 + 2/1.61 = 2.24
+        (8, math.sqrt(2.0 + 2.0 / 8), 9),  # the regular simplex's chord: n + 1
+        (2, math.sqrt(3.0), 3),  # the triangle
+        (5, math.sqrt(2.0), 10),  # the right angle: 2n
+        (1, 0.01, 2),  # the two points of the sphere of R^1
+    ],
+)
+def test_expurgated_floor_admits_exactly_its_bound(n, d_min, most):
+    # A config at the bound is built; one codeword more is refused at once.
+    def config(m):
+        return sim.SimConfig(n=n, spec=SNR2, rate=math.log(m) / n, trials=10,
+                             ensemble=sim.SPHERICAL_EXPURGATED, d_min=d_min)
+
+    assert config(most).codebook_size == most
+    with pytest.raises(ValueError, match="admits at most %d codewords" % most):
+        config(most + 1)
+
+
 def test_expurgation_attempt_cap_raises():
     # Rankin admits 5 points in 4 dimensions, but none keep chords of 1.9:
     # the regular simplex, the best such code, has chords sqrt(2.5) = 1.58.
@@ -382,17 +413,23 @@ def test_clopper_pearson_edges():
     assert lo < 0.1 < hi
 
 
+def _ulps(got, want):
+    """|got - want| in ulps of got, with want the exact decimal of a reference."""
+    if not got:
+        return abs(Fraction(want))
+    return abs(Fraction(got) - Fraction(want)) / Fraction(math.ulp(got))
+
+
 @pytest.mark.parametrize("trials", [1, 2, 10, 512, 4096, 20_000, 10 ** 6, 10 ** 7])
 def test_clopper_pearson_matches_beta_ppf(trials):
-    # The bounds are beta quantiles: betaincinv must give beta.ppf's bits.
-    a = (1.0 - 0.95) / 2.0  # as clopper_pearson forms it, not the literal 0.025
-    rng = np.random.default_rng(trials)
-    counts = {0, 1, trials // 2, trials - 1, trials}
-    counts |= {int(k) for k in rng.integers(0, trials + 1, size=20)}
-    for errors in sorted(counts):
-        lo = 0.0 if errors == 0 else float(stats.beta.ppf(a, errors, trials - errors + 1))
-        hi = 1.0 if errors == trials else float(stats.beta.ppf(1.0 - a, errors + 1, trials - errors))
-        assert sim.clopper_pearson(errors, trials) == (lo, hi), errors
+    # The bounds are the binomial tails' 0.025 points: within 4 ulps of the
+    # 50-digit quantiles of `beta_mpmath.py`, on the grid that table draws.
+    rows = [row for row in CLOPPER_PEARSON if row[0] == trials]
+    assert {0, 1, trials // 2, trials - 1, trials} <= {row[1] for row in rows}
+    for _, errors, lo, hi in rows:
+        got = sim.clopper_pearson(errors, trials)
+        assert _ulps(got[0], lo) <= 4 and _ulps(got[1], hi) <= 4, (errors, got, lo, hi)
+        assert (got[0] == 0.0) == (errors == 0) and (got[1] == 1.0) == (errors == trials)
 
 
 def test_lattice_decoder_ordering():
